@@ -6,10 +6,17 @@ EXPERIMENTS.md can reference the latest reproduction output.
 """
 
 import pathlib
+import sys
 
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+# Benchmarks that time a reference implementation import it from the
+# ``tests`` package (``tests/oracle.py``), which lives at the repo root.
+_REPO_ROOT = str(pathlib.Path(__file__).resolve().parent.parent)
+if _REPO_ROOT not in sys.path:
+    sys.path.insert(0, _REPO_ROOT)
 
 
 @pytest.fixture

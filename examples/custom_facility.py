@@ -16,9 +16,9 @@ from repro.config import make_rng
 from repro.economics.settlement import build_all_invoices, reconcile, render_invoices
 from repro.infrastructure.constraints import PhaseAssignment
 from repro.infrastructure.enforcement import EnforcementPolicy
+from repro.resilience import BernoulliLoss, FaultInjector
 from repro.sim import ScenarioBuilder
 from repro.sim.engine import SimulationEngine
-from repro.sim.faults import CommunicationFaultModel
 
 SLOTS = 900  # 30 simulated hours at 2-minute slots
 
@@ -50,9 +50,8 @@ def main() -> None:
         constraint_provider=lambda: phases.phase_headroom(
             imbalance_tolerance=0.25
         ),
-        fault_model=CommunicationFaultModel(
-            bid_loss_probability=0.02,
-            grant_loss_probability=0.02,
+        fault_model=FaultInjector(
+            sources=(BernoulliLoss("bid", 0.02), BernoulliLoss("grant", 0.02)),
             rng=make_rng(99),
         ),
         enforcement=EnforcementPolicy(),

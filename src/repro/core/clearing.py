@@ -12,17 +12,15 @@ favour).
 
 Implementation notes:
 
-* The default pipeline is **columnar**: bids are viewed through a
-  :class:`~repro.core.frame.BidFrame` (built once per slot), demand is
-  evaluated as an ``(n_bids, n_prices)`` ndarray kernel
-  (:func:`repro.core.demand.demand_matrix`), per-PDU totals are
-  contiguous segment sums over the PDU-sorted rows, and grants are
+* Clearing is **columnar**: bids are viewed through a
+  :class:`~repro.core.frame.BidFrame` (built once per slot; a bid list
+  is converted once on entry), per-PDU demand totals over the price
+  grid come from a breakpoint sweep over the PDU-sorted rows
+  (:meth:`~repro.core.frame.BidFrame.demand_totals`), and grants are
   extracted as one demand-vector evaluation at the clearing price.
-  Memory stays O(#bids x price-chunk); clearing cost stays in ndarray
-  time, which is what makes 15,000-rack scans fast (Fig. 7b).
-* The pre-frame object-at-a-time path is retained behind
-  ``columnar=False`` as the parity/benchmark reference (see
-  ``tests/test_bidframe_parity.py`` and ``BENCH_clearing.json``).
+  Clearing cost stays in ndarray time, which is what makes 15,000-rack
+  scans fast (Fig. 7b).  The object-at-a-time reference clear it is
+  checked against lives in ``tests/oracle.py``.
 * Grid resolution is the operator knob ``price_step`` (the paper reports
   clearing times at 0.1 and 1 cent/kW steps).  The scan optionally
   augments the grid with each bid's breakpoints (``q_min``/``q_max``) so
@@ -42,7 +40,6 @@ import numpy as np
 from repro.config import MarketParameters
 from repro.core.allocation import AllocationResult
 from repro.core.bids import RackBid
-from repro.core.demand import LinearBid
 from repro.core.frame import BidFrame
 from repro.errors import ClearingError
 
@@ -99,65 +96,42 @@ class MarketClearing:
             the candidate grid.  Improves profit at coarse steps for a
             small cost; disabled when reproducing the paper's pure
             fixed-step scan timings.
-        columnar: Clear through the :class:`BidFrame` columnar pipeline
-            (the default).  ``False`` selects the legacy object-at-a-time
-            path, kept as the parity and benchmark reference.
     """
 
     params: MarketParameters = dataclasses.field(default_factory=MarketParameters)
     include_breakpoints: bool = True
-    columnar: bool = True
 
     def candidate_prices(
         self, bids: "Sequence[RackBid] | BidFrame"
     ) -> np.ndarray:
         """The ascending price grid the scan will evaluate."""
+        frame = bids if isinstance(bids, BidFrame) else BidFrame.from_bids(bids)
         lo = self.params.reserve_price
         hi = self.params.max_price
         # No bid demands anything above the highest acceptable price, so
         # scanning beyond it only wastes work.
-        n_bids = len(bids)
-        if isinstance(bids, BidFrame):
-            if n_bids:
-                hi = min(hi, bids.max_acceptable_price())
-            # Frames are immutable once built, so a grid computed for
-            # one (bounds, step, breakpoints-mode) tuple stays valid for
-            # the frame's whole lifetime.  The incremental builder hands
-            # the engine the *same frame object* on unchanged-bid slots,
-            # turning the per-slot grid rebuild into a dict hit.
-            key = (lo, hi, self.params.price_step, self.include_breakpoints)
-            cache = bids._grid_cache
-            if cache is None:
-                cache = bids._grid_cache = {}
-            grid = cache.get(key)
-            if grid is None:
-                if hi < lo:
-                    grid = np.array([lo])
-                else:
-                    grid = _base_grid(lo, hi, self.params.price_step)
-                    if self.include_breakpoints and n_bids:
-                        grid = _augment_grid(
-                            grid, bids.breakpoints, lo, hi,
-                            self.params.price_step,
-                        )
-                cache[key] = grid
-            return grid
-        else:
-            if n_bids:
-                hi = min(hi, max(b.demand.max_price for b in bids))
-            collected = []
-            for bid in bids:
-                demand = bid.demand
-                for attr in ("q_min", "q_max", "price_cap"):
-                    value = getattr(demand, attr, None)
-                    if value is not None:
-                        collected.append(float(value))
-            points = np.asarray(collected, dtype=float)
-        if hi < lo:
-            return np.array([lo])
-        grid = _base_grid(lo, hi, self.params.price_step)
-        if self.include_breakpoints and n_bids:
-            grid = _augment_grid(grid, points, lo, hi, self.params.price_step)
+        if len(frame):
+            hi = min(hi, frame.max_acceptable_price())
+        # Frames are immutable once built, so a grid computed for one
+        # (bounds, step, breakpoints-mode) tuple stays valid for the
+        # frame's whole lifetime.  The incremental builder hands the
+        # engine the *same frame object* on unchanged-bid slots, turning
+        # the per-slot grid rebuild into a dict hit.
+        key = (lo, hi, self.params.price_step, self.include_breakpoints)
+        cache = frame._grid_cache
+        if cache is None:
+            cache = frame._grid_cache = {}
+        grid = cache.get(key)
+        if grid is None:
+            if hi < lo:
+                grid = np.array([lo])
+            else:
+                grid = _base_grid(lo, hi, self.params.price_step)
+                if self.include_breakpoints and len(frame):
+                    grid = _augment_grid(
+                        grid, frame.breakpoints, lo, hi, self.params.price_step
+                    )
+            cache[key] = grid
         return grid
 
     # ------------------------------------------------------------------
@@ -195,13 +169,9 @@ class MarketClearing:
         self._validate_capacities(pdu_spot_w, ups_spot_w, extra_constraints)
         if not len(bids):
             return AllocationResult.empty()
-        if isinstance(bids, BidFrame):
-            return self._clear_frame(bids, pdu_spot_w, ups_spot_w, extra_constraints)
-        if self.columnar:
-            return self._clear_frame(
-                BidFrame.from_bids(bids), pdu_spot_w, ups_spot_w, extra_constraints
-            )
-        return self._clear_objects(bids, pdu_spot_w, ups_spot_w, extra_constraints)
+        if not isinstance(bids, BidFrame):
+            bids = BidFrame.from_bids(bids)
+        return self._clear_frame(bids, pdu_spot_w, ups_spot_w, extra_constraints)
 
     @staticmethod
     def _validate_capacities(
@@ -219,8 +189,6 @@ class MarketClearing:
                 raise ClearingError(
                     f"negative capacity for constraint {constraint.name}"
                 )
-
-    # -- columnar path --------------------------------------------------
 
     def _clear_frame(
         self,
@@ -308,162 +276,6 @@ class MarketClearing:
             feasible_prices=n_feasible,
         )
 
-    # -- legacy object path ---------------------------------------------
-
-    def _clear_objects(
-        self,
-        bids: Sequence[RackBid],
-        pdu_spot_w: Mapping[str, float],
-        ups_spot_w: float,
-        extra_constraints: Sequence["CapacityConstraint"],
-    ) -> AllocationResult:
-        prices = self.candidate_prices(bids)
-        pdu_ids = sorted({bid.pdu_id for bid in bids})
-        pdu_index = {pdu_id: i for i, pdu_id in enumerate(pdu_ids)}
-        pdu_caps = np.array([pdu_spot_w.get(p, 0.0) for p in pdu_ids])
-
-        # Bid admission; the per-PDU grant ceilings min(PDU spot, UPS
-        # spot) are hoisted out of the per-bid loop.
-        pdu_ceiling = {
-            pdu_id: min(pdu_spot_w.get(pdu_id, 0.0), ups_spot_w)
-            for pdu_id in pdu_ids
-        }
-        admitted = []
-        rejected_ids = []
-        for bid in bids:
-            ceiling = min(bid.rack_cap_w, pdu_ceiling[bid.pdu_id])
-            for constraint in extra_constraints:
-                if bid.rack_id in constraint.rack_ids:
-                    ceiling = min(ceiling, constraint.cap_w)
-            floor_demand = min(
-                bid.demand.demand_at(bid.demand.max_price), bid.rack_cap_w
-            )
-            if floor_demand > ceiling + _TOL:
-                rejected_ids.append(bid.rack_id)
-            else:
-                admitted.append(bid)
-        if not admitted:
-            return AllocationResult(
-                price=float(prices[-1]) + self.params.price_step,
-                grants_w={rack_id: 0.0 for rack_id in rejected_ids},
-                revenue_rate=0.0,
-                candidate_prices=int(prices.size),
-                feasible_prices=0,
-            )
-
-        # Accumulate rack demand into per-PDU totals across the whole
-        # grid; extra constraint groups (phase/heat) accumulate alongside.
-        pdu_demand = np.zeros((len(pdu_ids), prices.size))
-        extra_demand = np.zeros((len(extra_constraints), prices.size))
-        extra_caps = np.array([c.cap_w for c in extra_constraints])
-        membership = [c.rack_ids for c in extra_constraints]
-
-        linear_bids = [
-            bid for bid in admitted if type(bid.demand) is LinearBid
-        ]
-        generic_bids = [
-            bid for bid in admitted if type(bid.demand) is not LinearBid
-        ]
-        if linear_bids:
-            self._accumulate_linear(
-                linear_bids, prices, pdu_index, membership,
-                pdu_demand, extra_demand,
-            )
-        for bid in generic_bids:
-            demand = np.minimum(bid.demand.demand_grid(prices), bid.rack_cap_w)
-            pdu_demand[pdu_index[bid.pdu_id]] += demand
-            for k, rack_ids in enumerate(membership):
-                if bid.rack_id in rack_ids:
-                    extra_demand[k] += demand
-        total_demand = pdu_demand.sum(axis=0)
-
-        feasible = (total_demand <= ups_spot_w + _TOL) & np.all(
-            pdu_demand <= pdu_caps[:, None] + _TOL, axis=0
-        )
-        if extra_constraints:
-            feasible &= np.all(
-                extra_demand <= extra_caps[:, None] + _TOL, axis=0
-            )
-        n_feasible = int(feasible.sum())
-        if n_feasible == 0:
-            return AllocationResult.empty(
-                price=float(prices[-1]) + self.params.price_step
-            )
-
-        revenue_rate = prices * total_demand / 1000.0  # $/h
-        revenue_rate = np.where(feasible, revenue_rate, -np.inf)
-        best = int(np.argmax(revenue_rate))  # argmax returns lowest index on ties
-        best_price = float(prices[best])
-
-        grants = {
-            bid.rack_id: float(
-                min(bid.demand.demand_at(best_price), bid.rack_cap_w)
-            )
-            for bid in admitted
-        }
-        for rack_id in rejected_ids:
-            grants[rack_id] = 0.0
-        return AllocationResult(
-            price=best_price,
-            grants_w=grants,
-            revenue_rate=float(max(revenue_rate[best], 0.0)),
-            candidate_prices=int(prices.size),
-            feasible_prices=n_feasible,
-        )
-
-    @staticmethod
-    def _accumulate_linear(
-        bids: Sequence[RackBid],
-        prices: np.ndarray,
-        pdu_index: Mapping[str, int],
-        membership: Sequence[frozenset[str]],
-        pdu_demand: np.ndarray,
-        extra_demand: np.ndarray,
-        chunk: int = 2048,
-    ) -> None:
-        """Vectorised demand accumulation for LinearBid bids (object path).
-
-        Evaluates all bids' piece-wise linear curves over the whole price
-        grid with one broadcasted expression per chunk (memory is bounded
-        at ``chunk x len(prices)`` floats) and scatter-adds the rows into
-        the per-PDU / per-constraint totals.
-        """
-        d_max = np.array([b.demand.d_max_w for b in bids])
-        d_min = np.array([b.demand.d_min_w for b in bids])
-        q_min = np.array([b.demand.q_min for b in bids])
-        q_max = np.array([b.demand.q_max for b in bids])
-        caps = np.array([b.rack_cap_w for b in bids])
-        rows = np.array([pdu_index[b.pdu_id] for b in bids])
-        span = q_max - q_min
-        degenerate = span <= 0
-
-        member_rows: list[np.ndarray] = [
-            np.array(
-                [i for i, b in enumerate(bids) if b.rack_id in rack_ids],
-                dtype=int,
-            )
-            for rack_ids in membership
-        ]
-
-        for start in range(0, len(bids), chunk):
-            sl = slice(start, start + chunk)
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                frac = np.clip(
-                    (prices[None, :] - q_min[sl, None])
-                    / np.where(degenerate[sl], 1.0, span[sl])[:, None],
-                    0.0,
-                    1.0,
-                )
-            demand = d_max[sl, None] + frac * (d_min[sl] - d_max[sl])[:, None]
-            demand = np.where(degenerate[sl, None], d_max[sl, None], demand)
-            demand = np.where(prices[None, :] <= q_max[sl, None], demand, 0.0)
-            np.minimum(demand, caps[sl, None], out=demand)
-            np.add.at(pdu_demand, rows[sl], demand)
-            for k, rows_k in enumerate(member_rows):
-                local = rows_k[(rows_k >= start) & (rows_k < start + chunk)]
-                if local.size:
-                    extra_demand[k] += demand[local - start].sum(axis=0)
-
     # ------------------------------------------------------------------
     # Locational (per-PDU) pricing
     # ------------------------------------------------------------------
@@ -492,27 +304,23 @@ class MarketClearing:
         apportioned caps never exceeds ``P_o`` (Eq. 4 holds by
         construction).
 
-        On the columnar path each PDU's market is a contiguous *frame
-        slice*; no per-slot object regrouping happens.
+        Each PDU's market is a contiguous *frame slice*; no per-slot
+        object regrouping happens.
 
         Returns:
             A combined allocation whose ``pdu_prices`` carries each
             PDU's clearing price; the headline ``price`` is the
             grant-weighted mean.
+
+        Raises:
+            ClearingError: On negative capacities (inconsistent inputs).
         """
-        if ups_spot_w < 0:
-            raise ClearingError(f"negative UPS spot capacity {ups_spot_w}")
+        self._validate_capacities(pdu_spot_w, ups_spot_w, extra_constraints)
         if not len(bids):
             return AllocationResult.empty()
-        if isinstance(bids, BidFrame):
-            return self._clear_per_pdu_frame(
-                bids, pdu_spot_w, ups_spot_w, extra_constraints
-            )
-        if self.columnar:
-            return self._clear_per_pdu_frame(
-                BidFrame.from_bids(bids), pdu_spot_w, ups_spot_w, extra_constraints
-            )
-        return self._clear_per_pdu_objects(
+        if not isinstance(bids, BidFrame):
+            bids = BidFrame.from_bids(bids)
+        return self._clear_per_pdu_frame(
             bids, pdu_spot_w, ups_spot_w, extra_constraints
         )
 
@@ -662,83 +470,6 @@ class MarketClearing:
         ]
         return self._combine_pdu_results(frame, per_pdu)
 
-    def _clear_per_pdu_objects(
-        self,
-        bids: Sequence[RackBid],
-        pdu_spot_w: Mapping[str, float],
-        ups_spot_w: float,
-        extra_constraints: Sequence["CapacityConstraint"],
-    ) -> AllocationResult:
-        by_pdu: dict[str, list[RackBid]] = {}
-        for bid in bids:
-            by_pdu.setdefault(bid.pdu_id, []).append(bid)
-        max_demand = (
-            {
-                bid.rack_id: min(bid.demand.max_demand_w, bid.rack_cap_w)
-                for bid in bids
-            }
-            if extra_constraints
-            else {}
-        )
-
-        interest = {
-            pdu_id: min(
-                pdu_spot_w.get(pdu_id, 0.0),
-                sum(
-                    min(b.demand.max_demand_w, b.rack_cap_w)
-                    for b in pdu_bids
-                ),
-            )
-            for pdu_id, pdu_bids in by_pdu.items()
-        }
-        total_interest = sum(interest.values())
-        grants: dict[str, float] = {}
-        pdu_prices: dict[str, float] = {}
-        revenue_rate = 0.0
-        candidates = 0
-        feasible = 0
-        for pdu_id, pdu_bids in by_pdu.items():
-            local_cap = pdu_spot_w.get(pdu_id, 0.0)
-            if total_interest > ups_spot_w and total_interest > 0:
-                local_cap = min(
-                    local_cap, ups_spot_w * interest[pdu_id] / total_interest
-                )
-            local_constraints = (
-                _localize_constraints(
-                    extra_constraints,
-                    {bid.rack_id for bid in pdu_bids},
-                    max_demand,
-                )
-                if extra_constraints
-                else ()
-            )
-            local = self._clear_objects(
-                pdu_bids, {pdu_id: local_cap}, local_cap, local_constraints
-            )
-            grants.update(local.grants_w)
-            pdu_prices[pdu_id] = local.price
-            revenue_rate += local.revenue_rate
-            candidates += local.candidate_prices
-            feasible += local.feasible_prices
-        total = sum(grants.values())
-        headline = (
-            sum(
-                pdu_prices[bid.pdu_id] * grants.get(bid.rack_id, 0.0)
-                for bid in bids
-            )
-            / total
-            if total > 0
-            else 0.0
-        )
-        return AllocationResult(
-            price=headline,
-            grants_w=grants,
-            revenue_rate=revenue_rate,
-            candidate_prices=candidates,
-            feasible_prices=feasible,
-            pdu_prices=pdu_prices,
-        )
-
 
 def _localize_constraints(
     extra_constraints: Sequence["CapacityConstraint"],
@@ -750,9 +481,10 @@ def _localize_constraints(
     Phase-balance constraints live within a single PDU, so they localize
     exactly.  A heat zone spanning several PDUs is apportioned by local
     maximum-demand share — a conservative decomposition (the per-PDU
-    shares always sum to at most the zone cap).  Both clearing paths
-    call this with the same rack → servable-demand mapping, so the
-    apportioned caps are bit-identical.
+    shares always sum to at most the zone cap).  The serial and sharded
+    per-PDU clears both reach this through
+    :meth:`MarketClearing._pdu_tasks`, so their apportioned caps are
+    bit-identical.
     """
     from repro.infrastructure.constraints import CapacityConstraint
 

@@ -349,9 +349,9 @@ def demand_matrix(
         out = np.empty((n, prices.size))
     span = q_max - q_min
     degenerate = span <= 0
-    # Mirrors LinearBid.demand_grid / the legacy vectorised path step for
-    # step: same operations in the same order, so the two clearing paths
-    # produce bit-identical per-bid demand.
+    # Mirrors LinearBid.demand_grid step for step: same operations in
+    # the same order, so the kernel and the per-bid curve produce
+    # bit-identical demand.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         frac = np.clip(
             (prices[None, :] - q_min[:, None])

@@ -17,6 +17,12 @@ Design points:
   (``np.add.reduceat``) rather than scattered ``np.add.at`` updates, and
   per-PDU locational clearing slices the frame instead of regrouping
   objects.
+* **One bid-to-column conversion**: :class:`PduBlock` turns one PDU's
+  :class:`RackBid` objects into frame columns, and every frame is
+  assembled from blocks (:meth:`BidFrame.from_blocks`) — from scratch
+  by :meth:`BidFrame.from_bids`, or slot over slot by
+  :class:`repro.core.sharding.IncrementalFrameBuilder`, which reuses
+  the blocks of unchanged PDUs.
 * **The object API stays**: :meth:`BidFrame.from_bids` /
   :meth:`BidFrame.to_bids` form a thin adapter, so tenants, enforcement,
   faults, and settlement keep speaking :class:`RackBid`.
@@ -40,42 +46,8 @@ from repro.core.demand import (
     demand_matrix,
 )
 
-__all__ = ["BidFrame"]
+__all__ = ["BidFrame", "PduBlock", "group_by_pdu"]
 
-
-def _validate_columns(d_max, q_min, d_min, q_max, caps) -> None:
-    """Vectorised admission checks for array-built frames.
-
-    Mirrors :func:`repro.recovery.admission.inspect_rack_bid` check by
-    check (same reasons, same order) so columnar and object callers
-    reject the same inputs for the same stated reason.
-    """
-    from repro.errors import BidValidationError
-
-    def first_bad(mask, reason, message):
-        rows = np.flatnonzero(mask)
-        if rows.size:
-            raise BidValidationError(
-                f"row {int(rows[0])}: {message}", reason=reason
-            )
-
-    finite = (
-        np.isfinite(d_max)
-        & np.isfinite(q_min)
-        & np.isfinite(d_min)
-        & np.isfinite(q_max)
-        & np.isfinite(caps)
-    )
-    first_bad(~finite, "non_finite", "non-finite bid parameter")
-    first_bad(q_max < q_min, "inverted_prices", "q_max below q_min")
-    first_bad(d_min > d_max, "inverted_quantities", "D_min above D_max")
-    negative = (d_max < 0) | (q_min < 0) | (d_min < 0) | (q_max < 0) | (caps < 0)
-    first_bad(negative, "negative_value", "negative bid parameter")
-    first_bad(
-        d_max > caps * (1.0 + 1e-9) + 1e-9,
-        "exceeds_rack_cap",
-        "demand exceeds rack headroom",
-    )
 
 #: Row kinds: closed-form rows evaluate through the vectorised kernel;
 #: sampled rows go through their demand object's ``demand_grid``.
@@ -83,12 +55,129 @@ KIND_CLOSED = 0
 KIND_SAMPLED = 1
 
 
+def group_by_pdu(bids: Iterable[RackBid]) -> dict[str, list[RackBid]]:
+    """Bids grouped by PDU id, submission order kept within each group."""
+    groups: dict[str, list[RackBid]] = {}
+    for b in bids:
+        groups.setdefault(b.pdu_id, []).append(b)
+    return groups
+
+
+class PduBlock:
+    """One PDU's bids as frame columns.
+
+    This is the only place a :class:`RackBid` becomes frame columns:
+    :meth:`BidFrame.from_blocks` concatenates blocks into a frame.  The
+    tenant table is *local* (first appearance within this PDU's rows);
+    ``from_blocks`` merges the local tables in block order, which
+    preserves global first-appearance order.
+    """
+
+    __slots__ = (
+        "pdu_id",
+        "bids",
+        "rack_ids",
+        "tenant_table",
+        "tenant_code_local",
+        "kind",
+        "d_max_w",
+        "q_min",
+        "d_min_w",
+        "q_max",
+        "rack_cap_w",
+        "max_demand_w",
+        "floor_w",
+        "breakpoints",
+        "demands",
+    )
+
+    def __init__(self, pdu_id: str, bids: tuple[RackBid, ...]) -> None:
+        tenant_index: dict[str, int] = {}
+        tenant_code: list[int] = []
+        # One row of (cap, d_max, q_min, d_min, q_max, max_demand) per
+        # bid, plus the grid-augmentation points of its public curve
+        # attributes (q_min / q_max / price_cap), in row order.
+        rows: list[tuple] = []
+        points: list[float] = []
+        sampled: list[int] = []
+        for i, b in enumerate(bids):
+            tenant_code.append(
+                tenant_index.setdefault(b.tenant_id, len(tenant_index))
+            )
+            fn = b.demand
+            # The type checks are deliberately exact: subclasses may
+            # override demand_at/demand_grid, so they must be sampled.
+            if type(fn) is LinearBid:
+                rows.append(
+                    (b.rack_cap_w, fn.d_max_w, fn.q_min, fn.d_min_w,
+                     fn.q_max, fn.d_max_w)
+                )
+                points += (fn.q_min, fn.q_max)
+            elif type(fn) is StepBid:
+                # The degenerate q_min == q_max curve.
+                rows.append(
+                    (b.rack_cap_w, fn.demand_w, fn.price_cap, fn.demand_w,
+                     fn.price_cap, fn.demand_w)
+                )
+                points.append(fn.price_cap)
+            else:
+                # Sampled: only q_max (the max acceptable price) and the
+                # zero-price demand are meaningful columns.
+                rows.append(
+                    (b.rack_cap_w, 0.0, 0.0, 0.0, fn.max_price, fn.max_demand_w)
+                )
+                sampled.append(i)
+                for attr in ("q_min", "q_max", "price_cap"):
+                    value = getattr(fn, attr, None)
+                    if value is not None:
+                        points.append(float(value))
+        n = len(bids)
+        # One contiguous array per column: strided views of the row
+        # array would pickle larger and slower in every checkpoint.
+        caps, d_max, q_min, d_min, q_max, max_demand = np.ascontiguousarray(
+            np.array(rows, dtype=float).reshape(n, 6).T
+        )
+        kind = np.zeros(n, dtype=np.uint8)  # all KIND_CLOSED
+        demands: list[DemandFunction | None] = [None] * n
+        # Rack-clipped demand at each row's own max acceptable price:
+        # the closed-form curve's value at q_max, or the sampled curve's
+        # own demand_at(max_price).
+        floor = np.where(q_max <= q_min, d_max, d_max + (d_min - d_max))
+        if sampled:
+            kind[sampled] = KIND_SAMPLED
+            for i in sampled:
+                fn = demands[i] = bids[i].demand
+                floor[i] = fn.demand_at(fn.max_price)
+        np.minimum(floor, caps, out=floor)
+        self.pdu_id = pdu_id
+        self.bids = bids
+        self.rack_ids = tuple([b.rack_id for b in bids])
+        self.tenant_table = tuple(tenant_index)
+        self.tenant_code_local = np.array(tenant_code, dtype=np.intp)
+        self.kind = kind
+        self.d_max_w = d_max
+        self.q_min = q_min
+        self.d_min_w = d_min
+        self.q_max = q_max
+        self.rack_cap_w = caps
+        self.max_demand_w = max_demand
+        self.floor_w = floor
+        self.breakpoints = np.asarray(points, dtype=float)
+        self.demands = tuple(demands)
+
+    def __len__(self) -> int:
+        return len(self.rack_ids)
+
+    def __repr__(self) -> str:
+        return f"PduBlock(pdu={self.pdu_id!r}, bids={len(self)})"
+
+
 class BidFrame:
     """One slot's rack bids as aligned columns, sorted by PDU.
 
     Build with :meth:`from_bids` (adapter from the object API) or
-    :meth:`from_arrays` (directly columnar, e.g. synthetic benchmark
-    fleets).  All columns share row order; rows are grouped by PDU.
+    :meth:`from_blocks` (per-PDU :class:`PduBlock` columns).  All
+    columns share row order; rows are grouped by PDU.
 
     Attributes:
         rack_ids: Rack id per row.
@@ -181,195 +270,48 @@ class BidFrame:
     def from_bids(cls, bids: Sequence[RackBid]) -> "BidFrame":
         """Build the columnar frame from object bids (the slot adapter).
 
-        Called once per slot; every downstream stage (admission, demand
+        Groups the bids by PDU in submission order and assembles one
+        :class:`PduBlock` per PDU, in sorted PDU order — the stable
+        PDU sort of the rows.  Every downstream stage (admission, demand
         evaluation, clearing, billing) then reads columns instead of
         objects.
         """
-        n = len(bids)
-        pdu_ids = tuple(sorted({b.pdu_id for b in bids}))
-        pdu_index = {p: i for i, p in enumerate(pdu_ids)}
-        raw_code = np.fromiter(
-            (pdu_index[b.pdu_id] for b in bids), dtype=np.intp, count=n
-        )
-        order = np.argsort(raw_code, kind="stable")
-        ordered = [bids[int(i)] for i in order]
-
-        tenant_ids = tuple(dict.fromkeys(b.tenant_id for b in ordered))
-        tenant_index = {t: i for i, t in enumerate(tenant_ids)}
-
-        kind = np.empty(n, dtype=np.uint8)
-        d_max = np.empty(n)
-        q_min = np.empty(n)
-        d_min = np.empty(n)
-        q_max = np.empty(n)
-        caps = np.empty(n)
-        max_demand = np.empty(n)
-        floor = np.empty(n)
-        demands: list[DemandFunction | None] = []
-        points: list[float] = []
-        for i, b in enumerate(ordered):
-            fn = b.demand
-            caps[i] = b.rack_cap_w
-            # The type checks are deliberately exact: subclasses may
-            # override demand_at/demand_grid, so they must be sampled.
-            if type(fn) is LinearBid:
-                kind[i] = KIND_CLOSED
-                d_max[i] = fn.d_max_w
-                q_min[i] = fn.q_min
-                d_min[i] = fn.d_min_w
-                q_max[i] = fn.q_max
-                max_demand[i] = fn.d_max_w
-                demands.append(None)
-            elif type(fn) is StepBid:
-                kind[i] = KIND_CLOSED
-                d_max[i] = fn.demand_w
-                d_min[i] = fn.demand_w
-                q_min[i] = fn.price_cap
-                q_max[i] = fn.price_cap
-                max_demand[i] = fn.demand_w
-                demands.append(None)
-            else:
-                kind[i] = KIND_SAMPLED
-                d_max[i] = 0.0
-                d_min[i] = 0.0
-                q_min[i] = 0.0
-                q_max[i] = fn.max_price
-                max_demand[i] = fn.max_demand_w
-                demands.append(fn)
-            # Grid augmentation points, collected exactly as the object
-            # path does (public curve attributes only).
-            for attr in ("q_min", "q_max", "price_cap"):
-                value = getattr(fn, attr, None)
-                if value is not None:
-                    points.append(float(value))
-        # Rack-clipped demand at each row's own max acceptable price,
-        # with the same float arithmetic as demand_at(max_price).
-        for i, b in enumerate(ordered):
-            if kind[i] == KIND_CLOSED:
-                at_cap = (
-                    d_max[i]
-                    if q_max[i] <= q_min[i]
-                    else d_max[i] + (d_min[i] - d_max[i])
-                )
-            else:
-                at_cap = b.demand.demand_at(b.demand.max_price)
-            floor[i] = min(at_cap, caps[i])
-        return cls(
-            rack_ids=tuple(b.rack_id for b in ordered),
-            pdu_ids=pdu_ids,
-            pdu_code=raw_code[order],
-            tenant_ids=tenant_ids,
-            tenant_code=np.fromiter(
-                (tenant_index[b.tenant_id] for b in ordered),
-                dtype=np.intp,
-                count=n,
-            ),
-            kind=kind,
-            d_max_w=d_max,
-            q_min=q_min,
-            d_min_w=d_min,
-            q_max=q_max,
-            rack_cap_w=caps,
-            max_demand_w=max_demand,
-            floor_w=floor,
-            breakpoints=np.asarray(points, dtype=float),
-            demands=tuple(demands),
-            bids=tuple(ordered),
+        groups = group_by_pdu(bids)
+        return cls.from_blocks(
+            [PduBlock(pdu_id, tuple(groups[pdu_id])) for pdu_id in sorted(groups)]
         )
 
     @classmethod
-    def from_arrays(
-        cls,
-        rack_ids: Sequence[str],
-        pdu_ids: Sequence[str],
-        tenant_ids: Sequence[str],
-        d_max_w: Iterable[float],
-        q_min: Iterable[float],
-        d_min_w: Iterable[float],
-        q_max: Iterable[float],
-        rack_cap_w: Iterable[float],
-        validate: bool = False,
-    ) -> "BidFrame":
-        """Build a frame of LinearBid rows directly from columns.
-
-        ``pdu_ids`` / ``tenant_ids`` here are *per-row* (parallel to
-        ``rack_ids``); the frame deduplicates them into its code tables.
-        No :class:`RackBid` objects are materialised — :meth:`to_bids`
-        creates them lazily if ever asked.
-
-        With ``validate`` the columns pass the admission checks of
-        :mod:`repro.recovery.admission` in one vectorised sweep —
-        columnar callers (benchmark fleets, replayed bid logs) bypass
-        the per-object front door, so this is their equivalent guard.
-        Raises :class:`repro.errors.BidValidationError` on the first
-        violated check.
-        """
-        if validate:
-            _validate_columns(
-                np.asarray(d_max_w, dtype=float),
-                np.asarray(q_min, dtype=float),
-                np.asarray(d_min_w, dtype=float),
-                np.asarray(q_max, dtype=float),
-                np.asarray(rack_cap_w, dtype=float),
-            )
-        d_max = np.ascontiguousarray(d_max_w, dtype=float)
-        n = d_max.shape[0]
-        unique_pdus = tuple(sorted(set(pdu_ids)))
-        pdu_index = {p: i for i, p in enumerate(unique_pdus)}
-        raw_code = np.fromiter(
-            (pdu_index[p] for p in pdu_ids), dtype=np.intp, count=n
-        )
-        order = np.argsort(raw_code, kind="stable")
-        rack_col = tuple(rack_ids[int(i)] for i in order)
-        tenant_col = [tenant_ids[int(i)] for i in order]
-        unique_tenants = tuple(dict.fromkeys(tenant_col))
-        tenant_index = {t: i for i, t in enumerate(unique_tenants)}
-        d_max = d_max[order]
-        q_lo = np.ascontiguousarray(q_min, dtype=float)[order]
-        d_min = np.ascontiguousarray(d_min_w, dtype=float)[order]
-        q_hi = np.ascontiguousarray(q_max, dtype=float)[order]
-        caps = np.ascontiguousarray(rack_cap_w, dtype=float)[order]
-        floor = np.minimum(
-            np.where(q_hi <= q_lo, d_max, d_max + (d_min - d_max)), caps
-        )
-        return cls(
-            rack_ids=rack_col,
-            pdu_ids=unique_pdus,
-            pdu_code=raw_code[order],
-            tenant_ids=unique_tenants,
-            tenant_code=np.fromiter(
-                (tenant_index[t] for t in tenant_col), dtype=np.intp, count=n
-            ),
-            kind=np.zeros(n, dtype=np.uint8),
-            d_max_w=d_max,
-            q_min=q_lo,
-            d_min_w=d_min,
-            q_max=q_hi,
-            rack_cap_w=caps,
-            max_demand_w=d_max,
-            floor_w=floor,
-            breakpoints=np.concatenate([q_lo, q_hi]),
-            demands=(None,) * n,
-            bids=None,
-        )
-
-    @classmethod
-    def from_blocks(cls, blocks: Sequence) -> "BidFrame":
+    def from_blocks(cls, blocks: Sequence[PduBlock]) -> "BidFrame":
         """Assemble a frame from per-PDU column blocks (sorted by PDU).
 
-        Blocks are :class:`repro.core.sharding.PduBlock`-shaped objects:
-        one PDU's rows, already columnar, with a *local* tenant table.
-        The result is value-identical to ``from_bids`` over the
-        concatenated bid lists: rows concatenate in block (= PDU-sorted,
-        submission-stable) order, and the merged tenant table preserves
-        first appearance over rows — within a block the local table is
-        first-appearance ordered, and blocks merge in row order, so
-        ``dict.setdefault`` over block tables reproduces
-        ``dict.fromkeys`` over rows exactly.
+        Rows concatenate in block (= PDU-sorted, submission-stable)
+        order, and the merged tenant table preserves first appearance
+        over rows — within a block the local table is first-appearance
+        ordered, and blocks merge in row order, so ``dict.setdefault``
+        over block tables is ``dict.fromkeys`` over rows.
         """
         blocks = [b for b in blocks if len(b.rack_ids)]
         if not blocks:
-            return cls.from_bids([])
+            none = np.empty(0)
+            return cls(
+                rack_ids=(),
+                pdu_ids=(),
+                pdu_code=np.empty(0, dtype=np.intp),
+                tenant_ids=(),
+                tenant_code=np.empty(0, dtype=np.intp),
+                kind=np.empty(0, dtype=np.uint8),
+                d_max_w=none,
+                q_min=none,
+                d_min_w=none,
+                q_max=none,
+                rack_cap_w=none,
+                max_demand_w=none,
+                floor_w=none,
+                breakpoints=none,
+                demands=(),
+                bids=(),
+            )
         tenant_index: dict[str, int] = {}
         tenant_cols = []
         pdu_cols = []
@@ -408,31 +350,8 @@ class BidFrame:
     # ------------------------------------------------------------------
 
     def to_bids(self) -> tuple[RackBid, ...]:
-        """The frame's rows as :class:`RackBid` objects (frame row order).
-
-        Frames built by :meth:`from_bids` return the original objects;
-        array-built frames materialise equivalent ``LinearBid`` rows.
-        """
-        if self._bids is None:
-            self._bids = tuple(
-                RackBid(
-                    rack_id=self.rack_ids[i],
-                    pdu_id=self.pdu_ids[int(self.pdu_code[i])],
-                    tenant_id=self.tenant_ids[int(self.tenant_code[i])],
-                    demand=(
-                        self._demands[i]
-                        if self._demands[i] is not None
-                        else LinearBid(
-                            float(self.d_max_w[i]),
-                            float(self.q_min[i]),
-                            float(self.d_min_w[i]),
-                            float(self.q_max[i]),
-                        )
-                    ),
-                    rack_cap_w=float(self.rack_cap_w[i]),
-                )
-                for i in range(len(self))
-            )
+        """The frame's rows as the original :class:`RackBid` objects
+        (frame row order)."""
         return self._bids
 
     # ------------------------------------------------------------------

@@ -102,6 +102,11 @@ class Allocator(abc.ABC):
 class SpotDCAllocator(Allocator):
     """The SpotDC market (paper Algorithm 1, steps 3-5).
 
+    Each slot's frame comes from an
+    :class:`~repro.core.sharding.IncrementalFrameBuilder`: only PDUs
+    whose bids changed since the last slot are rebuilt, and an
+    unchanged slot reuses the previous frame object outright.
+
     Args:
         params: Operator market knobs (price grid, reserve price).
         verify: Run the Eq. 2-4 integrity check on every outcome.  Cheap
@@ -132,12 +137,6 @@ class SpotDCAllocator(Allocator):
             shard.  Off by default because span counts differ across
             shard configurations, which would break trace byte-identity
             between sharded and unsharded runs.
-        incremental: Build each slot's frame through the
-            :class:`~repro.core.sharding.IncrementalFrameBuilder`
-            (default on): only PDUs whose bids changed since the last
-            slot are re-aggregated, and an unchanged slot reuses the
-            previous frame object outright.  Output is value-identical
-            to ``BidFrame.from_bids`` either way.
     """
 
     name = "spotdc"
@@ -153,7 +152,6 @@ class SpotDCAllocator(Allocator):
         shards: int = 1,
         shard_jobs: int = 1,
         shard_spans: bool = False,
-        incremental: bool = True,
     ) -> None:
         if pricing not in ("per_pdu", "uniform"):
             raise ConfigurationError(f"unknown pricing mode {pricing!r}")
@@ -175,23 +173,14 @@ class SpotDCAllocator(Allocator):
         self.shards = shards
         self.shard_jobs = shard_jobs
         self.shard_spans = shard_spans
-        self.frame_builder = IncrementalFrameBuilder() if incremental else None
+        self.frame_builder = IncrementalFrameBuilder()
 
-    def _build_frame(self, bids) -> BidFrame:
-        if self.frame_builder is not None:
-            return self.frame_builder.build(bids)
-        return BidFrame.from_bids(bids)
-
-    def _clear(self, bids, forecast, extra_constraints=(), tracer=None, slot=0):
+    def _clear(self, frame, forecast, extra_constraints=(), tracer=None, slot=0):
         if self.pricing == "per_pdu":
-            if (
-                self.shards > 1
-                and isinstance(bids, BidFrame)
-                and len(bids)
-            ):
+            if self.shards > 1:
                 return clear_per_pdu_sharded(
                     self.engine,
-                    bids,
+                    frame,
                     forecast.pdu_spot_w,
                     forecast.ups_spot_w,
                     extra_constraints,
@@ -201,10 +190,10 @@ class SpotDCAllocator(Allocator):
                     slot=slot,
                 )
             return self.engine.clear_per_pdu(
-                bids, forecast.pdu_spot_w, forecast.ups_spot_w, extra_constraints
+                frame, forecast.pdu_spot_w, forecast.ups_spot_w, extra_constraints
             )
         return self.engine.clear(
-            bids, forecast.pdu_spot_w, forecast.ups_spot_w, extra_constraints
+            frame, forecast.pdu_spot_w, forecast.ups_spot_w, extra_constraints
         )
 
     def _collect_bids(
@@ -293,7 +282,7 @@ class SpotDCAllocator(Allocator):
             # and billing all consume the frame from here on.  The
             # incremental builder re-aggregates only PDUs whose bids
             # changed since the last slot.
-            frame = self._build_frame(bids)
+            frame = self.frame_builder.build(bids)
             result = self._clear(
                 frame, forecast, extra_constraints, tracer=tracer, slot=slot
             )
@@ -336,20 +325,3 @@ class SpotDCAllocator(Allocator):
             frame=frame,
             quarantined=quarantined,
         )
-
-    @staticmethod
-    def _payments(
-        result: AllocationResult, bids: Sequence[RackBid], slot_seconds: float
-    ) -> dict[str, float]:
-        """Object-path billing, kept as the parity reference for
-        :meth:`repro.core.frame.BidFrame.settle` (see
-        ``tests/test_bidframe_parity.py``)."""
-        slot_hours = slot_seconds / 3600.0
-        payments: dict[str, float] = {}
-        bid_of = {bid.rack_id: bid for bid in bids}
-        for rack_id, grant in result.grants_w.items():
-            bid = bid_of[rack_id]
-            paid_price = result.price_for_pdu(bid.pdu_id)
-            dollars = (grant / 1000.0) * paid_price * slot_hours
-            payments[bid.tenant_id] = payments.get(bid.tenant_id, 0.0) + dollars
-        return payments

@@ -7,10 +7,12 @@ ROADMAP's million-rack north star, and this module removes both:
    in ~11 ms but rebuilding the :class:`~repro.core.frame.BidFrame`
    struct-of-arrays from scratch costs ~32 ms *every slot*, even when
    no bid changed.  :class:`IncrementalFrameBuilder` keeps persistent
-   per-PDU column blocks (:class:`PduBlock`) and re-aggregates only the
-   PDUs whose bids actually changed since the previous slot; an
-   unchanged slot returns the previous frame *object* (which also keeps
-   its cached price grid and PDU slices alive downstream).
+   per-PDU column blocks (:class:`~repro.core.frame.PduBlock`, the same
+   blocks :meth:`~repro.core.frame.BidFrame.from_bids` assembles) and
+   rebuilds only the PDUs whose bids actually changed since the
+   previous slot; an unchanged slot returns the previous frame
+   *object* (which also keeps its cached price grid and PDU slices
+   alive downstream).
 
 2. **One process clears everything.**  The market's physical hierarchy
    (UPS → PDU → rack, paper Eqs. 2-4) makes each PDU subtree an
@@ -55,137 +57,15 @@ import numpy as np
 from repro.core.allocation import AllocationResult
 from repro.core.bids import RackBid
 from repro.core.clearing import MarketClearing
-from repro.core.demand import DemandFunction, LinearBid, StepBid
-from repro.core.frame import KIND_CLOSED, KIND_SAMPLED, BidFrame
-from repro.errors import ClearingError
+from repro.core.demand import LinearBid, StepBid
+from repro.core.frame import BidFrame, PduBlock, group_by_pdu
 
 __all__ = [
-    "PduBlock",
     "IncrementalFrameBuilder",
     "partition_tasks",
     "clear_per_pdu_sharded",
     "reconcile_allocation",
 ]
-
-
-class PduBlock:
-    """One PDU's bids as a persistent columnar block.
-
-    A block is one PDU's slice of the frame columns, built with exactly
-    the same per-row arithmetic as :meth:`BidFrame.from_bids` so that
-    concatenating blocks (:meth:`BidFrame.from_blocks`) reproduces the
-    from-scratch frame element for element.  The tenant table is
-    *local* (first appearance within this PDU's rows);
-    ``from_blocks`` merges the local tables in block order, which
-    preserves global first-appearance order.
-    """
-
-    __slots__ = (
-        "pdu_id",
-        "bids",
-        "rack_ids",
-        "tenant_table",
-        "tenant_code_local",
-        "kind",
-        "d_max_w",
-        "q_min",
-        "d_min_w",
-        "q_max",
-        "rack_cap_w",
-        "max_demand_w",
-        "floor_w",
-        "breakpoints",
-        "demands",
-    )
-
-    def __init__(self, pdu_id: str, bids: tuple[RackBid, ...]) -> None:
-        n = len(bids)
-        tenant_index: dict[str, int] = {}
-        tenant_code = np.fromiter(
-            (
-                tenant_index.setdefault(b.tenant_id, len(tenant_index))
-                for b in bids
-            ),
-            dtype=np.intp,
-            count=n,
-        )
-        kind = np.empty(n, dtype=np.uint8)
-        d_max = np.empty(n)
-        q_min = np.empty(n)
-        d_min = np.empty(n)
-        q_max = np.empty(n)
-        caps = np.empty(n)
-        max_demand = np.empty(n)
-        floor = np.empty(n)
-        demands: list[DemandFunction | None] = []
-        points: list[float] = []
-        # Row arithmetic mirrors BidFrame.from_bids exactly — including
-        # the breakpoint attribute sweep and the two-segment floor
-        # formula — so block-built and from-scratch frames are
-        # value-identical (property-tested in
-        # tests/test_incremental_frame.py).
-        for i, b in enumerate(bids):
-            fn = b.demand
-            caps[i] = b.rack_cap_w
-            if type(fn) is LinearBid:
-                kind[i] = KIND_CLOSED
-                d_max[i] = fn.d_max_w
-                q_min[i] = fn.q_min
-                d_min[i] = fn.d_min_w
-                q_max[i] = fn.q_max
-                max_demand[i] = fn.d_max_w
-                demands.append(None)
-            elif type(fn) is StepBid:
-                kind[i] = KIND_CLOSED
-                d_max[i] = fn.demand_w
-                d_min[i] = fn.demand_w
-                q_min[i] = fn.price_cap
-                q_max[i] = fn.price_cap
-                max_demand[i] = fn.demand_w
-                demands.append(None)
-            else:
-                kind[i] = KIND_SAMPLED
-                d_max[i] = 0.0
-                d_min[i] = 0.0
-                q_min[i] = 0.0
-                q_max[i] = fn.max_price
-                max_demand[i] = fn.max_demand_w
-                demands.append(fn)
-            for attr in ("q_min", "q_max", "price_cap"):
-                value = getattr(fn, attr, None)
-                if value is not None:
-                    points.append(float(value))
-        for i, b in enumerate(bids):
-            if kind[i] == KIND_CLOSED:
-                at_cap = (
-                    d_max[i]
-                    if q_max[i] <= q_min[i]
-                    else d_max[i] + (d_min[i] - d_max[i])
-                )
-            else:
-                at_cap = b.demand.demand_at(b.demand.max_price)
-            floor[i] = min(at_cap, caps[i])
-        self.pdu_id = pdu_id
-        self.bids = bids
-        self.rack_ids = tuple(b.rack_id for b in bids)
-        self.tenant_table = tuple(tenant_index)
-        self.tenant_code_local = tenant_code
-        self.kind = kind
-        self.d_max_w = d_max
-        self.q_min = q_min
-        self.d_min_w = d_min
-        self.q_max = q_max
-        self.rack_cap_w = caps
-        self.max_demand_w = max_demand
-        self.floor_w = floor
-        self.breakpoints = np.asarray(points, dtype=float)
-        self.demands = tuple(demands)
-
-    def __len__(self) -> int:
-        return len(self.rack_ids)
-
-    def __repr__(self) -> str:
-        return f"PduBlock(pdu={self.pdu_id!r}, bids={len(self)})"
 
 
 def _same_bid(old: RackBid, new: RackBid) -> bool:
@@ -233,9 +113,8 @@ def _same_bids(old: Sequence[RackBid], new: Sequence[RackBid]) -> bool:
 class IncrementalFrameBuilder:
     """Build each slot's :class:`BidFrame` from persistent PDU blocks.
 
-    ``build(bids)`` groups the slot's bids by PDU (one pass, preserving
-    submission order — the stable-sort equivalence with
-    ``BidFrame.from_bids``), reuses every block whose bids are
+    ``build(bids)`` groups the slot's bids by PDU exactly as
+    :meth:`BidFrame.from_bids` does, reuses every block whose bids are
     value-unchanged since the previous slot, rebuilds only the dirty
     ones, and assembles the frame through :meth:`BidFrame.from_blocks`.
     A slot with *no* dirty or removed PDUs returns the previous frame
@@ -265,9 +144,7 @@ class IncrementalFrameBuilder:
     def build(self, bids: Sequence[RackBid]) -> BidFrame:
         """The slot's frame, value-identical to ``BidFrame.from_bids``."""
         self.builds += 1
-        groups: dict[str, list[RackBid]] = {}
-        for b in bids:
-            groups.setdefault(b.pdu_id, []).append(b)
+        groups = group_by_pdu(bids)
         removed = [p for p in self._blocks if p not in groups]
         dirty: list[str] = []
         blocks: dict[str, PduBlock] = {}
@@ -388,9 +265,11 @@ def clear_per_pdu_sharded(
     ``tracer`` (optional) records one ``clearing.shard`` span per shard
     with pdu/rack counts; pass ``None`` (the default) whenever trace
     byte-identity across shard counts matters.
+
+    Raises:
+        ClearingError: On negative capacities, as ``clear_per_pdu`` does.
     """
-    if ups_spot_w < 0:
-        raise ClearingError(f"negative UPS spot capacity {ups_spot_w}")
+    engine._validate_capacities(pdu_spot_w, ups_spot_w, extra_constraints)
     if not len(frame):
         return AllocationResult.empty()
     tasks = engine._pdu_tasks(frame, pdu_spot_w, ups_spot_w, extra_constraints)

@@ -40,7 +40,7 @@ from repro.experiments.common import (
     powercapped_baseline,
 )
 from repro.experiments.fig07_prediction_and_scaling import make_synthetic_bids
-from repro.prediction.spot import SpotCapacityPredictor
+from repro.forecast.signals import CurrentDrawSignal
 from repro.sim.engine import SimulationEngine, run_simulation
 from repro.sim.scenario import scaled_scenario, testbed_scenario
 
@@ -173,14 +173,14 @@ def _safety_cell(payload) -> tuple[str, int, float]:
     """One predictor-conservatism configuration."""
     seed, slots, label, margin, window = payload
     baseline = powercapped_baseline(seed, slots)
-    predictor = (
-        SpotCapacityPredictor()
+    signal = (
+        CurrentDrawSignal(window=window)
         if margin is None
-        else SpotCapacityPredictor(safety_margin_fraction=margin)
+        else CurrentDrawSignal(safety_margin_fraction=margin, window=window)
     )
     engine = SimulationEngine(
         testbed_scenario(seed=seed),
-        spot_predictor=predictor,
+        signal=signal,
         reference_window=window,
     )
     result = engine.run(slots)

@@ -58,11 +58,8 @@ class ClearingTimeResult:
         rack_counts: Number of bidding racks per column.
         price_steps: Scan step sizes, $/kW/h.
         mean_seconds: ``mean_seconds[step][racks]`` mean clearing time on
-            the default columnar (:class:`BidFrame`) path, frame prebuilt
-            once per rack count — the per-slot steady state.
-        object_seconds: Same cells timed through the legacy
-            object-at-a-time path (``columnar=False``); empty when the
-            comparison was not requested.
+            the columnar (:class:`BidFrame`) path, frame prebuilt once
+            per rack count — the per-slot steady state.
         frame_build_seconds: ``BidFrame.from_bids`` wall-clock per rack
             count (the once-per-slot adapter cost).
     """
@@ -70,9 +67,6 @@ class ClearingTimeResult:
     rack_counts: list[int]
     price_steps: list[float]
     mean_seconds: dict[float, list[float]]
-    object_seconds: dict[float, list[float]] = dataclasses.field(
-        default_factory=dict
-    )
     frame_build_seconds: list[float] = dataclasses.field(default_factory=list)
 
 
@@ -166,20 +160,15 @@ def _fig07b_cell(payload) -> dict:
 
     Module-level and plain-data in/out so it can cross a
     :func:`repro.sweep.parallel_map` process boundary.  ``payload`` is
-    ``(racks, price_steps, repeats, rng, compare_object_path)`` — the
-    generator is spawned per cell *by the parent*, so the bid set for a
-    rack count never depends on ``jobs`` or on which other rack counts
-    run.
+    ``(racks, price_steps, repeats, rng)`` — the generator is spawned
+    per cell *by the parent*, so the bid set for a rack count never
+    depends on ``jobs`` or on which other rack counts run.
     """
-    racks, price_steps, repeats, rng, compare_object_path = payload
+    racks, price_steps, repeats, rng = payload
     bids, pdu_spot, ups_spot = make_synthetic_bids(racks, rng)
     start = time.perf_counter()
     frame = BidFrame.from_bids(bids)
-    cell = {
-        "frame_build": time.perf_counter() - start,
-        "mean": {},
-        "object": {},
-    }
+    cell = {"frame_build": time.perf_counter() - start, "mean": {}}
     for step in price_steps:
         engine = MarketClearing(
             params=MarketParameters(price_step=step),
@@ -189,16 +178,6 @@ def _fig07b_cell(payload) -> dict:
         for _ in range(repeats):
             engine.clear(frame, pdu_spot, ups_spot)
         cell["mean"][step] = (time.perf_counter() - start) / repeats
-        if compare_object_path:
-            legacy = MarketClearing(
-                params=MarketParameters(price_step=step),
-                include_breakpoints=False,
-                columnar=False,
-            )
-            start = time.perf_counter()
-            for _ in range(repeats):
-                legacy.clear(bids, pdu_spot, ups_spot)
-            cell["object"][step] = (time.perf_counter() - start) / repeats
     return cell
 
 
@@ -207,13 +186,12 @@ def run_fig07b(
     price_steps=(0.001, 0.01),
     repeats: int = 3,
     seed: int = DEFAULT_SEED,
-    compare_object_path: bool = False,
     jobs: int = 1,
 ) -> ClearingTimeResult:
     """Measure clearing wall-clock time versus scale (Fig. 7b).
 
-    The default timing is the columnar :class:`BidFrame` path with the
-    frame prebuilt per rack count (the per-slot steady state — the frame
+    The timing is the columnar :class:`BidFrame` path with the frame
+    prebuilt per rack count (the per-slot steady state — the frame
     is built once per slot, then every stage consumes it).
 
     Args:
@@ -222,9 +200,6 @@ def run_fig07b(
             0.01 ≈ 1 cent/kW match the paper's two curves.
         repeats: Clearing repetitions averaged per cell.
         seed: Bid-generation seed.
-        compare_object_path: Also time the legacy object-at-a-time path
-            on the same cells (``object_seconds``), for the perf
-            trajectory in ``BENCH_clearing.json``.
         jobs: Worker processes for the per-rack-count cells; 1 times
             them serially in-process (the least-noisy option — parallel
             cells contend for cores, so use ``jobs > 1`` for quick scans,
@@ -237,24 +212,18 @@ def run_fig07b(
 
     rngs = spawn_rngs(make_rng(seed), len(rack_counts))
     payloads = [
-        (racks, tuple(price_steps), repeats, rng, compare_object_path)
+        (racks, tuple(price_steps), repeats, rng)
         for racks, rng in zip(rack_counts, rngs)
     ]
     cells = parallel_map(_fig07b_cell, payloads, jobs=jobs)
     mean_seconds: dict[float, list[float]] = {
         step: [cell["mean"][step] for cell in cells] for step in price_steps
     }
-    object_seconds: dict[float, list[float]] = (
-        {step: [cell["object"][step] for cell in cells] for step in price_steps}
-        if compare_object_path
-        else {}
-    )
     frame_build_seconds = [cell["frame_build"] for cell in cells]
     return ClearingTimeResult(
         rack_counts=list(rack_counts),
         price_steps=list(price_steps),
         mean_seconds=mean_seconds,
-        object_seconds=object_seconds,
         frame_build_seconds=frame_build_seconds,
     )
 
@@ -276,11 +245,6 @@ def render_fig07(
         f"step={step:g} $/kW/h [s]": [round(v, 4) for v in timing.mean_seconds[step]]
         for step in timing.price_steps
     }
-    for step in timing.price_steps:
-        if step in timing.object_seconds:
-            series[f"object path step={step:g} [s]"] = [
-                round(v, 4) for v in timing.object_seconds[step]
-            ]
     part_b = format_series(
         "racks", timing.rack_counts, series,
         title="Fig. 7(b): mean market clearing time",

@@ -20,7 +20,7 @@ from repro.experiments.common import (
     parallel_map,
     powercapped_baseline,
 )
-from repro.prediction.spot import SpotCapacityPredictor
+from repro.forecast.signals import CurrentDrawSignal
 from repro.sim.engine import run_simulation
 from repro.sim.scenario import testbed_scenario
 
@@ -52,7 +52,7 @@ def _fig17_cell(payload) -> tuple[float, float, float]:
     result = run_simulation(
         testbed_scenario(seed=seed),
         slots,
-        spot_predictor=SpotCapacityPredictor(under_prediction_factor=factor),
+        signal=CurrentDrawSignal(under_prediction_factor=factor),
     )
     return (
         1.0 - factor,

@@ -43,7 +43,9 @@ __all__ = [
 #: Checkpoint format version; bumped on any engine state-layout change.
 #: 2: the engine carries its mid-loop run state (``_run``) so daemon-mode
 #: resumes continue inside the slot loop.
-CHECKPOINT_FORMAT = 2
+#: 3: persistent frame blocks are ``repro.core.frame.PduBlock``, and the
+#: engine no longer carries a ``spot_predictor``.
+CHECKPOINT_FORMAT = 3
 
 _MAGIC = "spotdc-checkpoint"
 _NAME_RE = re.compile(r"^checkpoint_(\d{6,})\.pkl$")

@@ -3,10 +3,9 @@
 Real colocation incidents are correlated and infrastructural: network
 loss comes in bursts, meters stick or drop out for minutes at a time,
 and a PDU/UPS can temporarily lose part of its capacity (maintenance,
-failed modules, thermal derating).  The independent per-slot Bernoulli
-drops of the original :class:`repro.sim.faults.CommunicationFaultModel`
-cannot express any of that, so this module replaces it with a pluggable
-framework:
+failed modules, thermal derating).  Independent per-slot Bernoulli
+drops (:class:`BernoulliLoss`, the paper's fault model) cannot express
+any of that on their own, so this module is a pluggable framework:
 
 * a :class:`FaultSource` models one failure mechanism on one *channel*
   (``"bid"``, ``"grant"``, ``"meter"``, or ``"capacity"``);
@@ -202,7 +201,7 @@ class FaultSource:
 
 
 class BernoulliLoss(FaultSource):
-    """Independent per-slot message loss (the legacy fault model).
+    """Independent per-slot message loss (the paper's §III-C fault model).
 
     Args:
         channel: ``"bid"`` or ``"grant"``.
@@ -614,7 +613,7 @@ class FaultInjector:
             byte-identical derating schedules — the property the
             SpotDC-vs-PowerCapped invariant check rests on.
         rng: Alternatively, a pre-built generator shared by all sources
-            in call order (the legacy CommunicationFaultModel contract).
+            in call order (one draw per consulted source).
             Exactly one of ``seed``/``rng`` must be provided.
     """
 

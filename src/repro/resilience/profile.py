@@ -3,16 +3,14 @@
 A :class:`FaultProfile` is the declarative form of a
 :class:`~repro.resilience.faults.FaultInjector`: a frozen bundle of
 fault-class parameters that scenarios, the CLI (``--fault-profile``),
-and the chaos experiment all share.  Profiles accept a plain seed int —
-unlike the legacy ``CommunicationFaultModel``, which hard-required a
-pre-built :class:`numpy.random.Generator` — and identical seeds yield
-identical fault traces.
+and the chaos experiment all share.  Profiles accept a plain seed int,
+and identical seeds yield identical fault traces.
 
 Named classes (scaled by one ``intensity`` knob):
 
 * ``"none"`` — no faults (control cell);
-* ``"comm"`` — independent Bernoulli bid/grant losses (the legacy
-  model);
+* ``"comm"`` — independent Bernoulli bid/grant losses (the paper's
+  §III-C communication-loss model);
 * ``"bursty"`` — Gilbert-Elliott bursty losses on both channels;
 * ``"delay"`` — delayed/stale grant delivery;
 * ``"meter"`` — stuck-at / dropout / noisy rack meters feeding the

@@ -113,8 +113,8 @@ def prediction_profile_from_spec(prediction) -> "PredictionProfile | None":
     The all-defaults block (what a spec without a ``prediction``
     component normalises to) maps to ``None``: the engine's own default
     path is the paper's rule, and keeping the scenario field ``None``
-    there preserves byte-identical default traces and the legacy
-    ``spot_predictor`` override semantics.
+    there preserves byte-identical default traces and lets an explicit
+    engine ``signal`` override it.
     """
     if prediction is None:
         return None

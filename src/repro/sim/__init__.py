@@ -2,9 +2,9 @@
 engine running Algorithm 1, metrics collection, and result summaries.
 """
 
+from repro.resilience.faults import FaultLog
 from repro.sim.builder import ScenarioBuilder
 from repro.sim.engine import SimulationEngine, run_simulation
-from repro.sim.faults import CommunicationFaultModel, FaultLog
 from repro.sim.metrics import MetricsCollector
 from repro.sim.results import RackInfo, SimulationResult, TenantInfo
 from repro.sim.scenario import (
@@ -20,7 +20,6 @@ __all__ = [
     "MetricsCollector",
     "PRICE_ANCHORS",
     "RackInfo",
-    "CommunicationFaultModel",
     "FaultLog",
     "Scenario",
     "ScenarioBuilder",

@@ -57,7 +57,6 @@ from repro.forecast.signals import CurrentDrawSignal, Signal
 from repro.infrastructure.emergencies import EmergencyLog
 from repro.infrastructure.monitor import PowerMonitor
 from repro.prediction.price import EwmaPricePredictor, PricePredictor
-from repro.prediction.spot import SpotCapacityPredictor
 from repro.recovery.checkpoint import load_checkpoint, save_checkpoint
 from repro.recovery.deadline import (
     ClearingDeadlineGuard,
@@ -156,17 +155,11 @@ class SimulationEngine:
     Args:
         scenario: The facility, tenants, and prices.
         allocator: Slot-level allocation policy (default: SpotDC).
-        spot_predictor: Operator-side spot-capacity predictor.  Legacy
-            scalar-rule entry point: wrapped into a
-            :class:`~repro.forecast.signals.CurrentDrawSignal` with the
-            same factor/margin, so existing callers keep identical
-            numbers.  Prefer ``signal`` (or a scenario ``prediction``
-            block) for anything beyond the paper's rule.
         signal: Forecasting :class:`~repro.forecast.signals.Signal`
             producing the per-slot banded forecast.  ``None`` falls back
-            to ``spot_predictor``, then the scenario's ``prediction``
-            profile, then the paper's default
-            :class:`~repro.forecast.signals.CurrentDrawSignal`.
+            to the scenario's ``prediction`` profile, then the paper's
+            default :class:`~repro.forecast.signals.CurrentDrawSignal`
+            (built with ``reference_window``).
         release_policy: :class:`~repro.forecast.release.RiskAwareReleasePolicy`
             choosing the band quantile actually released to the market;
             ``None`` falls back to the scenario's ``prediction`` profile
@@ -188,10 +181,9 @@ class SimulationEngine:
             policing budget overdraws: warned racks escalate to an
             involuntary spot-market bar (paper §III-C).
         fault_model: Optional
-            :class:`repro.resilience.faults.FaultInjector` (the legacy
-            :class:`repro.sim.faults.CommunicationFaultModel` is a thin
-            subclass and still works) injecting bid/grant communication
-            losses, delayed grants, meter faults, and capacity deratings
+            :class:`repro.resilience.faults.FaultInjector` injecting
+            bid/grant communication losses, delayed grants, meter
+            faults, and capacity deratings
             (paper §III-C "Handling exceptions").  ``None`` falls back
             to the scenario's own ``fault_profile``, if any.
         degradation: Excursion containment under faults.  ``None``
@@ -216,7 +208,6 @@ class SimulationEngine:
         self,
         scenario: Scenario,
         allocator: Allocator | None = None,
-        spot_predictor: SpotCapacityPredictor | None = None,
         signal: Signal | None = None,
         release_policy: RiskAwareReleasePolicy | None = None,
         price_predictor: PricePredictor | None = None,
@@ -261,17 +252,11 @@ class SimulationEngine:
             shards=getattr(scenario, "shards", 1),
         )
         # Exactly one forecast-producing code path: every entry point —
-        # the legacy spot_predictor arg, a scenario `prediction` block,
-        # or nothing at all — resolves to a Signal + release policy.
+        # an explicit signal, a scenario `prediction` block, or nothing
+        # at all — resolves to a Signal + release policy.
         prediction = getattr(scenario, "prediction", None)
         if signal is None:
-            if spot_predictor is not None:
-                signal = CurrentDrawSignal(
-                    under_prediction_factor=spot_predictor.under_prediction_factor,
-                    safety_margin_fraction=spot_predictor.safety_margin_fraction,
-                    window=reference_window,
-                )
-            elif prediction is not None:
+            if prediction is not None:
                 signal = prediction.build_signal()
                 if release_policy is None:
                     release_policy = prediction.build_policy()
@@ -279,9 +264,6 @@ class SimulationEngine:
                 signal = CurrentDrawSignal(window=reference_window)
         self.signal = signal
         self.release_policy = release_policy or RiskAwareReleasePolicy()
-        self.spot_predictor = spot_predictor or getattr(
-            signal, "predictor", None
-        ) or SpotCapacityPredictor()
         self.price_predictor = price_predictor
         self.monitor = PowerMonitor(scenario.topology, history_slots=history_slots)
         self.emergencies = EmergencyLog()
@@ -1085,7 +1067,6 @@ def run_simulation(
     scenario: Scenario,
     slots: int,
     allocator: Allocator | None = None,
-    spot_predictor: SpotCapacityPredictor | None = None,
     signal: Signal | None = None,
     release_policy: RiskAwareReleasePolicy | None = None,
     use_price_forecasting: bool = False,
@@ -1102,11 +1083,9 @@ def run_simulation(
             consumed by a run).
         slots: Number of slots.
         allocator: Allocation policy (default SpotDC market).
-        spot_predictor: Operator-side predictor (default: exact, no
-            under-prediction).  Legacy scalar entry point; see
-            :class:`SimulationEngine` for the resolution order against
-            ``signal`` and the scenario's ``prediction`` profile.
-        signal: Forecasting signal (:mod:`repro.forecast.signals`).
+        signal: Forecasting signal (:mod:`repro.forecast.signals`);
+            see :class:`SimulationEngine` for the resolution order
+            against the scenario's ``prediction`` profile.
         release_policy: Risk-aware release policy
             (:mod:`repro.forecast.release`).
         use_price_forecasting: Provide tenants an EWMA price forecast
@@ -1134,7 +1113,6 @@ def run_simulation(
     engine = SimulationEngine(
         scenario,
         allocator=allocator,
-        spot_predictor=spot_predictor,
         signal=signal,
         release_policy=release_policy,
         price_predictor=EwmaPricePredictor() if use_price_forecasting else None,

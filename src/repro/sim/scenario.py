@@ -154,8 +154,8 @@ class Scenario:
         prediction: Optional declarative forecasting configuration
             (:class:`repro.forecast.PredictionProfile`).  The engine
             builds the forecasting signal and risk-aware release policy
-            from it unless explicit ``signal``/``spot_predictor``
-            arguments override; ``None`` keeps the paper's rule.
+            from it unless an explicit ``signal`` argument overrides;
+            ``None`` keeps the paper's rule.
         events: Optional declarative grid-event configuration
             (:class:`repro.events.EventProfile`).  The engine builds a
             :class:`repro.events.ShockAbsorber` from it — EDR capacity

@@ -1,14 +1,15 @@
-"""Property-based parity: object-path vs BidFrame-path clearing.
+"""Property-based parity: the BidFrame clear vs the object-clear oracle.
 
-The columnar pipeline (`BidFrame` + breakpoint-sweep demand totals) is
-the default; the object-at-a-time path (``columnar=False``) is the seed
-reference.  Across random facilities — all three bid kinds, uniform and
-per-PDU pricing, extra phase/heat constraints — the two must produce
-identical prices and (to float-summation noise) identical grants and
-profit.  Grant extraction is bit-identical by construction (both paths
-evaluate each bid's own demand at the clearing price), so grants are
-compared with a tight absolute tolerance only to absorb the demand-total
-reordering that may, in principle, shift the scan's feasibility edge.
+The production pipeline (`BidFrame` + breakpoint-sweep demand totals)
+is checked against the object-at-a-time reference clear in
+``tests/oracle.py``.  Across random facilities — all three bid kinds,
+uniform and per-PDU pricing (serial and sharded), extra phase/heat
+constraints — the two must produce identical prices and (to
+float-summation noise) identical grants and profit.  Grant extraction
+is bit-identical by construction (both paths evaluate each bid's own
+demand at the clearing price), so grants are compared with a tight
+absolute tolerance only to absorb the demand-total reordering that may,
+in principle, shift the scan's feasibility edge.
 
 Watt-scale draws are bounded away from float epsilon (a value is either
 exactly zero or >= 0.01 W): at ~1e-16 W caps *every* candidate revenue
@@ -26,8 +27,10 @@ from repro.core.bids import RackBid
 from repro.core.clearing import MarketClearing
 from repro.core.demand import FullBid, LinearBid, StepBid
 from repro.core.frame import BidFrame
-from repro.core.market import SpotDCAllocator
+from repro.core.sharding import clear_per_pdu_sharded
 from repro.infrastructure.constraints import CapacityConstraint
+
+from tests import oracle
 
 PARAMS = MarketParameters(price_step=0.01)
 
@@ -37,12 +40,6 @@ def _watts(upper):
     return st.one_of(
         st.just(0.0), st.floats(min_value=0.01, max_value=upper)
     )
-
-
-def _engines():
-    frame_engine = MarketClearing(params=PARAMS)
-    object_engine = MarketClearing(params=PARAMS, columnar=False)
-    return frame_engine, object_engine
 
 
 @st.composite
@@ -131,20 +128,20 @@ class TestUniformPricingParity:
     @settings(max_examples=150, deadline=None)
     def test_paths_identical(self, data):
         bids, pdu_spot, ups_spot, _ = data
-        frame_engine, object_engine = _engines()
+        engine = MarketClearing(params=PARAMS)
         _assert_results_match(
-            frame_engine.clear(bids, pdu_spot, ups_spot),
-            object_engine.clear(bids, pdu_spot, ups_spot),
+            engine.clear(bids, pdu_spot, ups_spot),
+            oracle.clear(engine, bids, pdu_spot, ups_spot),
         )
 
     @given(data=market_instances(constraints=True))
     @settings(max_examples=100, deadline=None)
     def test_paths_identical_with_constraints(self, data):
         bids, pdu_spot, ups_spot, extra = data
-        frame_engine, object_engine = _engines()
+        engine = MarketClearing(params=PARAMS)
         _assert_results_match(
-            frame_engine.clear(bids, pdu_spot, ups_spot, extra),
-            object_engine.clear(bids, pdu_spot, ups_spot, extra),
+            engine.clear(bids, pdu_spot, ups_spot, extra),
+            oracle.clear(engine, bids, pdu_spot, ups_spot, extra),
         )
 
     @given(data=market_instances())
@@ -153,7 +150,7 @@ class TestUniformPricingParity:
         # Clearing a prebuilt frame and letting clear() adapt the object
         # list must be the same computation.
         bids, pdu_spot, ups_spot, _ = data
-        frame_engine, _ = _engines()
+        frame_engine = MarketClearing(params=PARAMS)
         via_objects = frame_engine.clear(bids, pdu_spot, ups_spot)
         via_frame = frame_engine.clear(
             BidFrame.from_bids(bids), pdu_spot, ups_spot
@@ -163,42 +160,50 @@ class TestUniformPricingParity:
         assert via_frame.revenue_rate == via_objects.revenue_rate
 
 
+def _per_pdu_paths(engine, bids, pdu_spot, ups_spot, extra=()):
+    """The production per-PDU clears: serial, and sharded over 3 shards."""
+    yield engine.clear_per_pdu(bids, pdu_spot, ups_spot, extra)
+    yield clear_per_pdu_sharded(
+        engine, BidFrame.from_bids(bids), pdu_spot, ups_spot, extra, shards=3
+    )
+
+
 class TestPerPduPricingParity:
     @given(data=market_instances())
     @settings(max_examples=100, deadline=None)
     def test_paths_identical(self, data):
         bids, pdu_spot, ups_spot, _ = data
-        frame_engine, object_engine = _engines()
-        frame_result = frame_engine.clear_per_pdu(bids, pdu_spot, ups_spot)
-        object_result = object_engine.clear_per_pdu(bids, pdu_spot, ups_spot)
-        assert frame_result.pdu_prices == object_result.pdu_prices
-        assert frame_result.price == pytest.approx(
-            object_result.price, abs=1e-9
-        )
-        assert frame_result.revenue_rate == pytest.approx(
-            object_result.revenue_rate, abs=1e-9
-        )
-        for rack_id, grant in object_result.grants_w.items():
-            assert frame_result.grants_w[rack_id] == pytest.approx(
-                grant, abs=1e-9
+        engine = MarketClearing(params=PARAMS)
+        object_result = oracle.clear_per_pdu(engine, bids, pdu_spot, ups_spot)
+        for frame_result in _per_pdu_paths(engine, bids, pdu_spot, ups_spot):
+            assert frame_result.pdu_prices == object_result.pdu_prices
+            assert frame_result.price == pytest.approx(
+                object_result.price, abs=1e-9
             )
+            assert frame_result.revenue_rate == pytest.approx(
+                object_result.revenue_rate, abs=1e-9
+            )
+            for rack_id, grant in object_result.grants_w.items():
+                assert frame_result.grants_w[rack_id] == pytest.approx(
+                    grant, abs=1e-9
+                )
 
     @given(data=market_instances(constraints=True))
     @settings(max_examples=80, deadline=None)
     def test_paths_identical_with_constraints(self, data):
         bids, pdu_spot, ups_spot, extra = data
-        frame_engine, object_engine = _engines()
-        frame_result = frame_engine.clear_per_pdu(
-            bids, pdu_spot, ups_spot, extra
+        engine = MarketClearing(params=PARAMS)
+        object_result = oracle.clear_per_pdu(
+            engine, bids, pdu_spot, ups_spot, extra
         )
-        object_result = object_engine.clear_per_pdu(
-            bids, pdu_spot, ups_spot, extra
-        )
-        assert frame_result.pdu_prices == object_result.pdu_prices
-        for rack_id, grant in object_result.grants_w.items():
-            assert frame_result.grants_w[rack_id] == pytest.approx(
-                grant, abs=1e-9
-            )
+        for frame_result in _per_pdu_paths(
+            engine, bids, pdu_spot, ups_spot, extra
+        ):
+            assert frame_result.pdu_prices == object_result.pdu_prices
+            for rack_id, grant in object_result.grants_w.items():
+                assert frame_result.grants_w[rack_id] == pytest.approx(
+                    grant, abs=1e-9
+                )
 
 
 class TestDemandKernelParity:
@@ -256,10 +261,11 @@ class TestSettlementParity:
     @settings(max_examples=80, deadline=None)
     def test_settle_matches_object_billing(self, data):
         bids, pdu_spot, ups_spot, _ = data
-        frame_engine, _ = _engines()
         frame = BidFrame.from_bids(bids)
-        result = frame_engine.clear_per_pdu(frame, pdu_spot, ups_spot)
-        expected = SpotDCAllocator._payments(result, bids, 120.0)
+        result = MarketClearing(params=PARAMS).clear_per_pdu(
+            frame, pdu_spot, ups_spot
+        )
+        expected = oracle.payments(result, bids, 120.0)
         _, payments = frame.settle(
             result.grants_w, result.pdu_prices, result.price, 120.0
         )
@@ -295,25 +301,6 @@ class TestFrameAdapter:
     def test_rows_sorted_by_pdu(self):
         frame = BidFrame.from_bids(self._bids())
         assert list(frame.pdu_code) == sorted(frame.pdu_code)
-
-    def test_from_arrays_equals_object_bids(self):
-        bids = self._bids()
-        frame = BidFrame.from_arrays(
-            rack_ids=[b.rack_id for b in bids],
-            pdu_ids=[b.pdu_id for b in bids],
-            tenant_ids=[b.tenant_id for b in bids],
-            d_max_w=[b.demand.d_max_w for b in bids],
-            q_min=[b.demand.q_min for b in bids],
-            d_min_w=[b.demand.d_min_w for b in bids],
-            q_max=[b.demand.q_max for b in bids],
-            rack_cap_w=[b.rack_cap_w for b in bids],
-        )
-        pdu_spot = {"p0": 90.0, "p1": 70.0}
-        engine, _ = _engines()
-        from_arrays = engine.clear(frame, pdu_spot, 140.0)
-        from_objects = engine.clear(bids, pdu_spot, 140.0)
-        assert from_arrays.price == from_objects.price
-        assert from_arrays.grants_w == from_objects.grants_w
 
     def test_pdu_slices_partition_frame(self):
         frame = BidFrame.from_bids(self._bids())

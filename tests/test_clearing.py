@@ -8,7 +8,11 @@ from repro.core.allocation import verify_allocation
 from repro.core.bids import RackBid
 from repro.core.clearing import MarketClearing, clear_market
 from repro.core.demand import FullBid, LinearBid, StepBid
+from repro.core.frame import BidFrame
+from repro.core.sharding import clear_per_pdu_sharded
 from repro.errors import CapacityError, ClearingError
+
+from tests import oracle
 
 
 def bid(rack, pdu, demand, cap=1000.0, tenant=None):
@@ -98,6 +102,29 @@ class TestConstraints:
             clear_market([bid("r1", "p1", StepBid(10, 0.1))], {"p1": -5.0}, 10.0)
         with pytest.raises(ClearingError):
             clear_market([bid("r1", "p1", StepBid(10, 0.1))], {"p1": 5.0}, -10.0)
+
+    @pytest.mark.parametrize("n_bids", [2, 0])
+    @pytest.mark.parametrize(
+        "entry", ["clear", "clear_per_pdu", "clear_per_pdu_sharded"]
+    )
+    def test_negative_pdu_capacity_rejected_by_every_entry_point(
+        self, entry, n_bids
+    ):
+        # One capacity check for all three clears: a negative PDU cap is
+        # an inconsistent input, never a priced-out PDU or a NaN grant.
+        bids = [
+            bid("r1", "p1", LinearBid(50.0, 0.05, 10.0, 0.3)),
+            bid("r2", "p2", LinearBid(50.0, 0.05, 10.0, 0.3)),
+        ][:n_bids]
+        engine = MarketClearing()
+        pdu_spot = {"p1": -5.0, "p2": 40.0}
+        with pytest.raises(ClearingError):
+            if entry == "clear_per_pdu_sharded":
+                clear_per_pdu_sharded(
+                    engine, BidFrame.from_bids(bids), pdu_spot, 100.0, shards=2
+                )
+            else:
+                getattr(engine, entry)(bids, pdu_spot, 100.0)
 
     def test_every_outcome_verifies(self):
         rng = np.random.default_rng(0)
@@ -371,7 +398,6 @@ class TestAdmission:
             bid("r2", "p1", StepBid(30.0, 0.25)),
         ]
         frame_result = clear_market(bids, {"p1": 45.0}, 100.0)
-        legacy = MarketClearing(columnar=False)
-        object_result = legacy.clear(bids, {"p1": 45.0}, 100.0)
+        object_result = oracle.clear(MarketClearing(), bids, {"p1": 45.0}, 100.0)
         assert frame_result.grants_w == object_result.grants_w
         assert frame_result.price == object_result.price

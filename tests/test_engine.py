@@ -6,8 +6,8 @@ import pytest
 from repro.core.baselines import MaxPerfAllocator, PowerCappedAllocator
 from repro.core.market import SpotDCAllocator
 from repro.errors import SimulationError
+from repro.forecast import CurrentDrawSignal
 from repro.prediction.price import EwmaPricePredictor
-from repro.prediction.spot import SpotCapacityPredictor
 from repro.sim.engine import SimulationEngine, run_simulation
 from repro.sim.scenario import testbed_scenario as build_testbed
 
@@ -133,7 +133,7 @@ class TestAllocatorVariants:
         under = run_simulation(
             build_testbed(seed=21),
             300,
-            spot_predictor=SpotCapacityPredictor(under_prediction_factor=0.6),
+            signal=CurrentDrawSignal(under_prediction_factor=0.6),
         )
         assert (
             under.collector.spot_granted_array().sum()

@@ -7,19 +7,28 @@ from repro.config import make_rng
 from repro.core.baselines import PowerCappedAllocator
 from repro.economics.settlement import reconcile
 from repro.errors import ConfigurationError
+from repro.resilience import BernoulliLoss, FaultInjector
 from repro.sim.engine import SimulationEngine, run_simulation
-from repro.sim.faults import CommunicationFaultModel
 from repro.sim.scenario import testbed_scenario as build_testbed
 
 SLOTS = 800
 
 
-def run_with_faults(bid_p=0.0, grant_p=0.0, seed=55, slots=SLOTS):
-    fault_model = CommunicationFaultModel(
-        bid_loss_probability=bid_p,
-        grant_loss_probability=grant_p,
-        rng=make_rng(1234),
+def comm_faults(bid_p=0.0, grant_p=0.0, **kwargs):
+    """Independent Bernoulli bid/grant losses (paper §III-C)."""
+    return FaultInjector(
+        sources=(BernoulliLoss("bid", bid_p), BernoulliLoss("grant", grant_p)),
+        **kwargs,
     )
+
+
+def grant_lost(model, slot, rack_id):
+    fault = model.grant_fault(slot, rack_id, 0.0)
+    return fault is not None and fault.kind == "lost"
+
+
+def run_with_faults(bid_p=0.0, grant_p=0.0, seed=55, slots=SLOTS):
+    fault_model = comm_faults(bid_p, grant_p, rng=make_rng(1234))
     engine = SimulationEngine(
         build_testbed(seed=seed), fault_model=fault_model
     )
@@ -29,24 +38,22 @@ def run_with_faults(bid_p=0.0, grant_p=0.0, seed=55, slots=SLOTS):
 class TestFaultModel:
     def test_requires_rng(self):
         with pytest.raises(ConfigurationError):
-            CommunicationFaultModel(bid_loss_probability=0.1)
+            comm_faults(bid_p=0.1)
 
     def test_probability_bounds(self):
         with pytest.raises(ConfigurationError):
-            CommunicationFaultModel(bid_loss_probability=1.5, rng=make_rng(0))
+            comm_faults(bid_p=1.5, rng=make_rng(0))
         with pytest.raises(ConfigurationError):
-            CommunicationFaultModel(grant_loss_probability=-0.1, rng=make_rng(0))
+            comm_faults(grant_p=-0.1, rng=make_rng(0))
 
     def test_zero_probability_never_fires(self):
-        model = CommunicationFaultModel(rng=make_rng(0))
+        model = comm_faults(rng=make_rng(0))
         assert not any(model.bid_lost(s, "t") for s in range(100))
-        assert not any(model.grant_lost(s, "r") for s in range(100))
+        assert not any(grant_lost(model, s, "r") for s in range(100))
         assert model.log.lost_bids == 0
 
     def test_certain_loss_always_fires(self):
-        model = CommunicationFaultModel(
-            bid_loss_probability=1.0, rng=make_rng(0)
-        )
+        model = comm_faults(bid_p=1.0, rng=make_rng(0))
         assert all(model.bid_lost(s, "t") for s in range(10))
         assert model.log.lost_bids == 10
 

@@ -9,8 +9,8 @@ Three property suites pin the subsystem's contract:
   on seeded synthetic noise.
 
 Plus the integration contract: every default-path construction route
-(implicit default, raw ``spot_predictor``, explicit signal, spec-built
-scenario, all-defaults profile) produces byte-identical JSONL traces.
+(implicit default, explicit signal, spec-built scenario, all-defaults
+profile) produces byte-identical JSONL traces.
 """
 
 import dataclasses
@@ -261,10 +261,6 @@ def test_default_path_trace_byte_identity(tmp_path):
     reference = _trace_bytes(tmp_path, "default")
     assert reference  # non-empty trace
 
-    # Legacy raw-predictor argument.
-    assert _trace_bytes(
-        tmp_path, "predictor", spot_predictor=SpotCapacityPredictor()
-    ) == reference
     # Explicit default signal.
     assert _trace_bytes(
         tmp_path, "signal", signal=CurrentDrawSignal()

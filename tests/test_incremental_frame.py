@@ -1,9 +1,10 @@
 """Incremental frame building: dirty tracking and from-scratch parity.
 
 `IncrementalFrameBuilder` keeps per-PDU column blocks alive across
-slots and re-aggregates only the PDUs whose bids changed.  Its contract
-is twofold: the produced frame is *element-for-element* identical to
-`BidFrame.from_bids` on the same bid list, and a mutation dirties
+slots and rebuilds only the PDUs whose bids changed.  Its contract is
+twofold: the produced frame is *element-for-element* identical to the
+row-at-a-time reference build (``tests/oracle.py``'s
+``frame_from_bids``) on the same bid list, and a mutation dirties
 exactly the PDUs it touches (``last_dirty``).  Tenants joining or
 leaving mid-run, quarantined bundles, revocations, and fault-injected
 lost-bid slots all reduce to bid-list mutations, so each gets an
@@ -25,6 +26,8 @@ from repro.core.sharding import IncrementalFrameBuilder
 from repro.sim.engine import run_simulation
 from repro.sim.scenario import testbed_scenario as build_testbed
 from repro.telemetry import TelemetryConfig
+
+from tests.oracle import frame_from_bids
 
 SLOTS = 12
 
@@ -113,11 +116,22 @@ def _closed_population():
     ]
 
 
+class _OpaqueLinear(LinearBid):
+    """A LinearBid subclass: sampled, yet with public curve attributes."""
+
+
 class TestParityWithFromBids:
+    def test_from_bids_matches_reference(self):
+        bids = _population() + [
+            _bid("r9", "p2", "tF", _OpaqueLinear(45.0, 0.05, 5.0, 0.35))
+        ]
+        _assert_frames_identical(BidFrame.from_bids(bids), frame_from_bids(bids))
+        _assert_frames_identical(BidFrame.from_bids([]), frame_from_bids([]))
+
     def test_initial_build_matches_from_scratch(self):
         bids = _population()
         builder = IncrementalFrameBuilder()
-        _assert_frames_identical(builder.build(bids), BidFrame.from_bids(bids))
+        _assert_frames_identical(builder.build(bids), frame_from_bids(bids))
 
     def test_empty(self):
         builder = IncrementalFrameBuilder()
@@ -126,7 +140,7 @@ class TestParityWithFromBids:
         assert builder.last_dirty == ()
         # A population appearing after an empty slot still matches.
         bids = _population()
-        _assert_frames_identical(builder.build(bids), BidFrame.from_bids(bids))
+        _assert_frames_identical(builder.build(bids), frame_from_bids(bids))
 
     def test_fresh_equal_objects_reuse_blocks(self):
         """Tenants rebuild their bids every slot; equal params must not dirty."""
@@ -135,7 +149,7 @@ class TestParityWithFromBids:
         # Brand-new objects, same values: nothing dirties.
         frame = builder.build(_closed_population())
         assert builder.last_dirty == ()
-        _assert_frames_identical(frame, BidFrame.from_bids(_closed_population()))
+        _assert_frames_identical(frame, frame_from_bids(_closed_population()))
 
     def test_full_bid_pdus_rebuild_conservatively(self):
         """Sampled curves have no cheap equality: fresh objects dirty."""
@@ -143,7 +157,7 @@ class TestParityWithFromBids:
         builder.build(_population())
         frame = builder.build(_population())
         assert builder.last_dirty == ("p1",)  # the FullBid's PDU, only
-        _assert_frames_identical(frame, BidFrame.from_bids(_population()))
+        _assert_frames_identical(frame, frame_from_bids(_population()))
 
 
 class TestDirtyTracking:
@@ -164,7 +178,7 @@ class TestDirtyTracking:
         joined = _closed_population() + [_bid("r9", "p1", "tF")]
         frame = builder.build(joined)
         assert builder.last_dirty == ("p1",)
-        _assert_frames_identical(frame, BidFrame.from_bids(joined))
+        _assert_frames_identical(frame, frame_from_bids(joined))
 
     def test_tenant_leaves_dirties_only_its_pdus(self):
         builder = self._built()
@@ -172,7 +186,7 @@ class TestDirtyTracking:
         remaining = [b for b in _closed_population() if b.tenant_id != "tE"]
         frame = builder.build(remaining)
         assert builder.last_dirty == ("p3",)
-        _assert_frames_identical(frame, BidFrame.from_bids(remaining))
+        _assert_frames_identical(frame, frame_from_bids(remaining))
 
     def test_quarantined_bundle_dirties_each_hosting_pdu(self):
         builder = self._built()
@@ -180,7 +194,7 @@ class TestDirtyTracking:
         screened = [b for b in _closed_population() if b.tenant_id != "tC"]
         frame = builder.build(screened)
         assert builder.last_dirty == ("p1", "p2")
-        _assert_frames_identical(frame, BidFrame.from_bids(screened))
+        _assert_frames_identical(frame, frame_from_bids(screened))
 
     def test_modified_bid_dirties_only_its_pdu(self):
         builder = self._built()
@@ -188,7 +202,7 @@ class TestDirtyTracking:
         changed[5] = _bid("r5", "p2", "tC", LinearBid(61.0, 0.05, 10.0, 0.3))
         frame = builder.build(changed)
         assert builder.last_dirty == ("p2",)
-        _assert_frames_identical(frame, BidFrame.from_bids(changed))
+        _assert_frames_identical(frame, frame_from_bids(changed))
 
     def test_lost_bid_slot_dirties_removed_pdu(self):
         """Fault-injected bid loss: a whole PDU's bids vanish for a slot."""
@@ -196,11 +210,11 @@ class TestDirtyTracking:
         lost = [b for b in _closed_population() if b.pdu_id != "p1"]
         frame = builder.build(lost)
         assert builder.last_dirty == ("p1",)
-        _assert_frames_identical(frame, BidFrame.from_bids(lost))
+        _assert_frames_identical(frame, frame_from_bids(lost))
         # The bids return next slot: only p1 rebuilds, parity holds.
         restored = builder.build(_closed_population())
         assert builder.last_dirty == ("p1",)
-        _assert_frames_identical(restored, BidFrame.from_bids(_closed_population()))
+        _assert_frames_identical(restored, frame_from_bids(_closed_population()))
 
     def test_reuse_counters(self):
         builder = self._built()
@@ -259,11 +273,12 @@ def _apply_mutation(bids, op, rng):
 def test_incremental_equals_from_scratch_after_any_mutations(ops):
     builder = IncrementalFrameBuilder()
     bids = _population()
-    _assert_frames_identical(builder.build(bids), BidFrame.from_bids(bids))
+    _assert_frames_identical(builder.build(bids), frame_from_bids(bids))
     for op in ops:
         bids = _apply_mutation(bids, op, None)
         frame = builder.build(bids)
-        _assert_frames_identical(frame, BidFrame.from_bids(bids))
+        _assert_frames_identical(frame, frame_from_bids(bids))
+        _assert_frames_identical(BidFrame.from_bids(bids), frame_from_bids(bids))
         # Every dirty PDU names a real PDU of the old or new population.
         assert set(builder.last_dirty) <= set(_PDUS) | {b.pdu_id for b in bids}
 
@@ -304,14 +319,22 @@ class TestFrameCaches:
 # -- end-to-end: the incremental default changes no bytes --------------
 
 
+class _ScratchBuilder:
+    """Builds every slot's frame from scratch with the reference build."""
+
+    def build(self, bids):
+        return frame_from_bids(bids)
+
+
 class TestEndToEnd:
     def _trace_bytes(self, tmp_path, run_id, incremental):
         scenario = build_testbed(seed=7)
         out = tmp_path / str(run_id)
         allocator = SpotDCAllocator(
-            params=MarketParameters(slot_seconds=scenario.slot_seconds),
-            incremental=incremental,
+            params=MarketParameters(slot_seconds=scenario.slot_seconds)
         )
+        if not incremental:
+            allocator.frame_builder = _ScratchBuilder()
         run_simulation(
             scenario, slots=SLOTS, allocator=allocator,
             telemetry=TelemetryConfig(out_dir=out, label="run"),

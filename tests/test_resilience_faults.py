@@ -17,7 +17,6 @@ from repro.resilience import (
     MeterFaultSource,
     ScriptedLoss,
 )
-from repro.sim.faults import CommunicationFaultModel
 from repro.sim.scenario import testbed_scenario as build_testbed
 
 
@@ -347,18 +346,3 @@ class TestDuplicateDelivery:
         assert cell.prices_equal
         assert cell.invoices_equal
         assert cell.ok
-
-
-class TestLegacyAdapter:
-    def test_is_an_injector(self):
-        model = CommunicationFaultModel(0.1, 0.1, rng=make_rng(0))
-        assert isinstance(model, FaultInjector)
-
-    def test_accepts_seed_instead_of_rng(self):
-        model = CommunicationFaultModel(0.5, 0.5, seed=9)
-        hits = sum(model.bid_lost(s, "t") for s in range(200))
-        assert 0 < hits < 200
-
-    def test_requires_rng_or_seed(self):
-        with pytest.raises(ConfigurationError):
-            CommunicationFaultModel(bid_loss_probability=0.1)
