@@ -30,13 +30,18 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
+import dataclasses
+import functools
 import pathlib
 import sys
 from collections.abc import Callable, Sequence
 
 from repro import experiments as E
+from repro.errors import ConfigurationError
 from repro.forecast import SIGNAL_NAMES
 from repro.resilience import FAULT_CLASSES, FaultProfile
+from repro.resilience.profile import DEFAULT_FAULT_INTENSITY
 from repro.telemetry import TelemetryConfig, set_default_config
 
 __all__ = ["main", "EXPERIMENT_REGISTRY"]
@@ -205,22 +210,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    config = None
-    previous = None
-    if args.telemetry:
-        # The process-wide default reaches every engine the experiment
-        # harnesses construct internally — no parameter threading.
-        config = TelemetryConfig(out_dir=args.telemetry_dir)
-        previous = set_default_config(config)
-    try:
+    with _default_telemetry(args.telemetry, args.telemetry_dir) as config:
         for i, target in enumerate(targets):
             if i:
                 print()
             _, runner = EXPERIMENT_REGISTRY[target]
             print(runner(args))
-    finally:
-        if config is not None:
-            set_default_config(previous)
     if config is not None:
         print(f"\noutput directory: {pathlib.Path(args.telemetry_dir).resolve()}")
         for path in config.manifest:
@@ -235,59 +230,92 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_prediction_args(scenario, args: argparse.Namespace):
-    """Apply ``--predictor``/``--risk-quantile`` to an operator scenario."""
-    import dataclasses
+@contextlib.contextmanager
+def _default_telemetry(enabled: bool, out_dir=None):
+    """Install a process-wide :class:`TelemetryConfig` for the block.
 
-    from repro.errors import ConfigurationError
-    from repro.forecast import PredictionProfile
-
-    if args.predictor is None and args.risk_quantile is None:
-        return scenario
+    The default reaches every engine the command constructs, however
+    deep — no parameter threading.  Yields the config, or ``None`` when
+    telemetry is off.
+    """
+    if not enabled:
+        yield None
+        return
+    config = TelemetryConfig(out_dir=out_dir)
+    previous = set_default_config(config)
     try:
-        profile = PredictionProfile(
-            signal=args.predictor or "current_draw",
-            risk_quantile=args.risk_quantile,
-        )
-    except ConfigurationError as exc:
-        print(f"invalid prediction flags: {exc}", file=sys.stderr)
-        raise SystemExit(2) from exc
-    return dataclasses.replace(scenario, prediction=profile)
+        yield config
+    finally:
+        set_default_config(previous)
 
 
-def _apply_event_args(scenario, args: argparse.Namespace):
-    """Apply ``--event-schedule``/``--wholesale-trace`` to a scenario."""
-    import dataclasses
+def _reports_bad_flags(command):
+    """Make a bad scenario flag exit 2 with one line, not a traceback.
 
-    from repro.errors import ConfigurationError
+    A :class:`ConfigurationError` raised anywhere in ``command`` —
+    building the scenario from the flags (``--shards 0``,
+    ``--fault-intensity 2``, an invalid ``--event-schedule`` file) or
+    the engine from the scenario (``--crash-at -1``) — is printed as
+    one line on stderr.
+    """
+
+    @functools.wraps(command)
+    def run(args: argparse.Namespace) -> int:
+        try:
+            return command(args)
+        except ConfigurationError as exc:
+            print(f"invalid {args.command} flags: {exc}", file=sys.stderr)
+            return 2
+
+    return run
+
+
+def _fault_profile_from_args(args: argparse.Namespace, crash_at=None):
+    """The :class:`FaultProfile` the fault flags name, or ``None``."""
+    if args.fault_profile == "none" and crash_at is None:
+        return None
+    profile = FaultProfile.named(args.fault_profile, args.fault_intensity)
+    if crash_at is None:
+        return profile
+    return dataclasses.replace(profile, crash_at_slot=crash_at)
+
+
+def _scenario_from_args(args: argparse.Namespace, **changes):
+    """The testbed scenario with the shared scenario flags applied.
+
+    ``changes`` are further :class:`~repro.sim.scenario.Scenario`
+    fields; a ``None`` (flag not given) keeps the testbed's own value.
+    """
     from repro.events import EventProfile, wholesale_trace_from_file
+    from repro.forecast import PredictionProfile
     from repro.scenarios import event_profile_from_file
+    from repro.sim.scenario import testbed_scenario
 
-    if args.event_schedule is None and args.wholesale_trace is None:
-        return scenario
-    try:
-        profile = None
-        if args.event_schedule is not None:
-            profile = event_profile_from_file(args.event_schedule)
-        if args.wholesale_trace is not None:
-            trace = wholesale_trace_from_file(args.wholesale_trace)
-            profile = dataclasses.replace(
-                profile if profile is not None else EventProfile(),
-                wholesale_trace=trace,
-            )
-    except (ConfigurationError, OSError) as exc:
-        print(f"invalid event flags: {exc}", file=sys.stderr)
-        raise SystemExit(2) from exc
-    return dataclasses.replace(scenario, events=profile)
+    changes["shards"] = args.shards
+    changes["fault_profile"] = _fault_profile_from_args(args, args.crash_at)
+    if args.predictor is not None or args.risk_quantile is not None:
+        signal = {} if args.predictor is None else {"signal": args.predictor}
+        changes["prediction"] = PredictionProfile(
+            risk_quantile=args.risk_quantile, **signal
+        )
+    if args.event_schedule is not None:
+        changes["events"] = event_profile_from_file(args.event_schedule)
+    if args.wholesale_trace is not None:
+        changes["events"] = dataclasses.replace(
+            changes.get("events") or EventProfile(),
+            wholesale_trace=wholesale_trace_from_file(args.wholesale_trace),
+        )
+    return dataclasses.replace(
+        testbed_scenario(seed=args.seed),
+        **{field: value for field, value in changes.items() if value is not None},
+    )
 
 
+@_reports_bad_flags
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    import dataclasses
-
     from repro.errors import OperatorCrash, RecoveryError
     from repro.recovery import latest_checkpoint
     from repro.sim.engine import run_simulation
-    from repro.sim.scenario import testbed_scenario
 
     if args.checkpoint_every is not None and args.checkpoint_dir is None:
         print("--checkpoint-every requires --checkpoint-dir", file=sys.stderr)
@@ -308,25 +336,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
             return 2
 
-    scenario = testbed_scenario(seed=args.seed)
-    if args.clearing_deadline is not None:
-        scenario = dataclasses.replace(
-            scenario, clearing_deadline_s=args.clearing_deadline
-        )
-    if args.shards is not None:
-        scenario = dataclasses.replace(scenario, shards=args.shards)
-    scenario = _apply_prediction_args(scenario, args)
-    scenario = _apply_event_args(scenario, args)
-    fault_profile = None
-    if args.fault_profile != "none" or args.crash_at is not None:
-        fault_profile = FaultProfile.named(
-            args.fault_profile, args.fault_intensity
-        )
-        if args.crash_at is not None:
-            fault_profile = dataclasses.replace(
-                fault_profile, crash_at_slot=args.crash_at
-            )
-
+    scenario = _scenario_from_args(
+        args, clearing_deadline_s=args.clearing_deadline
+    )
     allocator = None
     if args.profile:
         # Profiling reads wall-clock durations off in-memory telemetry
@@ -339,36 +351,29 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             shards=scenario.shards,
             shard_spans=True,
         )
-    config = None
-    previous = None
-    if args.telemetry or args.profile:
-        config = TelemetryConfig(
-            out_dir=args.telemetry_dir if args.telemetry else None
-        )
-        previous = set_default_config(config)
-    try:
-        result = run_simulation(
-            scenario,
-            slots=args.slots,
-            allocator=allocator,
-            fault_profile=fault_profile,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_dir=args.checkpoint_dir,
-            resume_from=resume_from,
-        )
-    except OperatorCrash as crash:
-        print(
-            f"operator crash at slot {crash.slot}; resume with "
-            f"--resume-from auto --checkpoint-dir {args.checkpoint_dir}",
-            file=sys.stderr,
-        )
-        return 3
-    except RecoveryError as exc:
-        print(f"recovery error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if config is not None:
-            set_default_config(previous)
+    with _default_telemetry(
+        args.telemetry or args.profile,
+        args.telemetry_dir if args.telemetry else None,
+    ) as config:
+        try:
+            result = run_simulation(
+                scenario,
+                slots=args.slots,
+                allocator=allocator,
+                checkpoint_every=args.checkpoint_every,
+                checkpoint_dir=args.checkpoint_dir,
+                resume_from=resume_from,
+            )
+        except OperatorCrash as crash:
+            print(
+                f"operator crash at slot {crash.slot}; resume with "
+                f"--resume-from auto --checkpoint-dir {args.checkpoint_dir}",
+                file=sys.stderr,
+            )
+            return 3
+        except RecoveryError as exc:
+            print(f"recovery error: {exc}", file=sys.stderr)
+            return 2
 
     prices = result.price_series()
     quarantined = sum(result.quarantined_bids.values())
@@ -410,70 +415,40 @@ def _print_profile(trace) -> None:
         )
 
 
+@_reports_bad_flags
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import dataclasses
-
     from repro.daemon.server import serve
-    from repro.errors import (
-        ConfigurationError,
-        DaemonError,
-        OperatorCrash,
-        RecoveryError,
-    )
-    from repro.sim.scenario import testbed_scenario
+    from repro.errors import DaemonError, OperatorCrash, RecoveryError
 
-    scenario = testbed_scenario(seed=args.seed)
-    if args.shards is not None:
-        scenario = dataclasses.replace(scenario, shards=args.shards)
-    scenario = _apply_prediction_args(scenario, args)
-    scenario = _apply_event_args(scenario, args)
-    if args.fault_profile != "none" or args.crash_at is not None:
-        fault_profile = FaultProfile.named(
-            args.fault_profile, args.fault_intensity
-        )
-        if args.crash_at is not None:
-            fault_profile = dataclasses.replace(
-                fault_profile, crash_at_slot=args.crash_at
+    scenario = _scenario_from_args(args)
+    with _default_telemetry(args.telemetry, args.telemetry_dir):
+        try:
+            serve(
+                scenario,
+                args.slots,
+                args.state_dir,
+                args.socket,
+                tick_seconds=args.tick_seconds,
+                max_pending=args.max_pending,
+                resume=args.resume,
+                kill_at=args.kill_at,
+                kill_point=args.kill_point,
             )
-        scenario = dataclasses.replace(scenario, fault_profile=fault_profile)
-
-    config = None
-    previous = None
-    if args.telemetry:
-        config = TelemetryConfig(out_dir=args.telemetry_dir)
-        previous = set_default_config(config)
-    try:
-        serve(
-            scenario,
-            args.slots,
-            args.state_dir,
-            args.socket,
-            tick_seconds=args.tick_seconds,
-            max_pending=args.max_pending,
-            resume=args.resume,
-            kill_at=args.kill_at,
-            kill_point=args.kill_point,
-        )
-    except OperatorCrash as crash:
-        print(
-            f"operator crash at slot {crash.slot}; restart with "
-            f"--resume --state-dir {args.state_dir}",
-            file=sys.stderr,
-        )
-        return 3
-    except (ConfigurationError, DaemonError, RecoveryError) as exc:
-        print(f"daemon error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if config is not None:
-            set_default_config(previous)
+        except OperatorCrash as crash:
+            print(
+                f"operator crash at slot {crash.slot}; restart with "
+                f"--resume --state-dir {args.state_dir}",
+                file=sys.stderr,
+            )
+            return 3
+        except (DaemonError, RecoveryError) as exc:
+            print(f"daemon error: {exc}", file=sys.stderr)
+            return 2
     return 0
 
 
 def _parse_rack_arg(text: str) -> dict:
     """Parse ``rack_id:linear:d_max,q_min,d_min,q_max`` (or ``:step:``)."""
-    from repro.errors import ConfigurationError
-
     # Rack ids themselves contain colons (e.g. ``rack:Search-1``), so
     # the kind and value fields are split off from the right.
     parts = text.rsplit(":", 2)
@@ -508,7 +483,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
     from repro.daemon.chaos import synthetic_bundle
     from repro.daemon.client import DaemonClient
-    from repro.errors import ConfigurationError, DaemonError
+    from repro.errors import DaemonError
 
     client = DaemonClient(
         args.socket, seed=args.seed, retries=args.retries
@@ -592,15 +567,12 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         client.close()
 
 
+@_reports_bad_flags
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.analysis import format_table
     from repro.experiments.common import run_comparison
 
-    fault_profile = None
-    if args.fault_profile != "none":
-        fault_profile = FaultProfile.named(
-            args.fault_profile, args.fault_intensity
-        )
+    fault_profile = _fault_profile_from_args(args)
     runs = run_comparison(
         slots=args.slots,
         seed=args.seed,
@@ -712,7 +684,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigurationError
     from repro.scenarios import (
         dump_spec,
         load_spec_file,
@@ -759,7 +730,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.analysis import format_table
-    from repro.errors import ConfigurationError, SweepError
+    from repro.errors import SweepError
     from repro.sweep import load_sweep_file, run_sweep, sweep_summary_path
 
     try:
@@ -831,7 +802,64 @@ def build_parser() -> argparse.ArgumentParser:
         func=_cmd_list
     )
 
-    run = sub.add_parser("run", help="run one experiment (or 'all')")
+    # Flags several commands share, each declared once.
+    telemetry_flags = argparse.ArgumentParser(add_help=False)
+    telemetry_flags.add_argument(
+        "--telemetry", action="store_true",
+        help="record a span trace, metrics dump, and summary JSON for "
+        "every simulation the command runs",
+    )
+    telemetry_flags.add_argument(
+        "--telemetry-dir", default="telemetry",
+        help="directory for telemetry artifacts (default: ./telemetry)",
+    )
+    fault_flags = argparse.ArgumentParser(add_help=False)
+    fault_flags.add_argument(
+        "--fault-profile", choices=FAULT_CLASSES, default="none",
+        help="inject a named fault class (compare: the marketless "
+        "baseline faces only its infrastructure faults)",
+    )
+    fault_flags.add_argument(
+        "--fault-intensity", type=float, default=DEFAULT_FAULT_INTENSITY,
+        help="intensity of the injected fault class, in [0, 1]",
+    )
+    scenario_flags = argparse.ArgumentParser(
+        add_help=False, parents=[fault_flags, telemetry_flags]
+    )
+    scenario_flags.add_argument(
+        "--crash-at", type=int, default=None, metavar="SLOT",
+        help="inject an operator crash at this slot (exit 3; exercises "
+        "recovery)",
+    )
+    scenario_flags.add_argument(
+        "--predictor", choices=SIGNAL_NAMES, default=None,
+        help="forecasting signal for the predict phase "
+        "(default: the paper's current-draw rule)",
+    )
+    scenario_flags.add_argument(
+        "--risk-quantile", type=float, default=None, metavar="Q",
+        help="release spot capacity at this overcommit quantile of the "
+        "signal's confidence band, in (0, 1] (default: point forecast)",
+    )
+    scenario_flags.add_argument(
+        "--event-schedule", default=None, metavar="FILE",
+        help="grid-event schedule file (the scenario 'events' component "
+        "as standalone JSON/YAML): EDR shocks, price spikes, cascades",
+    )
+    scenario_flags.add_argument(
+        "--wholesale-trace", default=None, metavar="FILE",
+        help="wholesale price trace (JSON array or one price per line) "
+        "that the reserve price tracks during price events",
+    )
+    scenario_flags.add_argument(
+        "--shards", type=int, default=None, metavar="N",
+        help="partition per-PDU clearing into N contiguous shards "
+        "(byte-identical results at any N; see docs/sharding.md)",
+    )
+
+    run = sub.add_parser(
+        "run", help="run one experiment (or 'all')", parents=[telemetry_flags]
+    )
     run.add_argument("target", help="experiment name or 'all'")
     run.add_argument("--seed", type=int, default=None)
     run.add_argument(
@@ -844,35 +872,15 @@ def build_parser() -> argparse.ArgumentParser:
         "(fig17, fig18, ablations, resilience, prediction-risk); "
         "results are identical at any job count",
     )
-    run.add_argument(
-        "--telemetry", action="store_true",
-        help="record a span trace, metrics dump, and summary JSON for "
-        "every simulation inside the experiment",
-    )
-    run.add_argument(
-        "--telemetry-dir", default="telemetry",
-        help="directory for telemetry artifacts (default: ./telemetry)",
-    )
     run.set_defaults(func=_cmd_run)
 
     simulate = sub.add_parser(
         "simulate",
         help="one operator run of the testbed, with checkpoint/resume",
+        parents=[scenario_flags],
     )
     simulate.add_argument("--seed", type=int, default=None)
     simulate.add_argument("--slots", type=int, default=500)
-    simulate.add_argument(
-        "--fault-profile", choices=FAULT_CLASSES, default="none",
-        help="inject a named fault class into the run",
-    )
-    simulate.add_argument(
-        "--fault-intensity", type=float, default=0.1,
-        help="intensity of the injected fault class, in [0, 1]",
-    )
-    simulate.add_argument(
-        "--crash-at", type=int, default=None, metavar="SLOT",
-        help="inject an operator crash at this slot (exercise recovery)",
-    )
     simulate.add_argument(
         "--checkpoint-every", type=int, default=None, metavar="K",
         help="write a recovery checkpoint every K completed slots",
@@ -891,48 +899,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="arm the clearing deadline guard with this wall-clock budget",
     )
     simulate.add_argument(
-        "--predictor", choices=SIGNAL_NAMES, default=None,
-        help="forecasting signal for the predict phase "
-        "(default: the paper's current-draw rule)",
-    )
-    simulate.add_argument(
-        "--risk-quantile", type=float, default=None, metavar="Q",
-        help="release spot capacity at this overcommit quantile of the "
-        "signal's confidence band, in (0, 1] (default: point forecast)",
-    )
-    simulate.add_argument(
-        "--event-schedule", default=None, metavar="FILE",
-        help="grid-event schedule file (the scenario 'events' component "
-        "as standalone JSON/YAML): EDR shocks, price spikes, cascades",
-    )
-    simulate.add_argument(
-        "--wholesale-trace", default=None, metavar="FILE",
-        help="wholesale price trace (JSON array or one price per line) "
-        "that the reserve price tracks during price events",
-    )
-    simulate.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="partition per-PDU clearing into N contiguous shards "
-        "(byte-identical results at any N; see docs/sharding.md)",
-    )
-    simulate.add_argument(
         "--profile", action="store_true",
         help="print a per-phase wall-clock table (predict/bid_collect/"
         "clear/grant/enforce/settle) from the telemetry spans",
-    )
-    simulate.add_argument(
-        "--telemetry", action="store_true",
-        help="record a span trace, metrics dump, and summary JSON",
-    )
-    simulate.add_argument(
-        "--telemetry-dir", default="telemetry",
-        help="directory for telemetry artifacts (default: ./telemetry)",
     )
     simulate.set_defaults(func=_cmd_simulate)
 
     serve = sub.add_parser(
         "serve",
         help="run the spot market as a daemon on a unix socket",
+        parents=[scenario_flags],
     )
     serve.add_argument("--seed", type=int, default=None)
     serve.add_argument("--slots", type=int, default=20)
@@ -960,27 +936,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="resume from the newest valid checkpoint in the state dir",
     )
     serve.add_argument(
-        "--predictor", choices=SIGNAL_NAMES, default=None,
-        help="forecasting signal for the daemon's predict phase",
-    )
-    serve.add_argument(
-        "--risk-quantile", type=float, default=None, metavar="Q",
-        help="release spot capacity at this overcommit quantile, in (0, 1]",
-    )
-    serve.add_argument(
-        "--fault-profile", choices=FAULT_CLASSES, default="none",
-        help="inject a named fault class into the daemon's slot loop",
-    )
-    serve.add_argument(
-        "--fault-intensity", type=float, default=0.1,
-        help="intensity of the injected fault class, in [0, 1]",
-    )
-    serve.add_argument(
-        "--crash-at", type=int, default=None, metavar="SLOT",
-        help="inject an operator crash (clean OperatorCrash, exit 3) at "
-        "this slot",
-    )
-    serve.add_argument(
         "--kill-at", type=int, default=None, metavar="SLOT",
         help="SIGKILL our own process at this slot (crash testing)",
     )
@@ -988,29 +943,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--kill-point", default="post_journal",
         choices=("pre_step", "post_journal", "post_checkpoint"),
         help="where inside the --kill-at slot to die",
-    )
-    serve.add_argument(
-        "--event-schedule", default=None, metavar="FILE",
-        help="grid-event schedule file (the scenario 'events' component "
-        "as standalone JSON/YAML): EDR shocks, price spikes, cascades",
-    )
-    serve.add_argument(
-        "--wholesale-trace", default=None, metavar="FILE",
-        help="wholesale price trace (JSON array or one price per line) "
-        "that the reserve price tracks during price events",
-    )
-    serve.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="partition per-PDU clearing into N contiguous shards "
-        "(byte-identical results at any N; see docs/sharding.md)",
-    )
-    serve.add_argument(
-        "--telemetry", action="store_true",
-        help="record a span trace, metrics dump, and summary JSON",
-    )
-    serve.add_argument(
-        "--telemetry-dir", default="telemetry",
-        help="directory for telemetry artifacts (default: ./telemetry)",
     )
     serve.set_defaults(func=_cmd_serve)
 
@@ -1063,19 +995,12 @@ def build_parser() -> argparse.ArgumentParser:
     submit.set_defaults(func=_cmd_submit)
 
     compare = sub.add_parser(
-        "compare", help="SpotDC vs PowerCapped vs MaxPerf summary"
+        "compare",
+        help="SpotDC vs PowerCapped vs MaxPerf summary",
+        parents=[fault_flags],
     )
     compare.add_argument("--seed", type=int, default=None)
     compare.add_argument("--slots", type=int, default=2000)
-    compare.add_argument(
-        "--fault-profile", choices=FAULT_CLASSES, default="none",
-        help="inject a named fault class into both runs "
-        "(infrastructure faults only for the marketless baseline)",
-    )
-    compare.add_argument(
-        "--fault-intensity", type=float, default=0.1,
-        help="intensity of the injected fault class, in [0, 1]",
-    )
     compare.set_defaults(func=_cmd_compare)
 
     trace = sub.add_parser(

@@ -2,7 +2,10 @@
 
 Every number here is traceable either to the paper's text or to a stated
 calibration choice; nothing else in the library hard-codes a paper
-constant.  Stochastic components never construct their own random state —
+constant.  The scenario presets, the spec normaliser, the builder and
+the CLI read their facility defaults (oversubscription, slot length,
+infrastructure cost, SLO) from here, so each has one home.  Stochastic
+components never construct their own random state —
 they accept a :class:`numpy.random.Generator` so that scenarios are fully
 reproducible from a single seed (see :func:`make_rng`).
 """
@@ -24,6 +27,7 @@ __all__ = [
     "RACK_CAPEX_PER_WATT",
     "RACK_CAPEX_AMORTIZATION_YEARS",
     "UPS_CAPEX_PER_WATT_RANGE",
+    "DEFAULT_INFRASTRUCTURE_COST_PER_WATT",
     "DEFAULT_OVERSUBSCRIPTION",
     "RACK_HEADROOM_FRACTION",
     "SLO_LATENCY_MS",
@@ -56,6 +60,11 @@ RACK_CAPEX_AMORTIZATION_YEARS = 15.0
 
 #: Shared UPS/PDU infrastructure capital cost, $/W (paper: US$10-25/W).
 UPS_CAPEX_PER_WATT_RANGE = (10.0, 25.0)
+
+#: Shared-infrastructure capex every scenario charges unless told
+#: otherwise: the top of the paper's range, so the operator's profit
+#: accounting is conservative.
+DEFAULT_INFRASTRUCTURE_COST_PER_WATT = UPS_CAPEX_PER_WATT_RANGE[1]
 
 #: Facility oversubscription used throughout the evaluation: leased
 #: capacity is 105% of physical capacity at both PDU and UPS levels

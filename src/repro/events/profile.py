@@ -25,14 +25,14 @@ from repro.events.types import (
     PriceSpike,
 )
 
-__all__ = ["EventProfile"]
+__all__ = ["EVENT_TYPES", "EventProfile"]
 
 #: Sub-stream tag so the arrival process never shares a stream with
 #: tenant workloads or fault channels seeded from the same scenario seed.
 _ARRIVAL_STREAM = 104729
 
 #: Event constructors by spec ``kind``.
-_EVENT_KINDS = {
+EVENT_TYPES = {
     "edr_shock": EdrShock,
     "price_spike": PriceSpike,
     "derating_cascade": DeratingCascade,
@@ -143,55 +143,30 @@ class EventProfile:
 
     @classmethod
     def from_spec(cls, block: dict) -> "EventProfile":
-        """Build a profile from a normalised ``events`` spec block."""
+        """Build a profile from an ``events`` spec block.
+
+        Fields the block leaves out keep their dataclass defaults.
+        """
         schedule = []
         for entry in block.get("schedule") or ():
-            entry = dict(entry)
-            kind = entry.pop("kind", None)
-            factory = _EVENT_KINDS.get(kind)
+            fields = dict(entry)
+            kind = fields.pop("kind", None)
+            factory = EVENT_TYPES.get(kind)
             if factory is None:
                 raise ConfigurationError(
                     f"unknown event kind {kind!r}; expected one of "
-                    f"{sorted(_EVENT_KINDS)}"
+                    f"{sorted(EVENT_TYPES)}"
                 )
             try:
-                schedule.append(factory(**entry))
+                schedule.append(factory(**fields))
             except TypeError as exc:
                 raise ConfigurationError(
-                    f"invalid {kind} event fields {sorted(entry)}: {exc}"
+                    f"invalid {kind} event fields {sorted(fields)}: {exc}"
                 ) from exc
-        trace = block.get("wholesale_trace")
-        return cls(
-            schedule=tuple(schedule),
-            seed=block.get("seed"),
-            rate=float(block.get("rate", 0.0)),
-            shock_fraction=float(block.get("shock_fraction", 0.3)),
-            shock_duration_slots=int(block.get("shock_duration_slots", 12)),
-            compliance_slots=int(block.get("compliance_slots", 3)),
-            price_coupling=float(block.get("price_coupling", 1.0)),
-            reserve_uplift=float(block.get("reserve_uplift", 0.0)),
-            wholesale_trace=None if trace is None else tuple(trace),
-        )
+        return cls(**{**block, "schedule": tuple(schedule)})
 
     def to_spec(self) -> dict:
         """The profile as a plain ``events`` spec block (round-trips)."""
-        schedule = []
-        for event in self.schedule:
-            entry = {"kind": event.kind}
-            entry.update(dataclasses.asdict(event))
-            schedule.append(entry)
-        return {
-            "schedule": schedule,
-            "seed": self.seed,
-            "rate": self.rate,
-            "shock_fraction": self.shock_fraction,
-            "shock_duration_slots": self.shock_duration_slots,
-            "compliance_slots": self.compliance_slots,
-            "price_coupling": self.price_coupling,
-            "reserve_uplift": self.reserve_uplift,
-            "wholesale_trace": (
-                None
-                if self.wholesale_trace is None
-                else list(self.wholesale_trace)
-            ),
-        }
+        from repro.scenarios.spec import component_block
+
+        return component_block(EventProfile, self)

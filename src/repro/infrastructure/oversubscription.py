@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Mapping
 
+from repro.config import DEFAULT_OVERSUBSCRIPTION
 from repro.errors import ConfigurationError
 
 __all__ = ["OversubscriptionPlan"]
@@ -33,8 +34,8 @@ class OversubscriptionPlan:
         ups_ratio: Sum-of-PDU-physical / UPS-physical (>= 1).
     """
 
-    pdu_ratio: float = 1.05
-    ups_ratio: float = 1.05
+    pdu_ratio: float = DEFAULT_OVERSUBSCRIPTION
+    ups_ratio: float = DEFAULT_OVERSUBSCRIPTION
 
     def __post_init__(self) -> None:
         if self.pdu_ratio < 1.0:

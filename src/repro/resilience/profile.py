@@ -41,7 +41,7 @@ from repro.resilience.faults import (
     MeterFaultSource,
 )
 
-__all__ = ["FAULT_CLASSES", "FaultProfile"]
+__all__ = ["DEFAULT_FAULT_INTENSITY", "FAULT_CLASSES", "FaultProfile"]
 
 #: Named fault classes accepted by :meth:`FaultProfile.named` and the CLI.
 FAULT_CLASSES = (
@@ -54,6 +54,10 @@ FAULT_CLASSES = (
     "duplicate",
     "chaos",
 )
+
+#: Intensity of :meth:`FaultProfile.named` when none is given — also the
+#: default of a spec's named ``faults`` form and of ``--fault-intensity``.
+DEFAULT_FAULT_INTENSITY = 0.1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,7 +120,9 @@ class FaultProfile:
     seed: int | None = None
 
     @classmethod
-    def named(cls, name: str, intensity: float = 0.1) -> "FaultProfile":
+    def named(
+        cls, name: str, intensity: float = DEFAULT_FAULT_INTENSITY
+    ) -> "FaultProfile":
         """Build one of the named fault classes at a given intensity.
 
         Args:

@@ -1,13 +1,14 @@
 """Assemble a :class:`~repro.sim.scenario.Scenario` from a spec.
 
-The loader is deliberately thin: it normalises the spec
-(:func:`repro.scenarios.spec.normalize_spec`), replays it onto a
-:class:`~repro.sim.builder.ScenarioBuilder` — the single assembly
-engine — and runs the builder's internal assembly.  Because the builder
-spawns one RNG stream per tenant in declaration order, a spec-loaded
-scenario is *byte-identical* (JSONL trace and all) to the same facility
-composed through the builder API or the preset functions with the same
-seed; ``tests/test_scenarios_equivalence.py`` machine-checks this.
+The normal-form spec (:func:`repro.scenarios.spec.normalize_spec`) is
+the one facility-plan format: presets emit it,
+:class:`~repro.sim.builder.ScenarioBuilder` records its calls as it,
+and :func:`build_scenario` assembles tenants, topology and
+:class:`~repro.sim.scenario.Scenario` straight from it.  With one RNG
+stream per tenant in declaration order, a spec-loaded scenario is
+*byte-identical* (JSONL trace and all) to the same facility composed
+through the builder API or the preset functions with the same seed;
+``tests/test_scenarios_equivalence.py`` machine-checks this.
 
 Programmatic objects that plain data cannot carry — a custom
 ``strategy_factory`` callable, a :class:`FaultProfile` with an explicit
@@ -19,12 +20,19 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.config import make_rng, spawn_rngs
 from repro.errors import ConfigurationError
 from repro.events.profile import EventProfile
 from repro.forecast.profile import PredictionProfile
 from repro.resilience.profile import FaultProfile
-from repro.scenarios.spec import dump_spec, load_spec_file, normalize_spec
+from repro.scenarios.spec import (
+    dump_spec,
+    load_spec_file,
+    normalize_spec,
+    spec_pdu_ids,
+)
 from repro.telemetry.config import TelemetryConfig
+from repro.units import amortized_capex_per_hour
 
 __all__ = [
     "build_scenario",
@@ -170,6 +178,12 @@ def build_scenario(
 ):
     """Assemble a :class:`Scenario` from a (not necessarily normalised) spec.
 
+    The one assembly path behind presets, spec files, and
+    :class:`~repro.sim.builder.ScenarioBuilder`: tenants in declaration
+    order, each from its own RNG stream spawned from the spec seed (the
+    invariant every byte-identical-trace test rests on), then PDUs sized
+    from their leases and the UPS from its PDUs.
+
     Args:
         spec: Scenario spec mapping; validated and normalised first.
         strategy_factory: Override the spec's declared bidding strategy
@@ -185,63 +199,79 @@ def build_scenario(
         The assembled scenario, carrying its normal-form spec on
         ``scenario.spec`` so :func:`dump_scenario` round-trips.
     """
-    from repro.sim.builder import ScenarioBuilder
+    from repro.economics.pricing import PriceSheet
+    from repro.infrastructure.pdu import Pdu
+    from repro.infrastructure.rack import Rack
+    from repro.infrastructure.topology import PowerTopology
+    from repro.infrastructure.ups import Ups
+    from repro.sim.scenario import Scenario, _tenant_from_spec
 
     normal = normalize_spec(spec)
     factory = strategy_factory or strategy_factory_from_spec(
         normal["demand"]["strategy"]
     )
-    builder = ScenarioBuilder(
-        seed=normal["seed"],
-        slot_seconds=normal["time"]["slot_seconds"],
-        ups_oversubscription=normal["supply"]["ups_oversubscription"],
-        rack_headroom_fraction=normal["topology"]["rack_headroom_fraction"],
-        infrastructure_cost_per_watt=normal["supply"][
-            "infrastructure_cost_per_watt"
-        ],
-        strategy_factory=factory,
-    )
-    for pdu in normal["topology"]["pdus"]:
-        builder.add_pdu(pdu["id"], oversubscription=pdu["oversubscription"])
-    for tenant in normal["demand"]["tenants"]:
-        workload = tenant["workload"]
-        if workload == "other":
-            builder.add_other_group(
-                tenant["name"],
-                tenant["subscription_w"],
-                tenant["pdu"],
-                volatile=tenant["volatile"],
-            )
-        elif workload == "tiered":
-            builder.add_tiered_tenant(
-                tenant["name"],
-                [(tier["subscription_w"], tier["pdu"]) for tier in tenant["tiers"]],
-                q_low=tenant["q_low"],
-                q_high=tenant["q_high"],
-                slo_ms=tenant["slo_ms"],
-            )
-        else:
-            builder._add_classed_tenant(
-                tenant["name"], workload, tenant["subscription_w"], tenant["pdu"]
-            )
-    if fault_profile is not None:
-        builder.with_fault_profile(fault_profile)
-    else:
-        builder.with_fault_profile(fault_profile_from_spec(normal["faults"]))
-    if telemetry is not None:
-        builder.with_telemetry(telemetry)
-    else:
-        builder.with_telemetry(telemetry_from_spec(normal["telemetry"]))
-    builder.with_prediction(prediction_profile_from_spec(normal["prediction"]))
-    builder.with_events(events_from_spec(normal["events"]))
-    deadline = normal["recovery"]["clearing_deadline_s"]
-    if deadline is not None:
-        builder.with_clearing_deadline(deadline)
-    builder.with_market_shards(normal["market"]["shards"])
+    slot_seconds = normal["time"]["slot_seconds"]
+    records = normal["demand"]["tenants"]
+    tenants = [
+        _tenant_from_spec(
+            record,
+            normal["topology"]["rack_headroom_fraction"],
+            factory,
+            rng,
+            24 * 3600 / slot_seconds,
+        )
+        for record, rng in zip(
+            records, spawn_rngs(make_rng(normal["seed"]), len(records))
+        )
+    ]
 
-    scenario = builder._assemble_scenario()
-    scenario.spec = normal
-    return scenario
+    leased_w = dict.fromkeys(spec_pdu_ids(normal), 0.0)
+    for record in records:
+        for lease in record["tiers"] if record["workload"] == "tiered" else [record]:
+            leased_w[lease["pdu"]] += lease["subscription_w"]
+    pdus = [
+        Pdu(pdu["id"], leased_w[pdu["id"]] / pdu["oversubscription"])
+        for pdu in normal["topology"]["pdus"]
+        if leased_w[pdu["id"]] > 0
+    ]
+    ups_capacity = (
+        sum(p.capacity_w for p in pdus) / normal["supply"]["ups_oversubscription"]
+    )
+    racks = [
+        Rack(
+            rack_id=track.rack_id,
+            tenant_id=tenant.tenant_id,
+            pdu_id=track.pdu_id,
+            guaranteed_w=track.guaranteed_w,
+            physical_w=track.guaranteed_w + track.max_spot_w,
+        )
+        for tenant in tenants
+        for track in tenant.racks
+    ]
+    capex = ups_capacity * normal["supply"]["infrastructure_cost_per_watt"]
+    return Scenario(
+        topology=PowerTopology.build(Ups("ups:0", ups_capacity), pdus, racks),
+        tenants=tenants,
+        price_sheet=PriceSheet(),
+        slot_seconds=slot_seconds,
+        seed=normal["seed"],
+        infrastructure_cost_per_hour=amortized_capex_per_hour(capex),
+        fault_profile=(
+            fault_profile
+            if fault_profile is not None
+            else fault_profile_from_spec(normal["faults"])
+        ),
+        telemetry=(
+            telemetry
+            if telemetry is not None
+            else telemetry_from_spec(normal["telemetry"])
+        ),
+        clearing_deadline_s=normal["recovery"]["clearing_deadline_s"],
+        prediction=prediction_profile_from_spec(normal["prediction"]),
+        events=events_from_spec(normal["events"]),
+        shards=normal["market"]["shards"],
+        spec=normal,
+    )
 
 
 def load_scenario(path, **overrides):

@@ -2,9 +2,11 @@
 
 These produce *data* — normal-form scenario specs — for the two
 facilities the paper evaluates: the Table I testbed and Fig. 18's
-scaled-up variant.  :func:`repro.sim.scenario.testbed_scenario` and
-:func:`~repro.sim.scenario.scaled_scenario` are now thin wrappers that
-feed these specs to :func:`repro.scenarios.loader.build_scenario`.
+scaled-up variant.  These functions own the facilities' parameters:
+:func:`repro.sim.scenario.testbed_scenario` and
+:func:`~repro.sim.scenario.scaled_scenario` forward every argument but
+``strategy_factory`` here and feed the spec to
+:func:`repro.scenarios.loader.build_scenario`.
 
 The scaled preset *materialises* the ±jitter tenant-diversity draws into
 explicit per-tenant subscriptions (same RNG, same draw order as the
@@ -15,6 +17,8 @@ it from disk reproduces the exact facility, byte for byte.
 from __future__ import annotations
 
 from repro.config import (
+    DEFAULT_INFRASTRUCTURE_COST_PER_WATT,
+    DEFAULT_OVERSUBSCRIPTION,
     DEFAULT_SEED,
     DEFAULT_SLOT_SECONDS,
     RACK_HEADROOM_FRACTION,
@@ -40,18 +44,31 @@ def _tenant_record(name, workload, subscription_w, pdu_id, volatile=False):
 def testbed_spec(
     seed: int = DEFAULT_SEED,
     slot_seconds: float = DEFAULT_SLOT_SECONDS,
-    pdu_oversubscription: float = 1.05,
-    ups_oversubscription: float = 1.05,
+    pdu_oversubscription: float = DEFAULT_OVERSUBSCRIPTION,
+    ups_oversubscription: float = DEFAULT_OVERSUBSCRIPTION,
     rack_headroom_fraction: float = RACK_HEADROOM_FRACTION,
     volatile_other: bool = False,
-    infrastructure_cost_per_watt: float = 25.0,
+    infrastructure_cost_per_watt: float = DEFAULT_INFRASTRUCTURE_COST_PER_WATT,
     strategy: str = "linear_elastic",
 ) -> dict:
     """The paper's Table I testbed as a normal-form spec.
 
-    Two PDUs (750 W / 760 W leased at 5% oversubscription → ≈715 W /
-    ≈724 W physical), ten tenants, UPS ≈1370 W.  Parameters mirror
-    :func:`repro.sim.scenario.testbed_scenario`.
+    Defaults reproduce the paper's arithmetic: PDU#1 leases 750 W and is
+    sized at 750/1.05 ≈ 715 W, PDU#2 760 W → ≈724 W, and the UPS at
+    (715+724)/1.05 ≈ 1370 W; ten tenants.
+
+    Args:
+        seed: Master seed for every stochastic component.
+        slot_seconds: Market slot length (paper: 120 s in the testbed).
+        pdu_oversubscription: Leased/physical ratio at PDUs; sweeping
+            this sweeps the available spot capacity (Figs. 14-15).
+        ups_oversubscription: Sum-of-PDUs/UPS ratio.
+        rack_headroom_fraction: Rack PDU over-provisioning above the
+            subscription.
+        volatile_other: Use the high-volatility "Other" trace of the
+            20-minute experiment (Fig. 10).
+        infrastructure_cost_per_watt: Shared-infrastructure capex, $/W.
+        strategy: Named bidding strategy of every participating tenant.
     """
     from repro.scenarios.spec import normalize_spec
     from repro.sim.scenario import TABLE1_SPECS
@@ -96,20 +113,33 @@ def scaled_spec(
     seed: int = DEFAULT_SEED,
     slot_seconds: float = DEFAULT_SLOT_SECONDS,
     jitter: float = 0.2,
-    pdu_oversubscription: float = 1.05,
-    ups_oversubscription: float = 1.05,
+    pdu_oversubscription: float = DEFAULT_OVERSUBSCRIPTION,
+    ups_oversubscription: float = DEFAULT_OVERSUBSCRIPTION,
     rack_headroom_fraction: float = RACK_HEADROOM_FRACTION,
-    infrastructure_cost_per_watt: float = 25.0,
+    infrastructure_cost_per_watt: float = DEFAULT_INFRASTRUCTURE_COST_PER_WATT,
     strategy: str = "linear_elastic",
 ) -> dict:
     """Fig. 18's scaled facility as a normal-form spec.
 
-    Replicates the Table I composition ``groups`` times (first group
-    exact, later groups' subscriptions jittered by up to ±``jitter``),
-    with the jitter draws materialised into explicit subscriptions so
-    the spec stands alone.  The draw order matches the pre-spec
-    ``scaled_scenario`` exactly: one uniform per tenant for every group
-    after the first, consumed even when ``jitter`` is zero.
+    Replicates the Table I composition ``groups`` times (two PDUs and
+    ten tenants per group).  The first group is exact; every later
+    tenant's subscription is jittered by up to ±``jitter`` for
+    diversity, and PDU and UPS capacities scale with the subscriptions.
+    The draws are materialised into explicit subscriptions so the spec
+    stands alone: one uniform per tenant for every group after the
+    first, consumed even when ``jitter`` is zero.  Cost models and
+    workload phases follow each tenant's class, unjittered.
+
+    Args:
+        groups: Number of Table I replicas.
+        seed: Master seed (draws the jitter, then every tenant stream).
+        slot_seconds: Market slot length.
+        jitter: Subscription diversity scale (paper: 20%).
+        pdu_oversubscription: Leased/physical ratio at each PDU.
+        ups_oversubscription: Facility-level oversubscription.
+        rack_headroom_fraction: Rack PDU over-provisioning.
+        infrastructure_cost_per_watt: Shared-infrastructure capex, $/W.
+        strategy: Named bidding strategy of every participating tenant.
     """
     from repro.scenarios.spec import normalize_spec
     from repro.sim.scenario import TABLE1_SPECS

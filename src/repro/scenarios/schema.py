@@ -14,7 +14,8 @@ Supported schema keywords (the subset the spec needs):
 
 ``type`` (a name or list of names; ``number`` excludes booleans and
 non-finite floats), ``enum``, ``const``, ``minimum`` /
-``exclusiveMinimum`` / ``maximum``, ``minLength``, ``properties`` /
+``exclusiveMinimum`` / ``maximum`` / ``exclusiveMaximum``,
+``minLength``, ``properties`` /
 ``required`` / ``additionalProperties`` (boolean), ``items`` /
 ``minItems``.  Cross-field rules that JSON Schema cannot express
 (unique names, PDU references, per-workload required fields) live in
@@ -51,6 +52,10 @@ STRATEGY_NAMES = (
 
 _POSITIVE_NUMBER = {"type": "number", "exclusiveMinimum": 0}
 _FRACTION = {"type": "number", "minimum": 0, "maximum": 1}
+#: A fraction that must leave something over: [0, 1).
+_PARTIAL_FRACTION = {"type": "number", "minimum": 0, "exclusiveMaximum": 1}
+#: A cut that must take something and leave something: (0, 1).
+_PARTIAL_CUT = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
 
 _TIER = {
     "type": "object",
@@ -92,7 +97,7 @@ _FAULTS = {
         "class": {"type": "string", "minLength": 1},
         "intensity": _FRACTION,
         "seed": {"type": ["integer", "null"]},
-        "crash_at_slot": {"type": ["integer", "null"], "minimum": 0},
+        "crash_at_slot": {"type": ["integer", "null"], "minimum": 1},
         "profile": {
             "type": "object",
             "properties": {
@@ -112,7 +117,7 @@ _FAULTS = {
                 "derating_fraction": _FRACTION,
                 "derating_slots": {"type": "integer", "minimum": 1},
                 "duplicate_probability": _FRACTION,
-                "crash_at_slot": {"type": ["integer", "null"], "minimum": 0},
+                "crash_at_slot": {"type": ["integer", "null"], "minimum": 1},
                 "seed": {"type": ["integer", "null"]},
             },
             "required": [],
@@ -137,7 +142,7 @@ _PREDICTION = {
             "exclusiveMinimum": 0,
             "maximum": 1,
         },
-        "safety_margin_fraction": _FRACTION,
+        "safety_margin_fraction": _PARTIAL_FRACTION,
         "window": {"type": ["integer", "null"], "minimum": 1},
         "risk_quantile": {
             "type": ["number", "null"],
@@ -161,7 +166,7 @@ _EVENT = {
         "kind": {"type": "string", "enum": list(EVENT_KINDS)},
         "slot": {"type": "integer", "minimum": 0},
         "duration_slots": {"type": "integer", "minimum": 1},
-        "fraction": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
+        "fraction": _PARTIAL_CUT,
         "unit_id": {"type": ["string", "null"], "minLength": 1},
         "reserve_price": {"type": ["number", "null"], "minimum": 0},
         "stages": {"type": "integer", "minimum": 1},
@@ -186,12 +191,8 @@ _EVENTS = {
     "properties": {
         "schedule": {"type": "array", "items": _EVENT},
         "seed": {"type": ["integer", "null"]},
-        "rate": {"type": "number", "minimum": 0, "maximum": 1},
-        "shock_fraction": {
-            "type": "number",
-            "exclusiveMinimum": 0,
-            "maximum": 1,
-        },
+        "rate": _PARTIAL_FRACTION,
+        "shock_fraction": _PARTIAL_CUT,
         "shock_duration_slots": {"type": "integer", "minimum": 1},
         "compliance_slots": {"type": "integer", "minimum": 1},
         "price_coupling": {"type": "number", "minimum": 0},
@@ -353,6 +354,8 @@ def validate_instance(value, schema: Mapping, pointer: str = "") -> None:
             _fail(pointer, f"must be > {schema['exclusiveMinimum']}, got {value!r}")
         if "maximum" in schema and value > schema["maximum"]:
             _fail(pointer, f"must be <= {schema['maximum']}, got {value!r}")
+        if "exclusiveMaximum" in schema and value >= schema["exclusiveMaximum"]:
+            _fail(pointer, f"must be < {schema['exclusiveMaximum']}, got {value!r}")
     if isinstance(value, str) and "minLength" in schema:
         if len(value) < schema["minLength"]:
             _fail(pointer, "must be a non-empty string")

@@ -20,24 +20,38 @@ library never hard-depends on it.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
+import os
 import pathlib
 
 from repro.config import (
+    DEFAULT_INFRASTRUCTURE_COST_PER_WATT,
+    DEFAULT_OVERSUBSCRIPTION,
     DEFAULT_SEED,
     DEFAULT_SLOT_SECONDS,
     RACK_HEADROOM_FRACTION,
+    SLO_LATENCY_MS,
 )
 from repro.errors import ConfigurationError
-from repro.resilience.profile import FAULT_CLASSES
+from repro.events.profile import EVENT_TYPES, EventProfile
+from repro.events.types import GridEvent
+from repro.forecast.profile import PredictionProfile
+from repro.resilience.profile import (
+    DEFAULT_FAULT_INTENSITY,
+    FAULT_CLASSES,
+    FaultProfile,
+)
 from repro.scenarios.schema import (
     CLASSED_WORKLOADS,
     SCHEMA,
     SPEC_VERSION,
     validate_spec,
 )
+from repro.telemetry.config import TelemetryConfig
 
 __all__ = [
+    "component_block",
     "normalize_spec",
     "normalize_events",
     "dump_spec",
@@ -47,87 +61,45 @@ __all__ = [
     "spec_pdu_ids",
 ]
 
-#: Field defaults of :class:`repro.resilience.FaultProfile`, mirrored so
-#: an explicit-profile faults component normalises to a complete record.
-#: ``tests/test_scenarios_spec.py`` pins this mirror against the
-#: dataclass defaults.
-_FAULT_PROFILE_DEFAULTS = {
-    "name": "custom",
-    "bid_loss": 0.0,
-    "grant_loss": 0.0,
-    "burst_enter": 0.0,
-    "burst_exit": 0.3,
-    "burst_loss": 0.9,
-    "delay_probability": 0.0,
-    "delay_slots": 3,
-    "meter_stuck": 0.0,
-    "meter_dropout": 0.0,
-    "meter_noise_sigma": 0.0,
-    "meter_episode_slots": 5,
-    "derating_rate": 0.0,
-    "derating_fraction": 0.2,
-    "derating_slots": 12,
-    "duplicate_probability": 0.0,
-    "crash_at_slot": None,
-    "seed": None,
+_EVENTS_SCHEMA = SCHEMA["properties"]["events"]
+_EVENT_SCHEMA = _EVENTS_SCHEMA["properties"]["schedule"]["items"]
+
+#: The schema node of each dataclass-backed component.
+_COMPONENT_SCHEMAS = {
+    FaultProfile: SCHEMA["properties"]["faults"]["properties"]["profile"],
+    PredictionProfile: SCHEMA["properties"]["prediction"],
+    EventProfile: _EVENTS_SCHEMA,
+    **dict.fromkeys(EVENT_TYPES.values(), _EVENT_SCHEMA),
+    TelemetryConfig: SCHEMA["properties"]["telemetry"],
 }
 
-#: Field defaults of :class:`repro.forecast.PredictionProfile`, mirrored
-#: so the prediction component always normalises to a complete block —
-#: a missing/null component fills in entirely, keeping sweep axes like
-#: ``prediction.risk_quantile`` valid dotted paths on every spec.
-#: ``tests/test_scenarios_spec.py`` pins this mirror against the
-#: dataclass defaults.
-_PREDICTION_DEFAULTS = {
-    "signal": "current_draw",
-    "under_prediction_factor": 1.0,
-    "safety_margin_fraction": 0.025,
-    "window": None,
-    "risk_quantile": None,
-}
 
-#: Scalar-field defaults of :class:`repro.events.EventProfile`, mirrored
-#: so the events component always normalises to a complete block — a
-#: missing/null component fills in entirely, keeping sweep axes like
-#: ``events.rate`` valid dotted paths on every spec.
-#: ``tests/test_scenarios_spec.py`` pins this mirror against the
-#: dataclass defaults.
-_EVENTS_DEFAULTS = {
-    "schedule": [],
-    "seed": None,
-    "rate": 0.0,
-    "shock_fraction": 0.3,
-    "shock_duration_slots": 12,
-    "compliance_slots": 3,
-    "price_coupling": 1.0,
-    "reserve_uplift": 0.0,
-    "wholesale_trace": None,
-}
+def component_block(cls, values=None) -> dict:
+    """One dataclass-backed component as a spec block.
 
-#: Per-kind defaults for scheduled grid events, mirroring the
-#: :mod:`repro.events.types` dataclass defaults (also pinned by
-#: ``tests/test_scenarios_spec.py``).  A kind's entry lists every field
-#: it accepts beyond ``kind``/``slot``.
-_EVENT_KIND_DEFAULTS = {
-    "edr_shock": {"duration_slots": 12, "fraction": 0.3, "unit_id": None},
-    "price_spike": {"duration_slots": 12, "reserve_price": None},
-    "derating_cascade": {
-        "stages": 3,
-        "stage_slots": 5,
-        "fraction_per_stage": 0.1,
-        "unit_id": None,
-    },
-}
+    The block holds the fields of ``cls`` that :data:`SCHEMA` lists for
+    the component, so the dataclass is the one home of every default.
+    ``values`` is a partial spec block (a field it leaves out takes its
+    default), a live ``cls`` instance (its attributes become plain
+    data), or ``None`` for the all-defaults block.
+    """
+    names = _COMPONENT_SCHEMAS[cls]["properties"]
+    fields = [f for f in dataclasses.fields(cls) if f.name in names]
+    if isinstance(values, cls):
+        return {f.name: _plain(getattr(values, f.name)) for f in fields}
+    values = values or {}
+    return {f.name: values.get(f.name, f.default) for f in fields}
 
-_TELEMETRY_DEFAULTS = {
-    "enabled": True,
-    "out_dir": None,
-    "label": "",
-    "export_trace": True,
-    "export_metrics": True,
-    "export_summary": True,
-    "include_timings": False,
-}
+
+def _plain(value):
+    """A live field value as spec data (events, paths, tuples)."""
+    if isinstance(value, GridEvent):
+        return {"kind": value.kind, **component_block(type(value), value)}
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    if isinstance(value, os.PathLike):
+        return os.fspath(value)
+    return value
 
 
 def _fail(pointer: str, message: str) -> None:
@@ -196,7 +168,7 @@ def _normalize_tenant(tenant: dict, index: int, pdu_ids: set) -> dict:
             _fail(f"{pointer}/q_high", "must be > q_low")
         out["q_low"] = q_low
         out["q_high"] = q_high
-        out["slo_ms"] = tenant.get("slo_ms", 100.0)
+        out["slo_ms"] = tenant.get("slo_ms", SLO_LATENCY_MS)
         return out
 
     forbid("tiers", "q_low", "q_high", "slo_ms")
@@ -225,9 +197,7 @@ def _normalize_faults(faults) -> "dict | None":
                     f"/faults/{key}",
                     "not a valid field alongside an explicit 'profile'",
                 )
-        profile = dict(_FAULT_PROFILE_DEFAULTS)
-        profile.update(faults["profile"])
-        return {"profile": profile}
+        return {"profile": component_block(FaultProfile, faults["profile"])}
     if "class" not in faults:
         _fail("/faults", "missing required field 'class' (or 'profile')")
     name = faults["class"]
@@ -236,7 +206,7 @@ def _normalize_faults(faults) -> "dict | None":
         _fail("/faults/class", f"must be one of {choices}, got {name!r}")
     return {
         "class": name,
-        "intensity": faults.get("intensity", 0.1),
+        "intensity": faults.get("intensity", DEFAULT_FAULT_INTENSITY),
         "seed": faults.get("seed"),
         "crash_at_slot": faults.get("crash_at_slot"),
     }
@@ -250,29 +220,20 @@ def normalize_events(events) -> dict:
     Schedule entries get their kind's defaults filled in, and fields
     belonging to a different kind are rejected with a pointered error.
     """
-    out = dict(_EVENTS_DEFAULTS)
-    out.update(events or {})
-    if out["rate"] >= 1:
-        # The schema's inclusive bound admits 1.0; the profile does not.
-        _fail("/events/rate", "must be < 1")
-    if out["shock_fraction"] >= 1:
-        _fail("/events/shock_fraction", "must be < 1")
+    out = component_block(EventProfile, _coerce_numbers(events, _EVENTS_SCHEMA))
     schedule = []
-    for i, entry in enumerate(out["schedule"] or []):
+    for i, entry in enumerate(out["schedule"]):
         pointer = f"/events/schedule/{i}"
         kind = entry["kind"]
-        defaults = _EVENT_KIND_DEFAULTS[kind]
+        cls = EVENT_TYPES[kind]
+        accepted = {f.name for f in dataclasses.fields(cls)}
         for field in entry:
-            if field not in ("kind", "slot") and field not in defaults:
+            if field != "kind" and field not in accepted:
                 _fail(
                     f"{pointer}/{field}",
                     f"not a valid field for event kind {kind!r}",
                 )
-        normal = {"kind": kind, "slot": entry["slot"]}
-        for field, default in defaults.items():
-            normal[field] = entry.get(field, default)
-        if kind == "edr_shock" and normal["fraction"] >= 1:
-            _fail(f"{pointer}/fraction", "must be < 1")
+        normal = {"kind": kind, **component_block(cls, entry)}
         if kind == "derating_cascade":
             terminal = normal["stages"] * normal["fraction_per_stage"]
             if terminal >= 1:
@@ -309,7 +270,12 @@ def normalize_spec(raw) -> dict:
             _fail(f"/topology/pdus/{i}/id", f"duplicate PDU id {pdu['id']!r}")
         pdu_ids.add(pdu["id"])
         pdus.append(
-            {"id": pdu["id"], "oversubscription": pdu.get("oversubscription", 1.05)}
+            {
+                "id": pdu["id"],
+                "oversubscription": pdu.get(
+                    "oversubscription", DEFAULT_OVERSUBSCRIPTION
+                ),
+            }
         )
 
     tenants = []
@@ -330,17 +296,6 @@ def normalize_spec(raw) -> dict:
         _fail("/recovery/clearing_deadline_s", "must be null, true, or > 0")
 
     telemetry = spec.get("telemetry")
-    if telemetry is not None:
-        merged = dict(_TELEMETRY_DEFAULTS)
-        merged.update(telemetry)
-        telemetry = merged
-
-    prediction = dict(_PREDICTION_DEFAULTS)
-    prediction.update(spec.get("prediction") or {})
-    if prediction["safety_margin_fraction"] >= 1:
-        # The schema's inclusive bound admits 1.0; the profile does not.
-        _fail("/prediction/safety_margin_fraction", "must be < 1")
-
     return {
         "spec_version": SPEC_VERSION,
         "name": spec.get("name", "scenario"),
@@ -361,15 +316,22 @@ def normalize_spec(raw) -> dict:
             "tenants": tenants,
         },
         "supply": {
-            "ups_oversubscription": supply.get("ups_oversubscription", 1.05),
+            "ups_oversubscription": supply.get(
+                "ups_oversubscription", DEFAULT_OVERSUBSCRIPTION
+            ),
             "infrastructure_cost_per_watt": supply.get(
-                "infrastructure_cost_per_watt", 25.0
+                "infrastructure_cost_per_watt",
+                DEFAULT_INFRASTRUCTURE_COST_PER_WATT,
             ),
         },
-        "prediction": prediction,
+        "prediction": component_block(PredictionProfile, spec.get("prediction")),
         "events": normalize_events(spec.get("events")),
         "faults": _normalize_faults(spec.get("faults")),
-        "telemetry": telemetry,
+        "telemetry": (
+            None
+            if telemetry is None
+            else component_block(TelemetryConfig, telemetry)
+        ),
         "recovery": {"clearing_deadline_s": deadline},
         "market": {"shards": (spec.get("market") or {}).get("shards", 1)},
     }

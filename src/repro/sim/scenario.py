@@ -8,10 +8,13 @@ price sheet, and the slot length.  Builders:
   tenant testbed (Table I: PDU capacities 715 W / 724 W, UPS 1370 W,
   5% oversubscription at both levels).
 * :func:`scaled_scenario` — Fig. 18's hyper-scale variant: the Table I
-  composition replicated with ±20% tenant-diversity jitter, up to 1,000
+  composition replicated with ±20% subscription jitter, up to 1,000
   tenants.
 
-Every stochastic choice flows from a single seed.
+Both emit a normal-form spec (:mod:`repro.scenarios.presets`) and hand
+it to :func:`repro.scenarios.loader.build_scenario`, which builds each
+tenant from its spec record with the factories here.  Every stochastic
+choice flows from a single seed.
 """
 
 from __future__ import annotations
@@ -21,23 +24,19 @@ import math
 
 import numpy as np
 
-from repro.config import (
-    DEFAULT_SEED,
-    DEFAULT_SLOT_SECONDS,
-    RACK_HEADROOM_FRACTION,
-    make_rng,
-    spawn_rngs,
-)
+from repro.config import make_rng, spawn_rngs
 from repro.economics.pricing import PriceSheet
 from repro.errors import ConfigurationError
 from repro.events.profile import EventProfile
 from repro.forecast.profile import PredictionProfile
 from repro.infrastructure.topology import PowerTopology
+from repro.power.latency import LatencyModel
 from repro.power.server import ServerPowerModel
 from repro.resilience.profile import FaultProfile
 from repro.sim.results import RackInfo, TenantInfo
 from repro.telemetry.config import TelemetryConfig
 from repro.tenants.bidding import BiddingStrategy, LinearElasticStrategy
+from repro.tenants.bundled import BundledSprintingTenant, TierWorkload
 from repro.tenants.calibration import (
     calibrate_opportunistic_cost,
     calibrate_sprinting_cost,
@@ -57,7 +56,11 @@ from repro.workloads.base import (
 from repro.workloads.graph import make_graph_workload
 from repro.workloads.hadoop import make_terasort_workload, make_wordcount_workload
 from repro.workloads.search import make_search_workload
-from repro.workloads.traces import ColoPowerTrace, VolatilePowerTrace
+from repro.workloads.traces import (
+    ColoPowerTrace,
+    GoogleStyleArrivalTrace,
+    VolatilePowerTrace,
+)
 from repro.workloads.web import make_web_workload
 
 __all__ = [
@@ -300,39 +303,53 @@ def _reference_rate(workload: InteractiveWorkload, power_target_w: float) -> flo
     return (lo + hi) / 2
 
 
-def _build_participating_tenant(
-    spec: TenantSpec,
-    pdu_id: str,
+#: Diurnal phase of each sprinting/opportunistic workload class, so the
+#: classes peak at different times of day.
+_PHASE = {"search": 0.0, "web": 0.35, "wordcount": 0.2, "terasort": 0.5, "graph": 0.7}
+
+
+def _tenant_from_spec(
+    record: dict,
     rack_headroom_fraction: float,
     strategy_factory,
-    jitter: float,
     rng: np.random.Generator,
     slots_per_day: float,
 ) -> Tenant:
-    """Assemble one sprinting/opportunistic tenant from its Table I spec."""
-    scale = 1.0 + (rng.uniform(-jitter, jitter) if jitter > 0 else 0.0)
-    subscription = spec.subscription_w * scale
+    """Assemble one tenant from its normal-form spec record."""
+    if record["workload"] == "tiered":
+        return _build_tiered_tenant(record, rack_headroom_fraction, rng, slots_per_day)
+    if record["workload"] == "other":
+        return _build_other_tenant(record, rng, slots_per_day)
+    return _build_participating_tenant(
+        record, rack_headroom_fraction, strategy_factory, slots_per_day
+    )
+
+
+def _build_participating_tenant(
+    record: dict,
+    rack_headroom_fraction: float,
+    strategy_factory,
+    slots_per_day: float,
+) -> Tenant:
+    """Assemble one sprinting/opportunistic tenant (one rack, one class)."""
+    name, kind = record["name"], record["workload"]
+    subscription = record["subscription_w"]
     power_model = ServerPowerModel(
         idle_w=_IDLE_FRACTION * subscription,
-        peak_w=_PEAK_FRACTION[spec.workload] * subscription,
+        peak_w=_PEAK_FRACTION[kind] * subscription,
     )
     max_spot = rack_headroom_fraction * subscription
-    rack_id = f"rack:{spec.name}"
-    q_low, q_high, target_marginal = PRICE_ANCHORS[spec.workload]
-    cost_scale = 1.0 + (rng.uniform(-jitter, jitter) if jitter > 0 else 0.0)
-    target_marginal = target_marginal * cost_scale
-    phase = float(rng.uniform(0, 1)) if jitter > 0 else {
-        "search": 0.0, "web": 0.35, "wordcount": 0.2, "terasort": 0.5, "graph": 0.7,
-    }.get(spec.workload, 0.0)
+    rack_id = f"rack:{name}"
+    q_low, q_high, target_marginal = PRICE_ANCHORS[kind]
 
-    if spec.workload in ("search", "web"):
-        factory = make_search_workload if spec.workload == "search" else make_web_workload
+    if kind in ("search", "web"):
+        factory = make_search_workload if kind == "search" else make_web_workload
         workload = factory(
-            spec.name, power_model, phase=phase, slots_per_day=slots_per_day
+            name, power_model, phase=_PHASE[kind], slots_per_day=slots_per_day
         )
         tenant_rack = TenantRack(
             rack_id=rack_id,
-            pdu_id=pdu_id,
+            pdu_id=record["pdu"],
             guaranteed_w=subscription,
             max_spot_w=max_spot,
             power_model=power_model,
@@ -349,7 +366,7 @@ def _build_participating_tenant(
             slo_ms=workload.slo_ms,
         )
         return SprintingTenant(
-            tenant_id=spec.name,
+            tenant_id=name,
             racks=[tenant_rack],
             cost_models={rack_id: cost_model},
             q_low=q_low,
@@ -362,10 +379,10 @@ def _build_participating_tenant(
         "terasort": make_terasort_workload,
         "graph": make_graph_workload,
     }
-    workload = batch_factories[spec.workload](spec.name, power_model)
+    workload = batch_factories[kind](name, power_model)
     tenant_rack = TenantRack(
         rack_id=rack_id,
-        pdu_id=pdu_id,
+        pdu_id=record["pdu"],
         guaranteed_w=subscription,
         max_spot_w=max_spot,
         power_model=power_model,
@@ -379,7 +396,7 @@ def _build_participating_tenant(
         target_marginal_per_kw_hour=target_marginal,
     )
     return OpportunisticTenant(
-        tenant_id=spec.name,
+        tenant_id=name,
         racks=[tenant_rack],
         cost_models={rack_id: cost_model},
         q_low=q_low,
@@ -389,33 +406,96 @@ def _build_participating_tenant(
 
 
 def _build_other_tenant(
-    spec: TenantSpec,
-    pdu_id: str,
-    volatile: bool,
-    rng: np.random.Generator,
-    slots_per_day: float,
+    record: dict, rng: np.random.Generator, slots_per_day: float
 ) -> Tenant:
     """Assemble one non-participating ("Other") tenant group."""
-    if volatile:
-        trace = VolatilePowerTrace(subscription_w=spec.subscription_w)
+    name, subscription = record["name"], record["subscription_w"]
+    if record["volatile"]:
+        trace = VolatilePowerTrace(subscription_w=subscription)
     else:
         trace = ColoPowerTrace(
-            subscription_w=spec.subscription_w,
+            subscription_w=subscription,
             slots_per_day=slots_per_day,
             phase=float(rng.uniform(0, 1)),
         )
-    power_model = ServerPowerModel(
-        idle_w=0.3 * spec.subscription_w, peak_w=spec.subscription_w
-    )
+    power_model = ServerPowerModel(idle_w=0.3 * subscription, peak_w=subscription)
     rack = TenantRack(
-        rack_id=f"rack:{spec.name}",
-        pdu_id=pdu_id,
-        guaranteed_w=spec.subscription_w,
+        rack_id=f"rack:{name}",
+        pdu_id=record["pdu"],
+        guaranteed_w=subscription,
         max_spot_w=0.0,
         power_model=power_model,
-        workload=TracePowerWorkload(spec.name, trace),
+        workload=TracePowerWorkload(name, trace),
     )
-    return NonParticipatingTenant(tenant_id=spec.name, racks=[rack])
+    return NonParticipatingTenant(tenant_id=name, racks=[rack])
+
+
+def _build_tiered_tenant(
+    record: dict,
+    rack_headroom_fraction: float,
+    rng: np.random.Generator,
+    slots_per_day: float,
+) -> Tenant:
+    """Assemble one tiered (bundled multi-rack) sprinting tenant."""
+    name, tiers, slo_ms = record["name"], record["tiers"], record["slo_ms"]
+    anchors = PRICE_ANCHORS["search"]
+    q_low = anchors[0] if record["q_low"] is None else record["q_low"]
+    q_high = anchors[1] if record["q_high"] is None else record["q_high"]
+    tenant_racks = []
+    front_model = None
+    target_share = slo_ms * 0.9 / len(tiers)
+    for i, tier in enumerate(tiers):
+        subscription_w = tier["subscription_w"]
+        power = ServerPowerModel(0.45 * subscription_w, 1.25 * subscription_w)
+        # Each tier is one stage of the pipeline, not a whole search
+        # stack: lighter latency floor and tail so the summed
+        # end-to-end latency lands in the SLO regime.
+        latency_model = LatencyModel(
+            power_model=power,
+            mu_max_rps=1.4 * power.dynamic_range_w,
+            d_min_ms=10.0,
+            alpha=2.0,
+            tail_const_ms_rps=2200.0,
+        )
+        if front_model is None:
+            front_model = latency_model
+        workload = TierWorkload(
+            f"{name}/tier{i}", latency_model, target_ms=target_share
+        )
+        tenant_racks.append(
+            TenantRack(
+                rack_id=f"rack:{name}/tier{i}",
+                pdu_id=tier["pdu"],
+                guaranteed_w=subscription_w,
+                max_spot_w=rack_headroom_fraction * subscription_w,
+                power_model=power,
+                workload=workload,
+            )
+        )
+    trace = GoogleStyleArrivalTrace(
+        max_rate_rps=front_model.mu_max_rps,
+        base_fraction=0.36,
+        diurnal_amplitude=0.11,
+        slots_per_day=slots_per_day,
+        phase=float(rng.uniform(0, 1)),
+    )
+    cost_model = calibrate_sprinting_cost(
+        front_model,
+        guaranteed_w=tiers[0]["subscription_w"],
+        reference_rps=0.6 * front_model.mu_max_rps,
+        max_spot_w=tenant_racks[0].useful_spot_w,
+        target_marginal_per_kw_hour=anchors[2],
+        slo_ms=slo_ms,
+    )
+    return BundledSprintingTenant(
+        name,
+        tenant_racks,
+        arrival_trace=trace,
+        cost_model=cost_model,
+        q_low=q_low,
+        q_high=q_high,
+        slo_ms=slo_ms,
+    )
 
 
 def _default_strategy_factory(kind: str) -> BiddingStrategy:
@@ -423,97 +503,36 @@ def _default_strategy_factory(kind: str) -> BiddingStrategy:
     return LinearElasticStrategy()
 
 
-def testbed_scenario(
-    seed: int = DEFAULT_SEED,
-    slot_seconds: float = DEFAULT_SLOT_SECONDS,
-    pdu_oversubscription: float = 1.05,
-    ups_oversubscription: float = 1.05,
-    rack_headroom_fraction: float = RACK_HEADROOM_FRACTION,
-    strategy_factory=None,
-    volatile_other: bool = False,
-    infrastructure_cost_per_watt: float = 25.0,
-) -> Scenario:
+def testbed_scenario(*, strategy_factory=None, **spec_args) -> Scenario:
     """Build the paper's Table I testbed.
 
-    Defaults reproduce the paper's arithmetic: PDU#1 leases 750 W and is
-    sized at 750/1.05 ≈ 715 W, PDU#2 760 W → ≈724 W, and the UPS at
-    (715+724)/1.05 ≈ 1370 W.
+    Keyword arguments are those of
+    :func:`repro.scenarios.presets.testbed_spec`, which documents them.
 
     Args:
-        seed: Master seed for every stochastic component.
-        slot_seconds: Market slot length (paper: 120 s in the testbed).
-        pdu_oversubscription: Leased/physical ratio at PDUs; sweeping
-            this sweeps the available spot capacity (Figs. 14-15).
-        ups_oversubscription: Sum-of-PDUs/UPS ratio.
-        rack_headroom_fraction: Rack PDU over-provisioning above the
-            subscription.
         strategy_factory: ``kind -> BiddingStrategy`` (kinds
-            ``"sprinting"``/``"opportunistic"``); defaults to the SpotDC
-            linear-elastic strategy for both.
-        volatile_other: Use the high-volatility "Other" trace of the
-            20-minute experiment (Fig. 10).
-        infrastructure_cost_per_watt: Shared-infrastructure capex, $/W.
+            ``"sprinting"``/``"opportunistic"``); overrides the spec's
+            ``strategy`` (default: SpotDC's linear-elastic strategy for
+            both).
     """
     from repro.scenarios.loader import build_scenario
     from repro.scenarios.presets import testbed_spec
 
     return build_scenario(
-        testbed_spec(
-            seed=seed,
-            slot_seconds=slot_seconds,
-            pdu_oversubscription=pdu_oversubscription,
-            ups_oversubscription=ups_oversubscription,
-            rack_headroom_fraction=rack_headroom_fraction,
-            volatile_other=volatile_other,
-            infrastructure_cost_per_watt=infrastructure_cost_per_watt,
-        ),
-        strategy_factory=strategy_factory,
+        testbed_spec(**spec_args), strategy_factory=strategy_factory
     )
 
 
-def scaled_scenario(
-    groups: int,
-    seed: int = DEFAULT_SEED,
-    slot_seconds: float = DEFAULT_SLOT_SECONDS,
-    jitter: float = 0.2,
-    pdu_oversubscription: float = 1.05,
-    ups_oversubscription: float = 1.05,
-    rack_headroom_fraction: float = RACK_HEADROOM_FRACTION,
-    strategy_factory=None,
-    infrastructure_cost_per_watt: float = 25.0,
-) -> Scenario:
-    """Build Fig. 18's scaled-up facility.
+def scaled_scenario(groups: int, *, strategy_factory=None, **spec_args) -> Scenario:
+    """Build Fig. 18's scaled-up facility of ``groups`` Table I replicas.
 
-    Replicates the Table I composition ``groups`` times (two PDUs and
-    eleven tenants per group — 1,000 tenants ≈ 91 groups), jittering
-    each new tenant's subscription and cost model by up to ±``jitter``
-    (paper: 20%) for diversity.  PDU and UPS capacities scale with the
-    subscriptions.
-
-    Args:
-        groups: Number of Table I replicas.
-        seed: Master seed.
-        slot_seconds: Market slot length.
-        jitter: Tenant-diversity scale (first group is exact Table I).
-        pdu_oversubscription: Leased/physical ratio at each PDU.
-        ups_oversubscription: Facility-level oversubscription.
-        rack_headroom_fraction: Rack PDU over-provisioning.
-        strategy_factory: As in :func:`testbed_scenario`.
-        infrastructure_cost_per_watt: Shared-infrastructure capex, $/W.
+    Keyword arguments are those of
+    :func:`repro.scenarios.presets.scaled_spec`, which documents them;
+    ``strategy_factory`` is as in :func:`testbed_scenario`.
     """
     from repro.scenarios.loader import build_scenario
     from repro.scenarios.presets import scaled_spec
 
     return build_scenario(
-        scaled_spec(
-            groups,
-            seed=seed,
-            slot_seconds=slot_seconds,
-            jitter=jitter,
-            pdu_oversubscription=pdu_oversubscription,
-            ups_oversubscription=ups_oversubscription,
-            rack_headroom_fraction=rack_headroom_fraction,
-            infrastructure_cost_per_watt=infrastructure_cost_per_watt,
-        ),
-        strategy_factory=strategy_factory,
+        scaled_spec(groups, **spec_args), strategy_factory=strategy_factory
     )

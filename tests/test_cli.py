@@ -53,6 +53,34 @@ class TestCompare:
         assert "profit increase" in out
 
 
+class TestBadScenarioFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--shards", "0"],
+            ["simulate", "--clearing-deadline", "0"],
+            ["simulate", "--fault-profile", "comm", "--fault-intensity", "2"],
+            ["simulate", "--crash-at", "-1"],
+            ["serve", "--shards", "0"],
+            ["compare", "--fault-profile", "comm", "--fault-intensity", "2"],
+        ],
+        ids=[
+            "simulate-shards",
+            "simulate-clearing-deadline",
+            "simulate-fault-intensity",
+            "simulate-crash-at",
+            "serve-shards",
+            "compare-fault-intensity",
+        ],
+    )
+    def test_exits_2_with_one_line(self, argv, tmp_path, capsys):
+        if argv[0] == "serve":
+            argv = argv + ["--state-dir", str(tmp_path), "--socket", "s.sock"]
+        assert main(argv + ["--slots", "5"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -1,7 +1,7 @@
 """Smoke tests: the fast example scripts run end to end.
 
-The slower demos (hyperscale, equilibrium, custom facility) are covered
-indirectly by the unit/integration suites for the features they tour.
+The slower demos (hyperscale, equilibrium) are covered indirectly by the
+unit/integration suites for the features they tour.
 """
 
 import pathlib
@@ -37,6 +37,12 @@ class TestFastExamples:
         out = run_example("tenant_bidding_clinic.py")
         assert "value curve" in out.lower() or "Value curve" in out
         assert "strategies" in out.lower()
+
+    def test_custom_facility(self):
+        # The one example that builds through ScenarioBuilder.
+        out = run_example("custom_facility.py")
+        assert "Facility outcomes" in out
+        assert "shop (tiered) performance" in out
 
     def test_colo_day_in_life(self):
         out = run_example("colo_day_in_life.py")

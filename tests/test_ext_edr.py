@@ -9,6 +9,7 @@ resumes byte-identically.
 
 import pytest
 
+from repro.config import DEFAULT_SEED
 from repro.errors import SimulationError
 from repro.events import EdrShock, EventProfile
 from repro.experiments.ext_edr import (
@@ -20,7 +21,6 @@ from repro.experiments.ext_edr import (
     run_edr_study,
     shock_schedules,
 )
-from repro.sim.scenario import DEFAULT_SEED
 
 STUDY_SLOTS = 160
 

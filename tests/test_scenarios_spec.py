@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import repro.scenarios.schema as schema_module
 from repro.config import DEFAULT_SEED, DEFAULT_SLOT_SECONDS
 from repro.errors import ConfigurationError
+from repro.events import DeratingCascade, EdrShock, EventProfile, PriceSpike
 from repro.forecast import SIGNAL_NAMES, PredictionProfile
 from repro.resilience import FaultProfile
 # Aliased: pytest would otherwise collect names starting with "test".
@@ -24,9 +25,10 @@ from repro.scenarios import (
     prediction_profile_from_spec,
     preset_spec,
     scaled_spec,
+    telemetry_from_spec,
 )
 from repro.scenarios import testbed_spec as make_testbed_spec
-from repro.scenarios.spec import _FAULT_PROFILE_DEFAULTS, _PREDICTION_DEFAULTS
+from repro.telemetry import TelemetryConfig
 
 
 def minimal_spec() -> dict:
@@ -46,6 +48,51 @@ def minimal_spec() -> dict:
     }
 
 
+def _first_event(normal: dict):
+    return EventProfile.from_spec(normal["events"]).schedule[0]
+
+
+def _event_block(kind: str) -> dict:
+    return {"events": {"schedule": [{"kind": kind, "slot": 0}]}}
+
+
+#: component -> (spec block with the component empty, loader of the
+#: normal form, the dataclass's default instance).
+_EMPTY_BLOCKS = {
+    "faults.profile": (
+        {"faults": {"profile": {}}},
+        lambda normal: fault_profile_from_spec(normal["faults"]),
+        FaultProfile(),
+    ),
+    "prediction": (
+        {"prediction": {}},
+        lambda normal: PredictionProfile(**normal["prediction"]),
+        PredictionProfile(),
+    ),
+    "events": (
+        {"events": {}},
+        lambda normal: EventProfile.from_spec(normal["events"]),
+        EventProfile(),
+    ),
+    "events.edr_shock": (_event_block("edr_shock"), _first_event, EdrShock(slot=0)),
+    "events.price_spike": (
+        _event_block("price_spike"),
+        _first_event,
+        PriceSpike(slot=0),
+    ),
+    "events.derating_cascade": (
+        _event_block("derating_cascade"),
+        _first_event,
+        DeratingCascade(slot=0),
+    ),
+    "telemetry": (
+        {"telemetry": {}},
+        lambda normal: telemetry_from_spec(normal["telemetry"]),
+        TelemetryConfig(),
+    ),
+}
+
+
 class TestSchema:
     def test_schema_json_file_pinned_to_schema(self):
         # The packaged schema file must stay byte-equivalent to the
@@ -54,50 +101,55 @@ class TestSchema:
         assert json.loads(path.read_text()) == SCHEMA
         assert path.read_text() == json.dumps(SCHEMA, indent=2, sort_keys=True) + "\n"
 
-    def test_fault_profile_defaults_mirror_dataclass(self):
-        defaults = {
-            f.name: f.default
-            for f in dataclasses.fields(FaultProfile)
-            if f.name != "derating_events"
-        }
-        assert defaults == _FAULT_PROFILE_DEFAULTS
+    @pytest.mark.parametrize("component", sorted(_EMPTY_BLOCKS))
+    def test_empty_component_loads_dataclass_defaults(self, component):
+        # The component dataclass is the one home of every default: an
+        # empty block must normalise and load to its default instance.
+        block, load, expected = _EMPTY_BLOCKS[component]
+        assert load(normalize_spec({**minimal_spec(), **block})) == expected
 
-    def test_prediction_defaults_mirror_dataclass(self):
-        defaults = {
-            f.name: f.default for f in dataclasses.fields(PredictionProfile)
-        }
-        assert defaults == _PREDICTION_DEFAULTS
-
-    def test_events_defaults_mirror_dataclass(self):
-        from repro.events import EventProfile
-        from repro.scenarios.spec import _EVENTS_DEFAULTS
-
-        defaults = {
-            f.name: f.default for f in dataclasses.fields(EventProfile)
-        }
-        # The spec spells the empty schedule as a JSON list.
-        assert defaults.pop("schedule") == ()
-        spec_defaults = dict(_EVENTS_DEFAULTS)
-        assert spec_defaults.pop("schedule") == []
-        assert defaults == spec_defaults
-
-    def test_event_kind_defaults_mirror_dataclasses(self):
-        from repro.events import DeratingCascade, EdrShock, PriceSpike
-        from repro.scenarios.spec import _EVENT_KIND_DEFAULTS
-
-        kinds = {
-            "edr_shock": EdrShock,
-            "price_spike": PriceSpike,
-            "derating_cascade": DeratingCascade,
-        }
-        assert set(_EVENT_KIND_DEFAULTS) == set(kinds)
-        for kind, cls in kinds.items():
-            defaults = {
-                f.name: f.default
-                for f in dataclasses.fields(cls)
-                if f.name != "slot"
-            }
-            assert defaults == _EVENT_KIND_DEFAULTS[kind], kind
+    @pytest.mark.parametrize(
+        "pointer, block",
+        [
+            (
+                "/prediction/safety_margin_fraction",
+                {"prediction": {"safety_margin_fraction": 1.0}},
+            ),
+            ("/events/rate", {"events": {"rate": 1.0}}),
+            ("/events/shock_fraction", {"events": {"shock_fraction": 1.0}}),
+            (
+                "/events/schedule/0/fraction",
+                {
+                    "events": {
+                        "schedule": [
+                            {"kind": "edr_shock", "slot": 1, "fraction": 1.0}
+                        ]
+                    }
+                },
+            ),
+            (
+                "/faults/crash_at_slot",
+                {"faults": {"class": "comm", "crash_at_slot": 0}},
+            ),
+            (
+                "/faults/profile/crash_at_slot",
+                {"faults": {"profile": {"crash_at_slot": 0}}},
+            ),
+        ],
+        ids=[
+            "safety_margin_fraction",
+            "events_rate",
+            "events_shock_fraction",
+            "edr_shock_fraction",
+            "faults_crash_at_slot",
+            "profile_crash_at_slot",
+        ],
+    )
+    def test_unrunnable_bound_rejected(self, pointer, block):
+        # A full margin, rate or cut leaves nothing to sell, and slot 0
+        # has no market to crash: the schema rejects what can never run.
+        with pytest.raises(ConfigurationError, match=pointer):
+            normalize_spec({**minimal_spec(), **block})
 
     def test_missing_required_field_has_root_pointer(self):
         spec = minimal_spec()
@@ -176,7 +228,13 @@ class TestNormalization:
         assert normal["supply"]["ups_oversubscription"] == 1.05
         assert normal["supply"]["infrastructure_cost_per_watt"] == 25.0
         assert normal["demand"]["strategy"] == "linear_elastic"
-        assert normal["prediction"] == _PREDICTION_DEFAULTS
+        assert normal["prediction"] == {
+            "signal": "current_draw",
+            "under_prediction_factor": 1.0,
+            "safety_margin_fraction": 0.025,
+            "window": None,
+            "risk_quantile": None,
+        }
         assert normal["faults"] is None
         assert normal["telemetry"] is None
         assert normal["recovery"]["clearing_deadline_s"] is None
@@ -255,16 +313,6 @@ class TestPredictionComponent:
                 ConfigurationError, match="/prediction/risk_quantile"
             ):
                 normalize_spec(spec)
-
-    def test_full_safety_margin_rejected(self):
-        # The schema's inclusive bound admits 1.0; the cross-field rule
-        # must reject it (a full margin leaves nothing to sell).
-        spec = minimal_spec()
-        spec["prediction"] = {"safety_margin_fraction": 1.0}
-        with pytest.raises(
-            ConfigurationError, match="/prediction/safety_margin_fraction"
-        ):
-            normalize_spec(spec)
 
     def test_default_block_loads_to_none(self):
         # The all-defaults block is the engine's own default path;

@@ -209,6 +209,7 @@ class TestSweepFiles:
             "sweep_smoke.yaml",
             "sweep_oversubscription.yaml",
             "sweep_edr.yaml",
+            "sweep_prediction_risk.yaml",
         ):
             config = load_sweep_file(examples / name)
             assert config["axes"]
@@ -230,11 +231,20 @@ class TestCli:
         assert "valid" in capsys.readouterr().out
 
     def test_scenario_show_is_canonical(self, capsys):
+        import pathlib
+
         from repro.cli import main
         from repro.scenarios import dump_spec
 
         assert main(["scenario", "show", "--preset", "testbed"]) == 0
         assert capsys.readouterr().out == dump_spec(make_testbed_spec())
+        example = (
+            pathlib.Path(__file__).parent.parent
+            / "examples"
+            / "scenarios"
+            / "testbed.json"
+        )
+        assert example.read_text() == dump_spec(make_testbed_spec())
 
     def test_scenario_validate_rejects_bad_file(self, tmp_path, capsys):
         from repro.cli import main
