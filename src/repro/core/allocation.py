@@ -79,6 +79,9 @@ def verify_allocation(
     runs this check on every clearing outcome in tests and (cheaply) in
     the simulation loop.
 
+    Every check is written ``not value <= bound`` so that a NaN grant or
+    capacity fails it instead of passing silently.
+
     Raises:
         CapacityError: If any rack, PDU, or UPS constraint is violated,
             or if a grant exceeds the rack's demanded quantity.
@@ -87,19 +90,19 @@ def verify_allocation(
     pdu_totals: dict[str, float] = {}
     total = 0.0
     for rack_id, grant in result.grants_w.items():
-        if grant < -tolerance_w:
-            raise CapacityError(f"rack {rack_id}: negative grant {grant}")
+        if not grant >= -tolerance_w:
+            raise CapacityError(f"rack {rack_id}: negative or NaN grant {grant}")
         bid = by_rack.get(rack_id)
         if bid is None:
             raise CapacityError(f"grant to rack {rack_id} that submitted no bid")
-        if grant > bid.rack_cap_w + tolerance_w:
+        if not grant <= bid.rack_cap_w + tolerance_w:
             raise CapacityError(
                 f"rack {rack_id}: grant {grant:.3f} W exceeds rack headroom "
                 f"{bid.rack_cap_w:.3f} W (Eq. 2)"
             )
         paid_price = result.price_for_pdu(bid.pdu_id)
         demanded = bid.clipped_demand_at(paid_price)
-        if grant > demanded + tolerance_w:
+        if not grant <= demanded + tolerance_w:
             raise CapacityError(
                 f"rack {rack_id}: grant {grant:.3f} W exceeds demand "
                 f"{demanded:.3f} W at clearing price {paid_price:.4f}"
@@ -108,12 +111,12 @@ def verify_allocation(
         total += grant
     for pdu_id, pdu_total in pdu_totals.items():
         cap = pdu_spot_w.get(pdu_id, 0.0)
-        if pdu_total > cap + tolerance_w:
+        if not pdu_total <= cap + tolerance_w:
             raise CapacityError(
                 f"PDU {pdu_id}: granted {pdu_total:.3f} W exceeds spot "
                 f"capacity {cap:.3f} W (Eq. 3)"
             )
-    if total > ups_spot_w + tolerance_w:
+    if not total <= ups_spot_w + tolerance_w:
         raise CapacityError(
             f"UPS: granted {total:.3f} W exceeds spot capacity "
             f"{ups_spot_w:.3f} W (Eq. 4)"
@@ -122,7 +125,7 @@ def verify_allocation(
         granted = sum(
             result.grants_w.get(rack_id, 0.0) for rack_id in constraint.rack_ids
         )
-        if granted > constraint.cap_w + tolerance_w:
+        if not granted <= constraint.cap_w + tolerance_w:
             raise CapacityError(
                 f"constraint {constraint.name}: granted {granted:.3f} W "
                 f"exceeds cap {constraint.cap_w:.3f} W"

@@ -1,4 +1,4 @@
-"""Uniform-price market clearing by feasible-price scan.
+"""Market clearing by feasible-price scan: uniform and locational.
 
 The operator maximises ``q(t) * Σ_r D_r(q(t))`` (paper Eq. 1) subject to
 the rack / PDU / UPS capacity constraints (Eqs. 2-4) by scanning a grid
@@ -14,13 +14,23 @@ Implementation notes:
 
 * Clearing is **columnar**: bids are viewed through a
   :class:`~repro.core.frame.BidFrame` (built once per slot; a bid list
-  is converted once on entry), per-PDU demand totals over the price
-  grid come from a breakpoint sweep over the PDU-sorted rows
-  (:meth:`~repro.core.frame.BidFrame.demand_totals`), and grants are
-  extracted as one demand-vector evaluation at the clearing price.
+  is converted once on entry), demand totals over the price grid come
+  from a breakpoint sweep over the PDU-sorted rows
+  (:meth:`~repro.core.frame.BidFrame.market_totals`), and grants are
+  extracted as one demand-vector evaluation at the clearing prices.
   Clearing cost stays in ndarray time, which is what makes 15,000-rack
-  scans fast (Fig. 7b).  The object-at-a-time reference clear it is
-  checked against lives in ``tests/oracle.py``.
+  scans fast (Fig. 7b).
+* **One sweep clears every market of a slot.**  Under locational
+  (per-PDU) pricing each PDU is a market with its own grid and
+  apportioned cap; a facility-wide price is the one-market case of the
+  same code.  The sweep packs markets, in PDU order, into padded blocks
+  of at most ``_CHUNK_CELLS`` cells and clears each block with one fixed
+  set of numpy calls, so a facility of many small PDUs pays no per-PDU
+  interpreter overhead and memory stays bounded however many PDUs bid.
+  Each market's cells receive the same float operations, in the same
+  order, as a clear of that market alone, so no result depends on the
+  packing.  The object-at-a-time and slice-at-a-time reference clears
+  it is checked against live in ``tests/oracle.py``.
 * Grid resolution is the operator knob ``price_step`` (the paper reports
   clearing times at 0.1 and 1 cent/kW steps).  The scan optionally
   augments the grid with each bid's breakpoints (``q_min``/``q_max``) so
@@ -40,7 +50,7 @@ import numpy as np
 from repro.config import MarketParameters
 from repro.core.allocation import AllocationResult
 from repro.core.bids import RackBid
-from repro.core.frame import BidFrame
+from repro.core.frame import BidFrame, PduBlock
 from repro.errors import ClearingError
 
 if typing.TYPE_CHECKING:
@@ -50,6 +60,10 @@ __all__ = ["MarketClearing", "clear_market"]
 
 #: Feasibility slack for float comparisons against capacity bounds.
 _TOL = 1e-9
+
+#: Most padded cells (aggregates x (longest grid + 1)) one sweep block
+#: may hold; a market larger than this is cleared in a block of its own.
+_CHUNK_CELLS = 1 << 13
 
 
 def _base_grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -86,6 +100,58 @@ def _augment_grid(
     return merged[keep]
 
 
+class _Outcome(typing.NamedTuple):
+    """What one sweep decided: per market (in PDU order) and per row."""
+
+    price: np.ndarray  # clearing price of each market
+    revenue: np.ndarray  # revenue rate of each market, $/h
+    candidates: np.ndarray  # prices scanned (0 when none was feasible)
+    feasible: np.ndarray  # feasible prices found
+    granted: np.ndarray  # grant of each row, 0.0 where none
+    keyed: np.ndarray  # the row's rack appears in ``grants_w``
+    rejected: np.ndarray  # the row failed admission
+
+
+def _chunks(sizes: list[int], aggregates: list[int]) -> list[tuple[int, int]]:
+    """Split markets, in order, into runs that fit one sweep block.
+
+    A run's block has one row per aggregate (PDU or constraint group)
+    and one column per point of its longest grid, plus one; runs grow
+    while that stays within ``_CHUNK_CELLS``.  A market too large for
+    the bound on its own forms a run alone.
+    """
+    runs = []
+    begin = rows = width = 0
+    for m, (size, n) in enumerate(zip(sizes, aggregates)):
+        wide = max(width, size + 1)
+        if m > begin and (rows + n) * wide > _CHUNK_CELLS:
+            runs.append((begin, m))
+            begin, rows, wide = m, 0, size + 1
+        rows += n
+        width = wide
+    runs.append((begin, len(sizes)))
+    return runs
+
+
+def _grants(
+    frame: BidFrame, outcome: _Outcome, row_market: np.ndarray | None
+) -> dict[str, float]:
+    """``grants_w`` in clearing order: market by market, each market's
+    admitted racks in row order, then its rejected racks (at zero).
+
+    ``row_market`` is each row's market, or ``None`` for one market.
+    """
+    rows = outcome.keyed.nonzero()[0]
+    rejected = outcome.rejected[rows]
+    if rows.size == len(frame) and not rejected.any():
+        return dict(zip(frame.rack_ids, outcome.granted.tolist()))
+    if rejected.any():
+        keys = (rejected,) if row_market is None else (rejected, row_market[rows])
+        rows = rows[np.lexsort(keys)]
+    ids = frame.rack_ids
+    return dict(zip([ids[i] for i in rows.tolist()], outcome.granted[rows].tolist()))
+
+
 @dataclasses.dataclass
 class MarketClearing:
     """Reusable clearing engine configured with operator market knobs.
@@ -104,35 +170,46 @@ class MarketClearing:
     def candidate_prices(
         self, bids: "Sequence[RackBid] | BidFrame"
     ) -> np.ndarray:
-        """The ascending price grid the scan will evaluate."""
+        """The ascending price grid a facility-wide scan will evaluate."""
         frame = bids if isinstance(bids, BidFrame) else BidFrame.from_bids(bids)
+        top = frame.max_acceptable_price() if len(frame) else self.params.max_price
+        return self._grid(frame, top)
+
+    def _grid(self, owner: "BidFrame | PduBlock", top: float) -> np.ndarray:
+        """The ascending price grid of one market, cached on its rows.
+
+        ``owner`` holds the market's rows — the frame for a facility-wide
+        price, a :class:`PduBlock` for one PDU — and ``top`` is their
+        highest acceptable price: no bid demands anything above it, so
+        scanning beyond it only wastes work.  Frames and blocks are
+        immutable once built, so the grid of one (bounds, step,
+        breakpoints-mode) key stays valid for their lifetime, and the
+        incremental builder reuses unchanged blocks (and whole frames)
+        across slots: a repeat clear costs a key check.  The reserve
+        price is in the key because price events move it.
+        """
         lo = self.params.reserve_price
-        hi = self.params.max_price
-        # No bid demands anything above the highest acceptable price, so
-        # scanning beyond it only wastes work.
-        if len(frame):
-            hi = min(hi, frame.max_acceptable_price())
-        # Frames are immutable once built, so a grid computed for one
-        # (bounds, step, breakpoints-mode) tuple stays valid for the
-        # frame's whole lifetime.  The incremental builder hands the
-        # engine the *same frame object* on unchanged-bid slots, turning
-        # the per-slot grid rebuild into a dict hit.
+        hi = min(self.params.max_price, top)
         key = (lo, hi, self.params.price_step, self.include_breakpoints)
-        cache = frame._grid_cache
-        if cache is None:
-            cache = frame._grid_cache = {}
-        grid = cache.get(key)
-        if grid is None:
-            if hi < lo:
-                grid = np.array([lo])
-            else:
-                grid = _base_grid(lo, hi, self.params.price_step)
-                if self.include_breakpoints and len(frame):
-                    grid = _augment_grid(
-                        grid, frame.breakpoints, lo, hi, self.params.price_step
-                    )
-            cache[key] = grid
+        cached = owner._grid_cache
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        if hi < lo:
+            grid = np.array([lo])
+        else:
+            grid = _base_grid(lo, hi, self.params.price_step)
+            if self.include_breakpoints:
+                grid = _augment_grid(
+                    grid, owner.breakpoints, lo, hi, self.params.price_step
+                )
+        owner._grid_cache = (key, grid)
         return grid
+
+    def _pdu_grids(self, frame: BidFrame) -> list[np.ndarray]:
+        """Each PDU market's grid, in PDU order (cached on its block)."""
+        starts, _ = frame.segments()
+        tops = np.maximum.reduceat(frame.q_max, starts).tolist()
+        return [self._grid(block, top) for block, top in zip(frame.blocks, tops)]
 
     # ------------------------------------------------------------------
     # Facility-wide uniform price
@@ -164,14 +241,28 @@ class MarketClearing:
             allocation if no bids were submitted.
 
         Raises:
-            ClearingError: On negative capacities (inconsistent inputs).
+            ClearingError: On negative or NaN capacities (inconsistent
+                inputs).
         """
         self._validate_capacities(pdu_spot_w, ups_spot_w, extra_constraints)
         if not len(bids):
             return AllocationResult.empty()
-        if not isinstance(bids, BidFrame):
-            bids = BidFrame.from_bids(bids)
-        return self._clear_frame(bids, pdu_spot_w, ups_spot_w, extra_constraints)
+        frame = bids if isinstance(bids, BidFrame) else BidFrame.from_bids(bids)
+        outcome = self._sweep(
+            frame,
+            [self.candidate_prices(frame)],
+            np.zeros(len(frame.pdu_ids), dtype=np.intp),
+            np.array([pdu_spot_w.get(p, 0.0) for p in frame.pdu_ids], dtype=float),
+            np.array([ups_spot_w], dtype=float),
+            [tuple(extra_constraints)],
+        )
+        return AllocationResult(
+            price=float(outcome.price[0]),
+            grants_w=_grants(frame, outcome, None),
+            revenue_rate=float(outcome.revenue[0]),
+            candidate_prices=int(outcome.candidates[0]),
+            feasible_prices=int(outcome.feasible[0]),
+        )
 
     @staticmethod
     def _validate_capacities(
@@ -179,102 +270,170 @@ class MarketClearing:
         ups_spot_w: float,
         extra_constraints: Sequence["CapacityConstraint"],
     ) -> None:
-        if ups_spot_w < 0:
-            raise ClearingError(f"negative UPS spot capacity {ups_spot_w}")
+        # `not cap >= 0` rejects NaN too: a NaN cap fails or passes every
+        # later comparison silently, switching Eqs. 3-4 off.
+        if not ups_spot_w >= 0:
+            raise ClearingError(f"invalid UPS spot capacity {ups_spot_w}")
         for pdu_id, cap in pdu_spot_w.items():
-            if cap < 0:
-                raise ClearingError(f"negative spot capacity for PDU {pdu_id}: {cap}")
+            if not cap >= 0:
+                raise ClearingError(f"invalid spot capacity for PDU {pdu_id}: {cap}")
         for constraint in extra_constraints:
-            if constraint.cap_w < 0:
+            if not constraint.cap_w >= 0:
                 raise ClearingError(
-                    f"negative capacity for constraint {constraint.name}"
+                    f"invalid capacity for constraint {constraint.name}: "
+                    f"{constraint.cap_w}"
                 )
 
-    def _clear_frame(
+    # ------------------------------------------------------------------
+    # The sweep: every market of a slot, block by block
+    # ------------------------------------------------------------------
+
+    def _sweep(
         self,
         frame: BidFrame,
-        pdu_spot_w: Mapping[str, float],
-        ups_spot_w: float,
-        extra_constraints: Sequence["CapacityConstraint"],
-    ) -> AllocationResult:
-        prices = self.candidate_prices(frame)
-        pdu_caps = np.array([pdu_spot_w.get(p, 0.0) for p in frame.pdu_ids])
+        grids: Sequence[np.ndarray],
+        pdu_market: np.ndarray,
+        pdu_caps: np.ndarray,
+        market_caps: np.ndarray,
+        market_constraints: Sequence[Sequence["CapacityConstraint"]],
+    ) -> _Outcome:
+        """Clear every market of ``frame`` by feasible-price scan.
+
+        Markets are packed, in PDU order, into blocks of at most
+        ``_CHUNK_CELLS`` padded cells (:func:`_chunks`), and each block
+        is cleared with one fixed set of numpy calls.  A market's result
+        does not depend on which block it lands in: its cells get the
+        same float operations in the same order either way.
+
+        Args:
+            frame: The bids; each PDU belongs to exactly one market.
+            grids: Each market's ascending candidate price grid.
+            pdu_market: Market of each PDU (non-decreasing).
+            pdu_caps: Spot capacity of each PDU (Eq. 3).
+            market_caps: Spot capacity of each market as a whole (Eq. 4).
+            market_constraints: Each market's extra rack-set bounds.
+        """
+        step = self.params.price_step
+        n_rows = len(frame)
+        n_markets = len(grids)
+        starts, _ = frame.segments()
+        row_bounds = np.concatenate((starts, [n_rows]))
+        row_market = pdu_market[frame.pdu_code]
+        pdu_bounds = pdu_market.searchsorted(np.arange(n_markets + 1))
+        first_pdu = pdu_bounds[:-1]
+        sizes = np.array([grid.size for grid in grids])
 
         # Bid admission (vectorised): a bid whose demand exceeds the
-        # per-grant ceiling min(rack headroom, PDU spot, UPS spot) at
+        # per-grant ceiling min(rack headroom, PDU spot, market spot) at
         # EVERY acceptable price can never be satisfied; reject up front
-        # so one hopeless bid does not blank the whole market.
+        # so one hopeless bid does not blank its whole market.
         ceiling = np.minimum(frame.rack_cap_w, pdu_caps[frame.pdu_code])
-        np.minimum(ceiling, ups_spot_w, out=ceiling)
-        for constraint in extra_constraints:
-            rows = frame.rows_for(constraint.rack_ids)
-            if rows.size:
-                ceiling[rows] = np.minimum(ceiling[rows], constraint.cap_w)
+        np.minimum(ceiling, market_caps[row_market], out=ceiling)
+        group_rows: list[np.ndarray] = []
+        group_market: list[int] = []
+        group_caps: list[float] = []
+        for m, constraints in enumerate(market_constraints):
+            for constraint in constraints:
+                rows = frame.rows_for(constraint.rack_ids)
+                if rows.size:
+                    ceiling[rows] = np.minimum(ceiling[rows], constraint.cap_w)
+                group_rows.append(rows)
+                group_market.append(m)
+                group_caps.append(constraint.cap_w)
         rejected = frame.floor_w > ceiling + _TOL
-        if rejected.all():
-            # Priced out, not silent: every rejected rack still appears
-            # with a zero grant.
-            return AllocationResult(
-                price=float(prices[-1]) + self.params.price_step,
-                grants_w={rid: 0.0 for rid in frame.rack_ids},
-                revenue_rate=0.0,
-                candidate_prices=int(prices.size),
-                feasible_prices=0,
+        # A market whose bids all fail admission is priced out, not
+        # silent: every rejected rack still appears with a zero grant.
+        all_rejected = np.logical_and.reduceat(rejected, row_bounds[first_pdu])
+        groups_of = np.asarray(group_market, dtype=np.intp)
+        caps_of_group = np.asarray(group_caps, dtype=float)
+        group_bounds = groups_of.searchsorted(np.arange(n_markets + 1))
+
+        aggregates = (pdu_bounds[1:] - first_pdu) + (group_bounds[1:] - group_bounds[:-1])
+        size_list = sizes.tolist()
+        pdu_bounds_list = pdu_bounds.tolist()
+        row_bounds_list = row_bounds.tolist()
+        group_bounds_list = group_bounds.tolist()
+        parts = []
+        for m0, m1 in _chunks(size_list, aggregates.tolist()):
+            p0, p1 = pdu_bounds_list[m0], pdu_bounds_list[m1]
+            r0, r1 = row_bounds_list[p0], row_bounds_list[p1]
+            local_sizes = sizes[m0:m1]
+            width = max(size_list[m0:m1])
+            valid = np.arange(width) < local_sizes[:, None]
+            prices = np.zeros((m1 - m0, width))
+            prices[valid] = np.concatenate(grids[m0:m1])
+            chunk_market = row_market[r0:r1] - m0
+            admitted_here = (~rejected[r0:r1]).nonzero()[0]
+            here = slice(group_bounds_list[m0], group_bounds_list[m1])
+
+            # Demand accumulation: a breakpoint sweep over each market's
+            # grid (BidFrame.market_totals); constraint groups accumulate
+            # alongside the per-PDU totals.
+            pdu_demand, group_demand = frame.market_totals(
+                admitted_here + r0,
+                p0,
+                pdu_market[p0:p1] - m0,
+                prices,
+                local_sizes,
+                group_rows[here],
+                groups_of[here] - m0,
             )
-        if rejected.any():
-            rejected_ids = [
-                frame.rack_ids[int(i)] for i in np.flatnonzero(rejected)
-            ]
-            admitted = frame.select(np.flatnonzero(~rejected))
-        else:
-            rejected_ids = []
-            admitted = frame
+            local_first = first_pdu[m0:m1] - p0
+            if m1 - m0 == p1 - p0:
+                total = pdu_demand  # one PDU per market
+            else:
+                total = np.stack([
+                    pdu_demand[a:b].sum(axis=0)
+                    for a, b in zip(local_first, pdu_bounds[m0 + 1:m1 + 1] - p0)
+                ])
 
-        # Demand accumulation: a breakpoint sweep over the price grid —
-        # O(n log P) scatter + one cumsum per aggregate — instead of
-        # materialising the (n_bids, n_prices) demand matrix (see
-        # BidFrame.demand_totals).  Constraint groups accumulate
-        # alongside the per-PDU totals.
-        extra_caps = np.array([c.cap_w for c in extra_constraints])
-        member_rows = [admitted.rows_for(c.rack_ids) for c in extra_constraints]
-        pdu_demand, extra_demand = admitted.demand_totals(prices, member_rows)
-        total_demand = pdu_demand.sum(axis=0)
-
-        feasible = (total_demand <= ups_spot_w + _TOL) & np.all(
-            pdu_demand <= pdu_caps[:, None] + _TOL, axis=0
-        )
-        if extra_constraints:
-            feasible &= np.all(
-                extra_demand <= extra_caps[:, None] + _TOL, axis=0
+            ok = valid & (total <= market_caps[m0:m1, None] + _TOL)
+            ok &= np.logical_and.reduceat(
+                pdu_demand <= pdu_caps[p0:p1, None] + _TOL, local_first, axis=0
             )
-        n_feasible = int(feasible.sum())
-        if n_feasible == 0:
-            # The scan grid ends at the highest acceptable bid price where
-            # demand may still be positive; above it demand is zero, which
-            # is always feasible.  Profit there is zero.
-            return AllocationResult.empty(
-                price=float(prices[-1]) + self.params.price_step
-            )
+            if group_demand.size:
+                np.logical_and.at(
+                    ok,
+                    groups_of[here] - m0,
+                    group_demand <= caps_of_group[here, None] + _TOL,
+                )
+            revenue_rate = prices * total / 1000.0  # $/h
+            revenue_rate = np.where(ok, revenue_rate, -np.inf)
+            best = revenue_rate.argmax(axis=1)  # lowest index on ties
+            local = np.arange(m1 - m0)
+            best_price = prices[local, best]
+            best_revenue = revenue_rate[local, best]
 
-        revenue_rate = prices * total_demand / 1000.0  # $/h
-        revenue_rate = np.where(feasible, revenue_rate, -np.inf)
-        best = int(np.argmax(revenue_rate))  # argmax returns lowest index on ties
-        best_price = float(prices[best])
+            # Above the grid's last point demand is zero, which is always
+            # feasible: a market without a feasible price, or with every
+            # bid rejected, clears there with zero profit.
+            out_rejected = all_rejected[m0:m1]
+            n_feasible = np.where(out_rejected, 0, ok.sum(axis=1))
+            cleared = n_feasible > 0
+            listed = cleared | out_rejected
+            # max(revenue, 0.0) with Python's semantics: -0.0 and NaN
+            # pass through unchanged.
+            revenue = np.where(cleared & ~(best_revenue < 0.0), best_revenue, 0.0)
 
-        # Grant extraction: one demand-vector evaluation at the clearing
-        # price, zipped straight into the result.
-        granted = admitted.demand_at(best_price)
-        grants = dict(zip(admitted.rack_ids, granted.tolist()))
-        # Rejected bids appear with a zero grant (priced out, not silent).
-        for rack_id in rejected_ids:
-            grants[rack_id] = 0.0
-        return AllocationResult(
-            price=best_price,
-            grants_w=grants,
-            revenue_rate=float(max(revenue_rate[best], 0.0)),
-            candidate_prices=int(prices.size),
-            feasible_prices=n_feasible,
-        )
+            # Grant extraction: one demand-vector evaluation of every
+            # admitted row at its market's clearing price.
+            admitted_market = chunk_market[admitted_here]
+            grant = cleared[admitted_market]
+            granted = np.zeros(r1 - r0)
+            if grant.any():
+                granted[admitted_here[grant]] = frame.demand_at_rows(
+                    admitted_here[grant] + r0, best_price[admitted_market[grant]]
+                )
+            parts.append((
+                np.where(cleared, best_price, prices[local, local_sizes - 1] + step),
+                revenue,
+                np.where(listed, local_sizes, 0),
+                n_feasible,
+                granted,
+                listed[chunk_market],
+            ))
+        columns = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        return _Outcome(*columns, rejected)
 
     # ------------------------------------------------------------------
     # Locational (per-PDU) pricing
@@ -304,8 +463,8 @@ class MarketClearing:
         apportioned caps never exceeds ``P_o`` (Eq. 4 holds by
         construction).
 
-        Each PDU's market is a contiguous *frame slice*; no per-slot
-        object regrouping happens.
+        Every PDU's market clears in one sweep over the frame's
+        PDU-sorted rows; no per-slot object regrouping happens.
 
         Returns:
             A combined allocation whose ``pdu_prices`` carries each
@@ -313,39 +472,37 @@ class MarketClearing:
             grant-weighted mean.
 
         Raises:
-            ClearingError: On negative capacities (inconsistent inputs).
+            ClearingError: On negative or NaN capacities (inconsistent
+                inputs).
         """
         self._validate_capacities(pdu_spot_w, ups_spot_w, extra_constraints)
         if not len(bids):
             return AllocationResult.empty()
-        if not isinstance(bids, BidFrame):
-            bids = BidFrame.from_bids(bids)
-        return self._clear_per_pdu_frame(
-            bids, pdu_spot_w, ups_spot_w, extra_constraints
+        frame = bids if isinstance(bids, BidFrame) else BidFrame.from_bids(bids)
+        caps, constraints = self._pdu_markets(
+            frame, pdu_spot_w, ups_spot_w, extra_constraints
         )
+        outcome = self._sweep_pdus(frame, self._pdu_grids(frame), caps, constraints)
+        return self._combine(frame, outcome)
 
-    def _apportion_pdu_caps(
+    def _pdu_markets(
         self,
         frame: BidFrame,
         pdu_spot_w: Mapping[str, float],
         ups_spot_w: float,
         extra_constraints: Sequence["CapacityConstraint"],
-    ) -> tuple[list[float], dict[str, float]]:
-        """Per-PDU spot caps after apportioning the UPS headroom.
+    ) -> tuple[list[float], list[tuple]]:
+        """Each PDU market's spot cap and local constraints, in PDU order.
 
-        Returns the caps in :meth:`BidFrame.pdu_slices` order, plus the
-        rack → servable-demand map shared with
-        :func:`_localize_constraints`.  Apportioning by servable
-        interest guarantees the caps sum to at most ``ups_spot_w``
-        whenever total interest exceeds it (Eq. 4 by construction) —
-        the property the sharded path's reconciliation pass relies on.
+        Apportioning the UPS headroom by servable interest guarantees
+        the caps sum to at most ``ups_spot_w`` whenever total interest
+        exceeds it (Eq. 4 by construction) — the property the sharded
+        path's reconciliation pass relies on.  Extra constraints are
+        localized by :func:`_localize_constraints`; the serial and
+        sharded clears both come through here, so their caps are
+        bit-identical.
         """
         servable = np.minimum(frame.max_demand_w, frame.rack_cap_w)
-        max_demand = (
-            {rid: float(v) for rid, v in zip(frame.rack_ids, servable)}
-            if extra_constraints
-            else {}
-        )
         starts, seg_codes = frame.segments()
         local_interest = np.add.reduceat(servable, starts)
         interest = {
@@ -364,111 +521,60 @@ class MarketClearing:
                     local_cap, ups_spot_w * interest[pdu_id] / total_interest
                 )
             caps.append(local_cap)
-        return caps, max_demand
-
-    def _pdu_tasks(
-        self,
-        frame: BidFrame,
-        pdu_spot_w: Mapping[str, float],
-        ups_spot_w: float,
-        extra_constraints: Sequence["CapacityConstraint"],
-    ) -> list[tuple[str, BidFrame, float, tuple]]:
-        """The per-PDU clearing work list: ``(pdu_id, slice, cap, cons)``.
-
-        Each task is self-contained — clearing it touches nothing
-        outside its own slice — which is what makes the list a valid
-        unit of distribution for :mod:`repro.core.sharding`.
-        """
-        caps, max_demand = self._apportion_pdu_caps(
-            frame, pdu_spot_w, ups_spot_w, extra_constraints
-        )
-        tasks: list[tuple[str, BidFrame, float, tuple]] = []
-        for (pdu_id, sub), local_cap in zip(frame.pdu_slices(), caps):
-            local_constraints = (
-                tuple(
-                    _localize_constraints(
-                        extra_constraints,
-                        set(sub.rack_ids),
-                        max_demand,
-                    )
+        if not extra_constraints:
+            return caps, [()] * len(caps)
+        max_demand = {rid: float(v) for rid, v in zip(frame.rack_ids, servable)}
+        ends = np.append(starts[1:], len(frame)).tolist()
+        constraints = [
+            tuple(
+                _localize_constraints(
+                    extra_constraints, set(frame.rack_ids[lo:hi]), max_demand
                 )
-                if extra_constraints
-                else ()
             )
-            tasks.append((pdu_id, sub, local_cap, local_constraints))
-        return tasks
+            for lo, hi in zip(starts.tolist(), ends)
+        ]
+        return caps, constraints
 
-    def _clear_pdu_slice(
-        self, task: tuple[str, BidFrame, float, tuple]
-    ) -> AllocationResult:
-        """Clear one PDU task from :meth:`_pdu_tasks`."""
-        pdu_id, sub, local_cap, local_constraints = task
-        return self._clear_frame(
-            sub, {pdu_id: local_cap}, local_cap, local_constraints
-        )
-
-    def _combine_pdu_results(
+    def _sweep_pdus(
         self,
         frame: BidFrame,
-        per_pdu: Sequence[tuple[str, AllocationResult]],
-    ) -> AllocationResult:
-        """Merge per-PDU allocations into the combined slot result.
-
-        Accumulation runs sequentially in the order given — callers pass
-        results in :meth:`BidFrame.pdu_slices` order regardless of where
-        each PDU was cleared, so serial and sharded paths sum the same
-        floats in the same order (byte-identical results).
-        """
-        grants: dict[str, float] = {}
-        pdu_prices: dict[str, float] = {}
-        revenue_rate = 0.0
-        candidates = 0
-        feasible = 0
-        for pdu_id, local in per_pdu:
-            grants.update(local.grants_w)
-            pdu_prices[pdu_id] = local.price
-            revenue_rate += local.revenue_rate
-            candidates += local.candidate_prices
-            feasible += local.feasible_prices
-
-        granted = np.fromiter(
-            (grants.get(rid, 0.0) for rid in frame.rack_ids),
-            dtype=float,
-            count=len(frame),
+        grids: Sequence[np.ndarray],
+        caps: Sequence[float],
+        constraints: Sequence[tuple],
+    ) -> _Outcome:
+        """The sweep with one market per PDU, each capped at its
+        apportioned cap (its PDU and market bound at once)."""
+        caps = np.asarray(caps, dtype=float)
+        return self._sweep(
+            frame, grids, np.arange(caps.size), caps, caps, constraints
         )
+
+    def _combine(self, frame: BidFrame, outcome: _Outcome) -> AllocationResult:
+        """The slot result of a per-PDU sweep of ``frame``.
+
+        Revenue accumulates sequentially in PDU order, and the sharded
+        path concatenates its shard outcomes back into PDU order before
+        calling this, so serial and sharded clears sum the same floats
+        in the same order (byte-identical results).
+        """
+        revenue_rate = 0.0
+        for local in outcome.revenue.tolist():
+            revenue_rate += local
+        granted = outcome.granted
         total = float(granted.sum())
         if total > 0:
-            row_prices = np.fromiter(
-                (pdu_prices[p] for p in frame.pdu_ids),
-                dtype=float,
-                count=len(frame.pdu_ids),
-            )[frame.pdu_code]
+            row_prices = outcome.price[frame.pdu_code]
             headline = float((row_prices * granted).sum()) / total
         else:
             headline = 0.0
         return AllocationResult(
             price=headline,
-            grants_w=grants,
+            grants_w=_grants(frame, outcome, frame.pdu_code),
             revenue_rate=revenue_rate,
-            candidate_prices=candidates,
-            feasible_prices=feasible,
-            pdu_prices=pdu_prices,
+            candidate_prices=int(outcome.candidates.sum()),
+            feasible_prices=int(outcome.feasible.sum()),
+            pdu_prices=dict(zip(frame.pdu_ids, outcome.price.tolist())),
         )
-
-    def _clear_per_pdu_frame(
-        self,
-        frame: BidFrame,
-        pdu_spot_w: Mapping[str, float],
-        ups_spot_w: float,
-        extra_constraints: Sequence["CapacityConstraint"],
-    ) -> AllocationResult:
-        tasks = self._pdu_tasks(
-            frame, pdu_spot_w, ups_spot_w, extra_constraints
-        )
-        per_pdu = [
-            (task[0], self._clear_pdu_slice(task)) for task in tasks
-        ]
-        return self._combine_pdu_results(frame, per_pdu)
 
 
 def _localize_constraints(
@@ -483,7 +589,7 @@ def _localize_constraints(
     maximum-demand share — a conservative decomposition (the per-PDU
     shares always sum to at most the zone cap).  The serial and sharded
     per-PDU clears both reach this through
-    :meth:`MarketClearing._pdu_tasks`, so their apportioned caps are
+    :meth:`MarketClearing._pdu_markets`, so their apportioned caps are
     bit-identical.
     """
     from repro.infrastructure.constraints import CapacityConstraint

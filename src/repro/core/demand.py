@@ -334,7 +334,10 @@ def demand_matrix(
         d_max_w / q_min / d_min_w / q_max: Piece-wise linear parameters,
             one entry per bid row (values for sampled rows are ignored).
         rack_cap_w: Physical rack headroom per row; clips every demand.
-        prices: Ascending price grid, shape ``(n_prices,)``.
+        prices: Ascending price grid shared by every row, shape
+            ``(n_prices,)``, or one grid per row, shape
+            ``(n_bids, n_prices)`` (grant extraction evaluates each row
+            at its own market's price).
         sampled_rows: Row indices evaluated through ``sampled_demands``.
         sampled_demands: Demand objects aligned with ``sampled_rows``.
         out: Optional preallocated ``(n_bids, n_prices)`` output buffer —
@@ -345,8 +348,10 @@ def demand_matrix(
     """
     n = d_max_w.shape[0]
     prices = np.asarray(prices, dtype=float)
+    per_row = prices.ndim == 2
+    grid = prices if per_row else prices[None, :]
     if out is None:
-        out = np.empty((n, prices.size))
+        out = np.empty((n, grid.shape[1]))
     span = q_max - q_min
     degenerate = span <= 0
     # Mirrors LinearBid.demand_grid step for step: same operations in
@@ -354,16 +359,17 @@ def demand_matrix(
     # bit-identical demand.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         frac = np.clip(
-            (prices[None, :] - q_min[:, None])
+            (grid - q_min[:, None])
             / np.where(degenerate, 1.0, span)[:, None],
             0.0,
             1.0,
         )
     demand = d_max_w[:, None] + frac * (d_min_w - d_max_w)[:, None]
     demand = np.where(degenerate[:, None], d_max_w[:, None], demand)
-    demand = np.where(prices[None, :] <= q_max[:, None], demand, 0.0)
+    demand = np.where(grid <= q_max[:, None], demand, 0.0)
     np.minimum(demand, rack_cap_w[:, None], out=out)
     if sampled_rows is not None and sampled_rows.size:
         for row, fn in zip(sampled_rows, sampled_demands):
-            np.minimum(fn.demand_grid(prices), rack_cap_w[row], out=out[row])
+            row_prices = grid[row] if per_row else prices
+            np.minimum(fn.demand_grid(row_prices), rack_cap_w[row], out=out[row])
     return out

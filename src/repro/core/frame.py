@@ -13,16 +13,21 @@ second at a 0.1 ¢/kW price step).
 Design points:
 
 * **Rows are sorted by PDU** (stably, preserving submission order within
-  a PDU), so per-PDU demand totals are contiguous segment sums
-  (``np.add.reduceat``) rather than scattered ``np.add.at`` updates, and
-  per-PDU locational clearing slices the frame instead of regrouping
-  objects.
+  a PDU), so each PDU owns one contiguous row run and per-PDU sums are
+  segment sums (``np.add.reduceat``) rather than object regrouping.
 * **One bid-to-column conversion**: :class:`PduBlock` turns one PDU's
   :class:`RackBid` objects into frame columns, and every frame is
   assembled from blocks (:meth:`BidFrame.from_blocks`) — from scratch
   by :meth:`BidFrame.from_bids`, or slot over slot by
   :class:`repro.core.sharding.IncrementalFrameBuilder`, which reuses
-  the blocks of unchanged PDUs.
+  the blocks of unchanged PDUs.  The frame keeps its blocks
+  (:attr:`BidFrame.blocks`); each block caches its PDU market's price
+  grid, so a reused block keeps its grid across slots.
+* **Many markets, one sweep**: :meth:`BidFrame.market_totals` totals
+  the demand of every market of a slot — one per PDU under locational
+  pricing, one for the facility under a uniform price — each over its
+  own grid, with one fixed set of numpy calls for all of them plus one
+  ``searchsorted`` per market and side.
 * **The object API stays**: :meth:`BidFrame.from_bids` /
   :meth:`BidFrame.to_bids` form a thin adapter, so tenants, enforcement,
   faults, and settlement keep speaking :class:`RackBid`.
@@ -70,7 +75,8 @@ class PduBlock:
     :meth:`BidFrame.from_blocks` concatenates blocks into a frame.  The
     tenant table is *local* (first appearance within this PDU's rows);
     ``from_blocks`` merges the local tables in block order, which
-    preserves global first-appearance order.
+    preserves global first-appearance order.  ``breakpoints`` are the
+    grid-augmentation points of the block's rows, in row order.
     """
 
     __slots__ = (
@@ -89,6 +95,7 @@ class PduBlock:
         "floor_w",
         "breakpoints",
         "demands",
+        "_grid_cache",
     )
 
     def __init__(self, pdu_id: str, bids: tuple[RackBid, ...]) -> None:
@@ -164,6 +171,9 @@ class PduBlock:
         self.floor_w = floor
         self.breakpoints = np.asarray(points, dtype=float)
         self.demands = tuple(demands)
+        # ``(key, grid)`` of the last price grid cleared over this PDU's
+        # market (see MarketClearing._grid).
+        self._grid_cache: tuple | None = None
 
     def __len__(self) -> int:
         return len(self.rack_ids)
@@ -195,6 +205,10 @@ class BidFrame:
         floor_w: Rack-clipped demand at the row's own maximum acceptable
             price — the least capacity the bid must receive at *any*
             acceptable price (drives admission).
+        blocks: The :class:`PduBlock` of each PDU, in ``pdu_ids`` order
+            (empty on the stripped copies the sharded clear ships to
+            worker processes).  Every PDU of the table owns at least one
+            row, so a row's ``pdu_code`` is also its segment index.
     """
 
     __slots__ = (
@@ -212,13 +226,13 @@ class BidFrame:
         "max_demand_w",
         "floor_w",
         "breakpoints",
+        "blocks",
         "_demands",
         "_bids",
         "_row_of",
         "_segments",
         "_sampled_rows",
         "_grid_cache",
-        "_pdu_slices_cache",
     )
 
     def __init__(
@@ -239,6 +253,7 @@ class BidFrame:
         breakpoints: np.ndarray,
         demands: tuple[DemandFunction | None, ...],
         bids: tuple[RackBid, ...] | None,
+        blocks: tuple[PduBlock, ...],
     ) -> None:
         self.rack_ids = rack_ids
         self.pdu_ids = pdu_ids
@@ -254,13 +269,14 @@ class BidFrame:
         self.max_demand_w = max_demand_w
         self.floor_w = floor_w
         self.breakpoints = breakpoints
+        self.blocks = blocks
         self._demands = demands
         self._bids = bids
         self._row_of: dict[str, int] | None = None
         self._segments: tuple[np.ndarray, np.ndarray] | None = None
         self._sampled_rows: np.ndarray | None = None
-        self._grid_cache: dict | None = None
-        self._pdu_slices_cache: list[tuple[str, "BidFrame"]] | None = None
+        # ``(key, grid)`` of the last facility-wide price grid.
+        self._grid_cache: tuple | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -311,6 +327,7 @@ class BidFrame:
                 breakpoints=none,
                 demands=(),
                 bids=(),
+                blocks=(),
             )
         tenant_index: dict[str, int] = {}
         tenant_cols = []
@@ -343,6 +360,7 @@ class BidFrame:
             breakpoints=np.concatenate([b.breakpoints for b in blocks]),
             demands=tuple(d for b in blocks for d in b.demands),
             bids=tuple(bid for b in blocks for bid in b.bids),
+            blocks=tuple(blocks),
         )
 
     # ------------------------------------------------------------------
@@ -427,8 +445,26 @@ class BidFrame:
         )
 
     def demand_at(self, price: float) -> np.ndarray:
-        """Rack-clipped demand vector at one price (grant extraction)."""
+        """Rack-clipped demand vector at one price."""
         return self.demand_matrix(np.array([float(price)]))[:, 0]
+
+    def demand_at_rows(self, rows: np.ndarray, prices: np.ndarray) -> np.ndarray:
+        """Rack-clipped demand of ``rows``, each at its own price.
+
+        Grant extraction: every granted row is evaluated at its market's
+        clearing price in one kernel call.
+        """
+        sampled = (self.kind[rows] == KIND_SAMPLED).nonzero()[0]
+        return demand_matrix(
+            self.d_max_w[rows],
+            self.q_min[rows],
+            self.d_min_w[rows],
+            self.q_max[rows],
+            self.rack_cap_w[rows],
+            np.asarray(prices, dtype=float)[:, None],
+            sampled_rows=sampled,
+            sampled_demands=tuple(self._demands[int(r)] for r in rows[sampled]),
+        )[:, 0]
 
     def pdu_demand(
         self, demand: np.ndarray, out: np.ndarray | None = None
@@ -449,17 +485,59 @@ class BidFrame:
         prices: np.ndarray,
         group_rows: "Sequence[np.ndarray]" = (),
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Aggregate rack-clipped demand over an ascending price grid.
+        """Aggregate rack-clipped demand over one ascending price grid.
 
-        This is the clearing scan's workhorse.  Materialising the full
-        ``(n_bids, n_prices)`` demand matrix and summing it is O(n x P)
-        in both time and memory traffic; but each closed-form row is
-        piece-wise *linear* in price — flat at ``min(d_max, cap)``, one
-        descending segment, then zero — so its contribution to a total
-        is three breakpoints.  The totals are therefore built as
-        difference arrays over the grid (slope/intercept increments at
-        each row's breakpoint indices) and integrated with one
-        ``cumsum`` per aggregate: O(n log P + n_aggregates x P).
+        The one-market case of :meth:`market_totals`: every row counts
+        and every PDU accumulates over ``prices``.
+
+        Returns:
+            ``(pdu_demand, group_demand)`` with shapes
+            ``(n_pdus, P)`` and ``(len(group_rows), P)``.
+        """
+        prices = np.asarray(prices, dtype=float)
+        return self.market_totals(
+            np.arange(len(self), dtype=np.intp),
+            0,
+            np.zeros(len(self.pdu_ids), dtype=np.intp),
+            prices[None, :],
+            np.array([prices.size]),
+            group_rows,
+            np.zeros(len(group_rows), dtype=np.intp),
+        )
+
+    def market_totals(
+        self,
+        rows: np.ndarray,
+        pdu_lo: int,
+        pdu_market: np.ndarray,
+        prices: np.ndarray,
+        sizes: np.ndarray,
+        group_rows: "Sequence[np.ndarray]" = (),
+        group_market: "Sequence[int]" = (),
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Aggregate rack-clipped demand of several markets, each over its
+        own ascending price grid.
+
+        This is the clearing scan's workhorse.  A *market* is a run of
+        consecutive PDUs priced together — one PDU under locational
+        pricing, every PDU under a facility-wide price.  Materialising
+        the ``(n_bids, n_prices)`` demand matrix and summing it is
+        O(n x P) in both time and memory traffic; but each closed-form
+        row is piece-wise *linear* in price — flat at
+        ``min(d_max, cap)``, one descending segment, then zero — so its
+        contribution to a total is three breakpoints.  The totals are
+        therefore built as difference arrays over each market's grid
+        (slope/intercept increments at each row's breakpoint indices)
+        and integrated with one ``cumsum`` per aggregate.
+
+        All markets share one right-padded ``(cells, width + 1)`` block,
+        so the whole call costs a fixed set of numpy calls plus one
+        ``searchsorted`` per market and side (on that market's own
+        grid: shifting values onto one shared grid would round).  Rows
+        add into their cells in row order, phase by phase, so each
+        market's cells get the same additions in the same order as a
+        clear of that market alone — the totals do not depend on which
+        other markets share the call.
 
         An exact integer count of active rows per grid cell pins totals
         to exactly 0.0 where no row demands anything — float cancellation
@@ -468,25 +546,33 @@ class BidFrame:
         ``demand_grid`` and added in.
 
         Args:
-            prices: Ascending candidate price grid, shape ``(P,)``.
-            group_rows: For each extra constraint group, the frame row
-                indices of its member racks.
+            rows: Ascending frame rows whose demand counts (the admitted
+                bids).
+            pdu_lo: PDU code of the first PDU covered; PDU
+                ``pdu_lo + k`` accumulates into cell row ``k``.
+            pdu_market: Market of each covered PDU (non-decreasing).
+            prices: ``(n_markets, width)`` C-ordered grids, each
+                ascending and right-padded to the longest.
+            sizes: Grid length of each market.
+            group_rows: For each extra constraint group, the ascending
+                frame rows of its member racks.
+            group_market: Market of each group.
 
         Returns:
             ``(pdu_demand, group_demand)`` with shapes
-            ``(n_pdus, P)`` and ``(len(group_rows), P)``.
+            ``(len(pdu_market), width)`` and ``(len(group_rows), width)``;
+            cells at or past their market's grid size are padding.
         """
-        prices = np.asarray(prices, dtype=float)
-        n_prices = prices.size
-        n_pdu = len(self.pdu_ids)
+        rows = np.asarray(rows, dtype=np.intp)
+        n_markets, width = prices.shape
         n_groups = len(group_rows)
-        pdu_demand = np.zeros((n_pdu, n_prices))
-        group_demand = np.zeros((n_groups, n_prices))
-        if not len(self):
-            return pdu_demand, group_demand
-
-        closed = np.flatnonzero(self.kind == KIND_CLOSED)
+        pdu_demand = np.zeros((len(pdu_market), width))
+        group_demand = np.zeros((n_groups, width))
+        kind = self.kind[rows]
+        closed = rows[kind == KIND_CLOSED]
         if closed.size:
+            cell = self.pdu_code[closed] - pdu_lo
+            market = pdu_market[cell]
             d_max = self.d_max_w[closed]
             d_min = self.d_min_w[closed]
             q_lo = self.q_min[closed]
@@ -494,8 +580,6 @@ class BidFrame:
             cap = self.rack_cap_w[closed]
 
             flat_w = np.minimum(d_max, cap)
-            # Demand is zero strictly above q_max: first grid index past it.
-            j_end = np.searchsorted(prices, q_hi, side="right")
             span = q_hi - q_lo
             safe_span = np.where(span > 0, span, 1.0)
             slope = np.where(span > 0, (d_min - d_max) / safe_span, 0.0)
@@ -514,26 +598,40 @@ class BidFrame:
                     (cap - intercept) / safe_slope,
                     q_lo,
                 )
-            j_start = np.minimum(
-                np.searchsorted(
-                    prices, np.maximum(q_lo, crossing), side="right"
-                ),
-                j_end,
-            )
+            # Row k of `right` is searched from the right, `q_hi` also
+            # from the left; rows are market-contiguous.
+            right = np.empty((2, closed.size))
+            right[0] = q_hi
+            np.maximum(q_lo, crossing, out=right[1])
+            j_right = np.empty(right.shape, dtype=np.intp)
+            j_left = np.empty(closed.size, dtype=np.intp)
+            bounds = market.searchsorted(np.arange(n_markets + 1)).tolist()
+            for m, size in enumerate(sizes.tolist()):
+                a, b = bounds[m], bounds[m + 1]
+                if a < b:
+                    grid = prices[m, :size]
+                    j_right[:, a:b] = grid.searchsorted(right[:, a:b], side="right")
+                    j_left[a:b] = grid.searchsorted(q_hi[a:b], side="left")
+            # Demand is zero strictly above q_max: first grid index past it.
+            j_end = j_right[0]
+            j_start = np.minimum(j_right[1], j_end)
             # For cap-clipped rows the division can land the crossing a
             # float-ulp on the wrong side of a grid point; classify the
             # boundary point by value (j_start must be the first index
             # where the line is below the cap) so flat cells are exactly
             # `cap`, matching the object path's min() bit for bit.
             # Unclipped rows break at q_lo, which searchsorted gets exact.
+            flat_prices = prices.ravel()
+            offset = market * width
+            last = sizes[market] - 1
             clipped = sloped & (cap < d_max)
-            at_prev = intercept + slope * prices[np.maximum(j_start - 1, 0)]
+            at_prev = intercept + slope * flat_prices[offset + np.maximum(j_start - 1, 0)]
             j_start = np.where(
                 clipped & (j_start > 0) & (at_prev < cap),
                 j_start - 1,
                 j_start,
             )
-            at_here = intercept + slope * prices[np.minimum(j_start, n_prices - 1)]
+            at_here = intercept + slope * flat_prices[offset + np.minimum(j_start, last)]
             j_start = np.where(
                 clipped & (j_start < j_end) & (at_here >= cap),
                 j_start + 1,
@@ -549,169 +647,79 @@ class BidFrame:
             # add/remove pairs survives the mask and masquerades as
             # revenue in empty regions of the scan.
             counted = flat_w > 0
-            j_count = np.where(
-                sloped & (d_min == 0.0),
-                np.searchsorted(prices, q_hi, side="left"),
-                j_end,
+            j_count = np.where(sloped & (d_min == 0.0), j_left, j_end)
+            columns = (
+                flat_w, j_start, j_end, intercept, slope, sloped, counted, j_count,
             )
 
-            def scatter(codes, width):
+            def scatter(codes, n_cells, cell_prices, take=None):
                 """Difference arrays for one aggregation (PDUs or groups)."""
-                d_const = np.zeros((width, n_prices + 1))
-                d_slope = np.zeros((width, n_prices + 1))
-                d_count = np.zeros((width, n_prices + 1), dtype=np.int64)
-                base = np.zeros(width)
-                np.add.at(base, codes, flat_w)
+                f, js, je, ic, sl, sp, cn, jc = (
+                    columns if take is None else (a[take] for a in columns)
+                )
+                d_const = np.zeros((n_cells, width + 1))
+                d_slope = np.zeros((n_cells, width + 1))
+                d_count = np.zeros((n_cells, width + 1), dtype=np.int64)
+                base = np.zeros(n_cells)
+                np.add.at(base, codes, f)
                 d_const[:, 0] += base
-                np.add.at(d_const, (codes, j_start), -flat_w)
-                cnt = np.flatnonzero(counted)
-                counts = np.zeros(width, dtype=np.int64)
+                np.add.at(d_const, (codes, js), -f)
+                cnt = cn.nonzero()[0]
+                counts = np.zeros(n_cells, dtype=np.int64)
                 np.add.at(counts, codes[cnt], 1)
                 d_count[:, 0] += counts
-                np.add.at(d_count, (codes[cnt], j_count[cnt]), -1)
-                lin = np.flatnonzero(sloped)
+                np.add.at(d_count, (codes[cnt], jc[cnt]), -1)
+                lin = sp.nonzero()[0]
                 if lin.size:
-                    np.add.at(d_const, (codes[lin], j_start[lin]), intercept[lin])
-                    np.add.at(d_const, (codes[lin], j_end[lin]), -intercept[lin])
-                    np.add.at(d_slope, (codes[lin], j_start[lin]), slope[lin])
-                    np.add.at(d_slope, (codes[lin], j_end[lin]), -slope[lin])
+                    np.add.at(d_const, (codes[lin], js[lin]), ic[lin])
+                    np.add.at(d_const, (codes[lin], je[lin]), -ic[lin])
+                    np.add.at(d_slope, (codes[lin], js[lin]), sl[lin])
+                    np.add.at(d_slope, (codes[lin], je[lin]), -sl[lin])
                 total = (
-                    np.cumsum(d_const[:, :n_prices], axis=1)
-                    + np.cumsum(d_slope[:, :n_prices], axis=1) * prices[None, :]
+                    np.cumsum(d_const[:, :width], axis=1)
+                    + np.cumsum(d_slope[:, :width], axis=1) * cell_prices
                 )
                 np.maximum(total, 0.0, out=total)
-                total[np.cumsum(d_count[:, :n_prices], axis=1) == 0] = 0.0
+                total[np.cumsum(d_count[:, :width], axis=1) == 0] = 0.0
                 return total
 
-            pdu_demand += scatter(self.pdu_code[closed], n_pdu)
+            # One PDU per market: the cells' prices are the grids as laid out.
+            cell_prices = prices if len(pdu_market) == n_markets else prices[pdu_market]
+            pdu_demand += scatter(cell, len(pdu_market), cell_prices)
             if n_groups:
-                # Map frame rows to their position in the closed subset so
-                # group members reuse the per-row breakpoint columns.
+                # Map frame rows to their position among the closed rows
+                # so group members reuse the per-row breakpoint columns.
                 pos = np.full(len(self), -1, dtype=np.intp)
                 pos[closed] = np.arange(closed.size, dtype=np.intp)
                 member_idx = []
                 member_code = []
-                for k, rows in enumerate(group_rows):
-                    idx = pos[np.asarray(rows, dtype=np.intp)]
+                for k, members in enumerate(group_rows):
+                    idx = pos[np.asarray(members, dtype=np.intp)]
                     idx = idx[idx >= 0]
                     member_idx.append(idx)
                     member_code.append(np.full(idx.size, k, dtype=np.intp))
-                sel = np.concatenate(member_idx) if member_idx else np.empty(0, np.intp)
+                sel = np.concatenate(member_idx)
                 if sel.size:
-                    codes = np.concatenate(member_code)
-                    keep = (
-                        flat_w, j_start, j_end, intercept, slope, sloped,
-                        counted, j_count,
+                    group_demand += scatter(
+                        np.concatenate(member_code),
+                        n_groups,
+                        prices[np.asarray(group_market, dtype=np.intp)],
+                        sel,
                     )
-                    (
-                        flat_w, j_start, j_end, intercept, slope, sloped,
-                        counted, j_count,
-                    ) = (a[sel] for a in keep)
-                    group_demand += scatter(codes, n_groups)
 
-        for row in self.sampled_rows:
-            row = int(row)
-            fn = self._demands[row]
-            demand = np.minimum(fn.demand_grid(prices), self.rack_cap_w[row])
-            pdu_demand[int(self.pdu_code[row])] += demand
-            for k, rows in enumerate(group_rows):
-                if row in rows:
-                    group_demand[k] += demand
-        return pdu_demand, group_demand
-
-    # ------------------------------------------------------------------
-    # Slicing
-    # ------------------------------------------------------------------
-
-    def select(self, rows: np.ndarray) -> "BidFrame":
-        """A sub-frame of ``rows`` (ascending), keeping the PDU table."""
-        rows = np.asarray(rows, dtype=np.intp)
-        return BidFrame(
-            rack_ids=tuple(self.rack_ids[int(i)] for i in rows),
-            pdu_ids=self.pdu_ids,
-            pdu_code=self.pdu_code[rows],
-            tenant_ids=self.tenant_ids,
-            tenant_code=self.tenant_code[rows],
-            kind=self.kind[rows],
-            d_max_w=self.d_max_w[rows],
-            q_min=self.q_min[rows],
-            d_min_w=self.d_min_w[rows],
-            q_max=self.q_max[rows],
-            rack_cap_w=self.rack_cap_w[rows],
-            max_demand_w=self.max_demand_w[rows],
-            floor_w=self.floor_w[rows],
-            breakpoints=self._select_breakpoints(rows),
-            demands=tuple(self._demands[int(i)] for i in rows),
-            bids=(
-                tuple(self._bids[int(i)] for i in rows)
-                if self._bids is not None
-                else None
-            ),
-        )
-
-    def _select_breakpoints(self, rows: np.ndarray) -> np.ndarray:
-        """Grid-augmentation points contributed by a subset of rows."""
-        rows = np.asarray(rows, dtype=np.intp)
-        if rows.size and bool((self.kind[rows] == KIND_CLOSED).all()):
-            # All-closed subsets contribute (q_min, q_max) per row, in
-            # row order — same values, same order as the loop below.
-            return np.stack(
-                [self.q_min[rows], self.q_max[rows]], axis=1
-            ).ravel()
-        points: list[float] = []
-        for i in rows:
-            i = int(i)
-            if self.kind[i] == KIND_CLOSED:
-                points.append(float(self.q_min[i]))
-                points.append(float(self.q_max[i]))
-            else:
-                fn = self._demands[i]
-                for attr in ("q_min", "q_max", "price_cap"):
-                    value = getattr(fn, attr, None)
-                    if value is not None:
-                        points.append(float(value))
-        return np.asarray(points, dtype=float)
-
-    def pdu_slices(self) -> list[tuple[str, "BidFrame"]]:
-        """Per-PDU sub-frames for locational clearing, frame-sliced.
-
-        Each slice is a single-PDU frame (its ``pdu_code`` re-based to
-        zero) over a contiguous row range — no object regrouping.  The
-        slice list is cached: frames are immutable once built, and the
-        incremental builder reuses whole frames across slots, so repeat
-        callers (per-PDU clearing every slot) skip the re-slicing cost.
-        """
-        if self._pdu_slices_cache is not None:
-            return self._pdu_slices_cache
-        starts, seg_codes = self.segments()
-        ends = np.concatenate([starts[1:], [len(self)]])
-        slices: list[tuple[str, BidFrame]] = []
-        for seg, (lo, hi) in zip(seg_codes, zip(starts, ends)):
-            pdu_id = self.pdu_ids[int(seg)]
-            rows = slice(int(lo), int(hi))
-            sub = BidFrame(
-                rack_ids=self.rack_ids[rows],
-                pdu_ids=(pdu_id,),
-                pdu_code=np.zeros(hi - lo, dtype=np.intp),
-                tenant_ids=self.tenant_ids,
-                tenant_code=self.tenant_code[rows],
-                kind=self.kind[rows],
-                d_max_w=self.d_max_w[rows],
-                q_min=self.q_min[rows],
-                d_min_w=self.d_min_w[rows],
-                q_max=self.q_max[rows],
-                rack_cap_w=self.rack_cap_w[rows],
-                max_demand_w=self.max_demand_w[rows],
-                floor_w=self.floor_w[rows],
-                breakpoints=self._select_breakpoints(
-                    np.arange(lo, hi, dtype=np.intp)
-                ),
-                demands=self._demands[rows],
-                bids=self._bids[rows] if self._bids is not None else None,
+        for row in rows[kind == KIND_SAMPLED].tolist():
+            cell = int(self.pdu_code[row]) - pdu_lo
+            m = int(pdu_market[cell])
+            size = int(sizes[m])
+            demand = np.minimum(
+                self._demands[row].demand_grid(prices[m, :size]),
+                self.rack_cap_w[row],
             )
-            slices.append((pdu_id, sub))
-        self._pdu_slices_cache = slices
-        return slices
+            pdu_demand[cell, :size] += demand
+            for k, members in enumerate(group_rows):
+                if row in members:
+                    group_demand[k, :size] += demand
+        return pdu_demand, group_demand
 
     # ------------------------------------------------------------------
     # Settlement

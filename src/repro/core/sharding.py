@@ -11,26 +11,28 @@ ROADMAP's million-rack north star, and this module removes both:
    blocks :meth:`~repro.core.frame.BidFrame.from_bids` assembles) and
    rebuilds only the PDUs whose bids actually changed since the
    previous slot; an unchanged slot returns the previous frame
-   *object* (which also keeps its cached price grid and PDU slices
-   alive downstream).
+   *object*.  Each block caches its PDU market's price grid, so a
+   reused block keeps its grid alive downstream too.
 
 2. **One process clears everything.**  The market's physical hierarchy
    (UPS → PDU → rack, paper Eqs. 2-4) makes each PDU subtree an
    independently clearable market once the UPS headroom has been
    apportioned — the same decomposition clusterman applies to resource
-   groups.  :func:`clear_per_pdu_sharded` partitions the per-PDU task
-   list into contiguous shards, fans them out through
-   ``repro.sweep.parallel_map`` (process pool), merges the results in
-   global PDU order, and runs a shrink-only reconciliation pass
+   groups.  :func:`clear_per_pdu_sharded` partitions the PDUs into
+   contiguous shards, runs the per-PDU sweep on each shard's PDU range
+   (in-process or through ``repro.sweep.parallel_map``'s process pool,
+   one stripped sub-frame per shard), merges the outcomes in global PDU
+   order, and runs a shrink-only reconciliation pass
    (:func:`reconcile_allocation`) against the UPS constraint.
 
 Determinism is the contract that makes sharding safe to enable
-anywhere: the per-PDU tasks are *identical* to the serial path's
-(:meth:`MarketClearing._pdu_tasks`), each shard clears its tasks with
-the same float arithmetic, and the merge re-accumulates results
-sequentially in global PDU order — so the sharded result is
-byte-identical to the unsharded one at any shard count (machine-checked
-in ``tests/test_sharding.py``), and crash/resume and daemon-WAL replay
+anywhere: the per-PDU caps, constraints and grids are *identical* to
+the serial path's (:meth:`MarketClearing._pdu_markets`), the sweep
+gives each PDU's market the same float arithmetic whichever other PDUs
+share its pass, and the merge re-accumulates results sequentially in
+global PDU order — so the sharded result is byte-identical to the
+unsharded one at any shard count (machine-checked in
+``tests/test_sharding.py``), and crash/resume and daemon-WAL replay
 invariants carry over unchanged.
 
 Why reconciliation is normally a no-op (proof sketch, expanded in
@@ -56,7 +58,7 @@ import numpy as np
 
 from repro.core.allocation import AllocationResult
 from repro.core.bids import RackBid
-from repro.core.clearing import MarketClearing
+from repro.core.clearing import MarketClearing, _Outcome
 from repro.core.demand import LinearBid, StepBid
 from repro.core.frame import BidFrame, PduBlock, group_by_pdu
 
@@ -118,8 +120,8 @@ class IncrementalFrameBuilder:
     value-unchanged since the previous slot, rebuilds only the dirty
     ones, and assembles the frame through :meth:`BidFrame.from_blocks`.
     A slot with *no* dirty or removed PDUs returns the previous frame
-    object itself, so downstream per-frame caches (price grid, PDU
-    slices) survive across slots too.
+    object itself, so downstream per-frame caches survive across slots
+    too; a reused block keeps its cached price grid either way.
 
     The builder is plain state on the allocator: checkpointing pickles
     it with the engine, and because its output is value-identical to
@@ -189,57 +191,56 @@ def partition_tasks(tasks: Sequence, shards: int) -> list[list]:
     return [g for g in groups if g]
 
 
-def _shippable(sub: BidFrame) -> BidFrame:
-    """A worker-bound copy of one PDU slice, stripped for pickling.
+def _shard_frame(frame: BidFrame, lo: int, hi: int) -> BidFrame:
+    """PDUs ``lo:hi`` of ``frame`` as a stripped frame for one shard.
 
-    PDU slices share the *global* tenant table (a million-entry tuple at
-    full scale) and carry the original bid objects; shipping either to
-    a pool worker would dwarf the clear itself.  The clear needs
-    neither: ``_clear_frame`` never reads ``_bids``, and
-    :class:`AllocationResult` carries no tenant attribution.  The
-    tenant table is rebased to the slice's own tenants (kept so the
-    copy remains a well-formed frame); sampled demand objects stay —
-    they are evaluated inside the worker.
+    The full frame carries the *global* tenant table (a million-entry
+    tuple at full scale), the original bid objects and the PDU blocks;
+    shipping any of them to a pool worker would dwarf the clear itself.
+    The sweep needs none of them: it never reads ``_bids``, grids travel
+    in the payload, and :class:`AllocationResult` carries no tenant
+    attribution.  The tenant table is rebased to the shard's own
+    tenants (kept so the copy remains a well-formed frame); sampled
+    demand objects stay — they are evaluated inside the worker.
     """
-    used = np.unique(sub.tenant_code)
-    local_code = np.searchsorted(used, sub.tenant_code).astype(
-        np.intp, copy=False
-    )
+    starts, _ = frame.segments()
+    bounds = np.append(starts, len(frame))
+    rows = slice(int(bounds[lo]), int(bounds[hi]))
+    tenant_code = frame.tenant_code[rows]
+    used = np.unique(tenant_code)
     return BidFrame(
-        rack_ids=sub.rack_ids,
-        pdu_ids=sub.pdu_ids,
-        pdu_code=sub.pdu_code,
-        tenant_ids=tuple(sub.tenant_ids[int(i)] for i in used),
-        tenant_code=local_code,
-        kind=sub.kind,
-        d_max_w=sub.d_max_w,
-        q_min=sub.q_min,
-        d_min_w=sub.d_min_w,
-        q_max=sub.q_max,
-        rack_cap_w=sub.rack_cap_w,
-        max_demand_w=sub.max_demand_w,
-        floor_w=sub.floor_w,
-        breakpoints=sub.breakpoints,
-        demands=sub._demands,
+        rack_ids=frame.rack_ids[rows],
+        pdu_ids=frame.pdu_ids[lo:hi],
+        pdu_code=frame.pdu_code[rows] - lo,
+        tenant_ids=tuple(frame.tenant_ids[int(i)] for i in used),
+        tenant_code=np.searchsorted(used, tenant_code).astype(np.intp, copy=False),
+        kind=frame.kind[rows],
+        d_max_w=frame.d_max_w[rows],
+        q_min=frame.q_min[rows],
+        d_min_w=frame.d_min_w[rows],
+        q_max=frame.q_max[rows],
+        rack_cap_w=frame.rack_cap_w[rows],
+        max_demand_w=frame.max_demand_w[rows],
+        floor_w=frame.floor_w[rows],
+        breakpoints=np.concatenate([b.breakpoints for b in frame.blocks[lo:hi]]),
+        demands=frame._demands[rows],
         bids=None,
+        blocks=(),
     )
 
 
-def _clear_shard_payload(payload) -> list[tuple[str, AllocationResult]]:
-    """Pool worker: clear one shard's PDU tasks, results in task order.
+def _clear_shard_payload(payload) -> _Outcome:
+    """Pool worker: sweep one shard's PDUs, outcome in PDU order.
 
     The worker reconstructs the clearing engine from its picklable
-    configuration; each task clears through the *same* code path as the
-    serial engine, so results are bit-identical to in-process clearing.
+    configuration and runs the *same* sweep as the serial engine, so
+    results are bit-identical to in-process clearing.
     """
-    params, include_breakpoints, tasks = payload
+    params, include_breakpoints, shard = payload
     engine = MarketClearing(
         params=params, include_breakpoints=include_breakpoints
     )
-    return [
-        (pdu_id, engine._clear_pdu_slice((pdu_id, sub, cap, cons)))
-        for pdu_id, sub, cap, cons in tasks
-    ]
+    return engine._sweep_pdus(*shard)
 
 
 def clear_per_pdu_sharded(
@@ -255,53 +256,51 @@ def clear_per_pdu_sharded(
 ) -> AllocationResult:
     """Locational clearing decomposed along the PDU hierarchy.
 
-    Builds the same per-PDU task list as the serial
-    ``clear_per_pdu`` path, partitions it into contiguous shards,
-    clears each shard (in-process when ``jobs <= 1``, through a process
-    pool otherwise), merges results in global PDU order, and applies
-    the shrink-only :func:`reconcile_allocation` guard.  Byte-identical
-    to ``engine.clear_per_pdu(frame, ...)`` at any ``shards``/``jobs``.
+    Computes the same per-PDU caps, constraints and grids as the serial
+    ``clear_per_pdu`` path, partitions the PDUs into contiguous shards,
+    sweeps each shard's PDU range (in-process when ``jobs <= 1``,
+    through a process pool otherwise), merges the outcomes in global
+    PDU order, and applies the shrink-only :func:`reconcile_allocation`
+    guard.  Byte-identical to ``engine.clear_per_pdu(frame, ...)`` at
+    any ``shards``/``jobs``.
 
     ``tracer`` (optional) records one ``clearing.shard`` span per shard
     with pdu/rack counts; pass ``None`` (the default) whenever trace
     byte-identity across shard counts matters.
 
     Raises:
-        ClearingError: On negative capacities, as ``clear_per_pdu`` does.
+        ClearingError: On negative or NaN capacities, as
+            ``clear_per_pdu`` does.
     """
     engine._validate_capacities(pdu_spot_w, ups_spot_w, extra_constraints)
     if not len(frame):
         return AllocationResult.empty()
-    tasks = engine._pdu_tasks(frame, pdu_spot_w, ups_spot_w, extra_constraints)
+    caps, constraints = engine._pdu_markets(
+        frame, pdu_spot_w, ups_spot_w, extra_constraints
+    )
+    grids = engine._pdu_grids(frame)
+    bounds = np.append(frame.segments()[0], len(frame)).tolist()
+    tasks = [
+        (pdu, range(lo, hi)) for pdu, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ]
     groups = partition_tasks(tasks, shards)
-    per_pdu: list[tuple[str, AllocationResult]] = []
+    shard_args = []
+    for group in groups:
+        lo, hi = group[0][0], group[-1][0] + 1
+        shard_args.append(
+            (_shard_frame(frame, lo, hi), grids[lo:hi], caps[lo:hi], constraints[lo:hi])
+        )
+
+    outcomes: list[_Outcome] = []
     if jobs > 1 and len(groups) > 1:
-        payloads = [
-            (
-                engine.params,
-                engine.include_breakpoints,
-                [
-                    (pdu_id, _shippable(sub), cap, cons)
-                    for pdu_id, sub, cap, cons in group
-                ],
-            )
-            for group in groups
-        ]
         # Imported lazily: repro.core must stay importable without
         # pulling the sweep machinery (and its pool imports) in.
         from repro.sweep.runner import parallel_map
 
-        shard_results = parallel_map(_clear_shard_payload, payloads, jobs=jobs)
-        for i, (group, results) in enumerate(zip(groups, shard_results)):
-            if tracer is not None:
-                with tracer.span("clearing.shard", slot=slot) as span:
-                    span.set(
-                        shard=i,
-                        pdus=len(group),
-                        racks=sum(len(t[1]) for t in group),
-                    )
-            per_pdu.extend(results)
-    else:
+        payloads = [
+            (engine.params, engine.include_breakpoints, args) for args in shard_args
+        ]
+        outcomes = parallel_map(_clear_shard_payload, payloads, jobs=jobs)
         for i, group in enumerate(groups):
             if tracer is not None:
                 with tracer.span("clearing.shard", slot=slot) as span:
@@ -310,15 +309,20 @@ def clear_per_pdu_sharded(
                         pdus=len(group),
                         racks=sum(len(t[1]) for t in group),
                     )
-                    per_pdu.extend(
-                        (task[0], engine._clear_pdu_slice(task))
-                        for task in group
+    else:
+        for i, (group, args) in enumerate(zip(groups, shard_args)):
+            if tracer is not None:
+                with tracer.span("clearing.shard", slot=slot) as span:
+                    span.set(
+                        shard=i,
+                        pdus=len(group),
+                        racks=sum(len(t[1]) for t in group),
                     )
+                    outcomes.append(engine._sweep_pdus(*args))
             else:
-                per_pdu.extend(
-                    (task[0], engine._clear_pdu_slice(task)) for task in group
-                )
-    combined = engine._combine_pdu_results(frame, per_pdu)
+                outcomes.append(engine._sweep_pdus(*args))
+    merged = _Outcome._make(np.concatenate(parts) for parts in zip(*outcomes))
+    combined = engine._combine(frame, merged)
     return reconcile_allocation(combined, frame, pdu_spot_w, ups_spot_w)
 
 

@@ -45,7 +45,9 @@ __all__ = [
 #: resumes continue inside the slot loop.
 #: 3: persistent frame blocks are ``repro.core.frame.PduBlock``, and the
 #: engine no longer carries a ``spot_predictor``.
-CHECKPOINT_FORMAT = 3
+#: 4: frames keep their blocks and no per-PDU slice cache; each block
+#: caches its PDU market's price grid.
+CHECKPOINT_FORMAT = 4
 
 _MAGIC = "spotdc-checkpoint"
 _NAME_RE = re.compile(r"^checkpoint_(\d{6,})\.pkl$")

@@ -1,14 +1,18 @@
-"""Object-at-a-time reference implementations: the differential oracle.
+"""Reference implementations: the differential oracle.
 
 The production market clears, bills, and builds frames column-wise
 (:mod:`repro.core.clearing`, :meth:`repro.core.frame.BidFrame.settle`,
-:class:`repro.core.frame.PduBlock`).  This module keeps the original
-one-:class:`RackBid`-at-a-time versions of each, so tests can check the
-columnar code against a second, independently written computation:
+:class:`repro.core.frame.PduBlock`), and clears every market of a slot
+in one sweep.  This module keeps simpler versions of each, so tests can
+check the production code against a second, independently written
+computation:
 
 * :func:`clear` / :func:`clear_per_pdu` — the object clear behind the
   same entry-point checks as :class:`MarketClearing` (capacity
   validation, empty market);
+* :func:`frame_clear` / :func:`frame_clear_per_pdu` — the columnar
+  clear one market at a time (per-PDU: one sub-frame per PDU), whose
+  arithmetic the sweep must reproduce bit for bit;
 * :func:`payments` — per-tenant billing walked grant by grant;
 * :func:`frame_from_bids` — the row-at-a-time frame build.
 
@@ -33,7 +37,13 @@ from repro.core.clearing import (
     _localize_constraints,
 )
 from repro.core.demand import DemandFunction, LinearBid, StepBid
-from repro.core.frame import KIND_CLOSED, KIND_SAMPLED, BidFrame
+from repro.core.frame import (
+    KIND_CLOSED,
+    KIND_SAMPLED,
+    BidFrame,
+    PduBlock,
+    group_by_pdu,
+)
 
 if typing.TYPE_CHECKING:
     from repro.infrastructure.constraints import CapacityConstraint
@@ -44,6 +54,8 @@ __all__ = [
     "clear_objects",
     "clear_per_pdu",
     "clear_per_pdu_objects",
+    "frame_clear",
+    "frame_clear_per_pdu",
     "frame_from_bids",
     "payments",
 ]
@@ -350,6 +362,440 @@ def clear_per_pdu_objects(
 
 
 # ----------------------------------------------------------------------
+# The slice-at-a-time columnar clear
+# ----------------------------------------------------------------------
+#
+# One market at a time: the per-PDU clear cuts the frame into one
+# sub-frame per PDU and runs the single-market frame clear on each.
+# ``MarketClearing``'s sweep must agree with it to the last bit on every
+# field of every result.
+
+
+def frame_clear(
+    engine: MarketClearing,
+    frame: BidFrame,
+    pdu_spot_w: Mapping[str, float],
+    ups_spot_w: float,
+    extra_constraints: Sequence["CapacityConstraint"] = (),
+) -> AllocationResult:
+    """Uniform-price frame clear behind ``MarketClearing.clear``'s checks."""
+    engine._validate_capacities(pdu_spot_w, ups_spot_w, extra_constraints)
+    if not len(frame):
+        return AllocationResult.empty()
+    return clear_frame(engine, frame, pdu_spot_w, ups_spot_w, extra_constraints)
+
+
+def frame_clear_per_pdu(
+    engine: MarketClearing,
+    frame: BidFrame,
+    pdu_spot_w: Mapping[str, float],
+    ups_spot_w: float,
+    extra_constraints: Sequence["CapacityConstraint"] = (),
+) -> AllocationResult:
+    """Slice-at-a-time per-PDU clear behind ``clear_per_pdu``'s checks."""
+    engine._validate_capacities(pdu_spot_w, ups_spot_w, extra_constraints)
+    if not len(frame):
+        return AllocationResult.empty()
+    per_pdu = [
+        (pdu_id, clear_frame(engine, sub, {pdu_id: cap}, cap, cons))
+        for pdu_id, sub, cap, cons in pdu_tasks(
+            engine, frame, pdu_spot_w, ups_spot_w, extra_constraints
+        )
+    ]
+    return combine_pdu_results(frame, per_pdu)
+
+
+def frame_grid(engine: MarketClearing, frame: BidFrame) -> np.ndarray:
+    """The ascending price grid of one frame (uncached)."""
+    lo = engine.params.reserve_price
+    hi = engine.params.max_price
+    if len(frame):
+        hi = min(hi, frame.max_acceptable_price())
+    if hi < lo:
+        return np.array([lo])
+    grid = _base_grid(lo, hi, engine.params.price_step)
+    if engine.include_breakpoints and len(frame):
+        grid = _augment_grid(
+            grid, frame.breakpoints, lo, hi, engine.params.price_step
+        )
+    return grid
+
+
+def clear_frame(
+    engine: MarketClearing,
+    frame: BidFrame,
+    pdu_spot_w: Mapping[str, float],
+    ups_spot_w: float,
+    extra_constraints: Sequence["CapacityConstraint"],
+) -> AllocationResult:
+    """One market's feasible-price scan over a whole frame."""
+    prices = frame_grid(engine, frame)
+    pdu_caps = np.array([pdu_spot_w.get(p, 0.0) for p in frame.pdu_ids])
+
+    ceiling = np.minimum(frame.rack_cap_w, pdu_caps[frame.pdu_code])
+    np.minimum(ceiling, ups_spot_w, out=ceiling)
+    for constraint in extra_constraints:
+        rows = frame.rows_for(constraint.rack_ids)
+        if rows.size:
+            ceiling[rows] = np.minimum(ceiling[rows], constraint.cap_w)
+    rejected = frame.floor_w > ceiling + _TOL
+    if rejected.all():
+        return AllocationResult(
+            price=float(prices[-1]) + engine.params.price_step,
+            grants_w={rid: 0.0 for rid in frame.rack_ids},
+            revenue_rate=0.0,
+            candidate_prices=int(prices.size),
+            feasible_prices=0,
+        )
+    if rejected.any():
+        rejected_ids = [frame.rack_ids[int(i)] for i in np.flatnonzero(rejected)]
+        admitted = select(frame, np.flatnonzero(~rejected))
+    else:
+        rejected_ids = []
+        admitted = frame
+
+    extra_caps = np.array([c.cap_w for c in extra_constraints])
+    member_rows = [admitted.rows_for(c.rack_ids) for c in extra_constraints]
+    pdu_demand, extra_demand = demand_totals(admitted, prices, member_rows)
+    total_demand = pdu_demand.sum(axis=0)
+
+    feasible = (total_demand <= ups_spot_w + _TOL) & np.all(
+        pdu_demand <= pdu_caps[:, None] + _TOL, axis=0
+    )
+    if extra_constraints:
+        feasible &= np.all(extra_demand <= extra_caps[:, None] + _TOL, axis=0)
+    n_feasible = int(feasible.sum())
+    if n_feasible == 0:
+        return AllocationResult.empty(
+            price=float(prices[-1]) + engine.params.price_step
+        )
+
+    revenue_rate = prices * total_demand / 1000.0  # $/h
+    revenue_rate = np.where(feasible, revenue_rate, -np.inf)
+    best = int(np.argmax(revenue_rate))
+    best_price = float(prices[best])
+
+    granted = admitted.demand_at(best_price)
+    grants = dict(zip(admitted.rack_ids, granted.tolist()))
+    for rack_id in rejected_ids:
+        grants[rack_id] = 0.0
+    return AllocationResult(
+        price=best_price,
+        grants_w=grants,
+        revenue_rate=float(max(revenue_rate[best], 0.0)),
+        candidate_prices=int(prices.size),
+        feasible_prices=n_feasible,
+    )
+
+
+def pdu_tasks(
+    engine: MarketClearing,
+    frame: BidFrame,
+    pdu_spot_w: Mapping[str, float],
+    ups_spot_w: float,
+    extra_constraints: Sequence["CapacityConstraint"],
+) -> list[tuple[str, BidFrame, float, tuple]]:
+    """``(pdu_id, slice, apportioned cap, local constraints)`` per PDU."""
+    servable = np.minimum(frame.max_demand_w, frame.rack_cap_w)
+    max_demand = (
+        {rid: float(v) for rid, v in zip(frame.rack_ids, servable)}
+        if extra_constraints
+        else {}
+    )
+    starts, seg_codes = frame.segments()
+    local_interest = np.add.reduceat(servable, starts)
+    interest = {
+        frame.pdu_ids[int(seg)]: min(
+            pdu_spot_w.get(frame.pdu_ids[int(seg)], 0.0), float(total)
+        )
+        for seg, total in zip(seg_codes, local_interest)
+    }
+    total_interest = sum(interest.values())
+    tasks = []
+    for pdu_id, sub in pdu_slices(frame):
+        local_cap = pdu_spot_w.get(pdu_id, 0.0)
+        if total_interest > ups_spot_w and total_interest > 0:
+            local_cap = min(local_cap, ups_spot_w * interest[pdu_id] / total_interest)
+        local_constraints = (
+            tuple(
+                _localize_constraints(
+                    extra_constraints, set(sub.rack_ids), max_demand
+                )
+            )
+            if extra_constraints
+            else ()
+        )
+        tasks.append((pdu_id, sub, local_cap, local_constraints))
+    return tasks
+
+
+def combine_pdu_results(
+    frame: BidFrame, per_pdu: Sequence[tuple[str, AllocationResult]]
+) -> AllocationResult:
+    """Merge per-PDU allocations, accumulating in PDU order."""
+    grants: dict[str, float] = {}
+    pdu_prices: dict[str, float] = {}
+    revenue_rate = 0.0
+    candidates = 0
+    feasible = 0
+    for pdu_id, local in per_pdu:
+        grants.update(local.grants_w)
+        pdu_prices[pdu_id] = local.price
+        revenue_rate += local.revenue_rate
+        candidates += local.candidate_prices
+        feasible += local.feasible_prices
+    granted = np.fromiter(
+        (grants.get(rid, 0.0) for rid in frame.rack_ids),
+        dtype=float,
+        count=len(frame),
+    )
+    total = float(granted.sum())
+    if total > 0:
+        row_prices = np.fromiter(
+            (pdu_prices[p] for p in frame.pdu_ids),
+            dtype=float,
+            count=len(frame.pdu_ids),
+        )[frame.pdu_code]
+        headline = float((row_prices * granted).sum()) / total
+    else:
+        headline = 0.0
+    return AllocationResult(
+        price=headline,
+        grants_w=grants,
+        revenue_rate=revenue_rate,
+        candidate_prices=candidates,
+        feasible_prices=feasible,
+        pdu_prices=pdu_prices,
+    )
+
+
+def select(frame: BidFrame, rows: np.ndarray) -> BidFrame:
+    """A sub-frame of ``rows`` (ascending), keeping the PDU table."""
+    rows = np.asarray(rows, dtype=np.intp)
+    return BidFrame(
+        rack_ids=tuple(frame.rack_ids[int(i)] for i in rows),
+        pdu_ids=frame.pdu_ids,
+        pdu_code=frame.pdu_code[rows],
+        tenant_ids=frame.tenant_ids,
+        tenant_code=frame.tenant_code[rows],
+        kind=frame.kind[rows],
+        d_max_w=frame.d_max_w[rows],
+        q_min=frame.q_min[rows],
+        d_min_w=frame.d_min_w[rows],
+        q_max=frame.q_max[rows],
+        rack_cap_w=frame.rack_cap_w[rows],
+        max_demand_w=frame.max_demand_w[rows],
+        floor_w=frame.floor_w[rows],
+        breakpoints=select_breakpoints(frame, rows),
+        demands=tuple(frame._demands[int(i)] for i in rows),
+        bids=None,
+        blocks=(),
+    )
+
+
+def select_breakpoints(frame: BidFrame, rows: np.ndarray) -> np.ndarray:
+    """Grid-augmentation points contributed by a subset of rows."""
+    points: list[float] = []
+    for i in np.asarray(rows, dtype=np.intp):
+        i = int(i)
+        if frame.kind[i] == KIND_CLOSED:
+            points.append(float(frame.q_min[i]))
+            points.append(float(frame.q_max[i]))
+        else:
+            fn = frame._demands[i]
+            for attr in ("q_min", "q_max", "price_cap"):
+                value = getattr(fn, attr, None)
+                if value is not None:
+                    points.append(float(value))
+    return np.asarray(points, dtype=float)
+
+
+def pdu_slices(frame: BidFrame) -> list[tuple[str, BidFrame]]:
+    """Per-PDU single-PDU sub-frames over contiguous row ranges."""
+    starts, seg_codes = frame.segments()
+    ends = np.concatenate([starts[1:], [len(frame)]])
+    slices: list[tuple[str, BidFrame]] = []
+    for seg, lo, hi in zip(seg_codes, starts, ends):
+        pdu_id = frame.pdu_ids[int(seg)]
+        rows = slice(int(lo), int(hi))
+        sub = BidFrame(
+            rack_ids=frame.rack_ids[rows],
+            pdu_ids=(pdu_id,),
+            pdu_code=np.zeros(hi - lo, dtype=np.intp),
+            tenant_ids=frame.tenant_ids,
+            tenant_code=frame.tenant_code[rows],
+            kind=frame.kind[rows],
+            d_max_w=frame.d_max_w[rows],
+            q_min=frame.q_min[rows],
+            d_min_w=frame.d_min_w[rows],
+            q_max=frame.q_max[rows],
+            rack_cap_w=frame.rack_cap_w[rows],
+            max_demand_w=frame.max_demand_w[rows],
+            floor_w=frame.floor_w[rows],
+            breakpoints=select_breakpoints(frame, np.arange(lo, hi)),
+            demands=frame._demands[rows],
+            bids=None,
+            blocks=(),
+        )
+        slices.append((pdu_id, sub))
+    return slices
+
+
+def demand_totals(
+    frame: BidFrame,
+    prices: np.ndarray,
+    group_rows: "Sequence[np.ndarray]" = (),
+) -> tuple[np.ndarray, np.ndarray]:
+    """Demand totals over one grid by breakpoint sweep (one market).
+
+    Returns ``(pdu_demand, group_demand)`` with shapes ``(n_pdus, P)``
+    and ``(len(group_rows), P)``.
+    """
+    prices = np.asarray(prices, dtype=float)
+    n_prices = prices.size
+    n_pdu = len(frame.pdu_ids)
+    n_groups = len(group_rows)
+    pdu_demand = np.zeros((n_pdu, n_prices))
+    group_demand = np.zeros((n_groups, n_prices))
+    if not len(frame):
+        return pdu_demand, group_demand
+
+    closed = np.flatnonzero(frame.kind == KIND_CLOSED)
+    if closed.size:
+        d_max = frame.d_max_w[closed]
+        d_min = frame.d_min_w[closed]
+        q_lo = frame.q_min[closed]
+        q_hi = frame.q_max[closed]
+        cap = frame.rack_cap_w[closed]
+
+        flat_w = np.minimum(d_max, cap)
+        # Demand is zero strictly above q_max: first grid index past it.
+        j_end = np.searchsorted(prices, q_hi, side="right")
+        span = q_hi - q_lo
+        safe_span = np.where(span > 0, span, 1.0)
+        slope = np.where(span > 0, (d_min - d_max) / safe_span, 0.0)
+        # A descending segment exists only when the curve actually
+        # falls and the rack cap does not flatten it entirely.
+        sloped = (slope < 0) & (cap > d_min)
+        intercept = d_max - slope * q_lo
+        # Where the rack cap cuts the descending segment, the row
+        # stays flat (at the cap) until the line drops below it.
+        safe_slope = np.where(slope < 0, slope, -1.0)
+        # Near-flat curves make this quotient overflow to +/-inf;
+        # searchsorted and the clamp below absorb either extreme.
+        with np.errstate(over="ignore"):
+            crossing = np.where(
+                sloped & (cap < d_max),
+                (cap - intercept) / safe_slope,
+                q_lo,
+            )
+        j_start = np.minimum(
+            np.searchsorted(
+                prices, np.maximum(q_lo, crossing), side="right"
+            ),
+            j_end,
+        )
+        # For cap-clipped rows the division can land the crossing a
+        # float-ulp on the wrong side of a grid point; classify the
+        # boundary point by value (j_start must be the first index
+        # where the line is below the cap) so flat cells are exactly
+        # `cap`, matching the object path's min() bit for bit.
+        # Unclipped rows break at q_lo, which searchsorted gets exact.
+        clipped = sloped & (cap < d_max)
+        at_prev = intercept + slope * prices[np.maximum(j_start - 1, 0)]
+        j_start = np.where(
+            clipped & (j_start > 0) & (at_prev < cap),
+            j_start - 1,
+            j_start,
+        )
+        at_here = intercept + slope * prices[np.minimum(j_start, n_prices - 1)]
+        j_start = np.where(
+            clipped & (j_start < j_end) & (at_here >= cap),
+            j_start + 1,
+            j_start,
+        )
+        j_start = np.minimum(j_start, j_end)
+        j_start = np.where(sloped, j_start, j_end)
+        # The active count pins totals to exactly 0.0 where *no row
+        # can demand anything* — so it must exclude zero-size rows
+        # and, for curves falling to d_min == 0, the q_max grid
+        # point itself (demand there is exactly zero).  Otherwise
+        # cumsum cancellation residue (~1e-16) from other rows'
+        # add/remove pairs survives the mask and masquerades as
+        # revenue in empty regions of the scan.
+        counted = flat_w > 0
+        j_count = np.where(
+            sloped & (d_min == 0.0),
+            np.searchsorted(prices, q_hi, side="left"),
+            j_end,
+        )
+
+        def scatter(codes, width):
+            """Difference arrays for one aggregation (PDUs or groups)."""
+            d_const = np.zeros((width, n_prices + 1))
+            d_slope = np.zeros((width, n_prices + 1))
+            d_count = np.zeros((width, n_prices + 1), dtype=np.int64)
+            base = np.zeros(width)
+            np.add.at(base, codes, flat_w)
+            d_const[:, 0] += base
+            np.add.at(d_const, (codes, j_start), -flat_w)
+            cnt = np.flatnonzero(counted)
+            counts = np.zeros(width, dtype=np.int64)
+            np.add.at(counts, codes[cnt], 1)
+            d_count[:, 0] += counts
+            np.add.at(d_count, (codes[cnt], j_count[cnt]), -1)
+            lin = np.flatnonzero(sloped)
+            if lin.size:
+                np.add.at(d_const, (codes[lin], j_start[lin]), intercept[lin])
+                np.add.at(d_const, (codes[lin], j_end[lin]), -intercept[lin])
+                np.add.at(d_slope, (codes[lin], j_start[lin]), slope[lin])
+                np.add.at(d_slope, (codes[lin], j_end[lin]), -slope[lin])
+            total = (
+                np.cumsum(d_const[:, :n_prices], axis=1)
+                + np.cumsum(d_slope[:, :n_prices], axis=1) * prices[None, :]
+            )
+            np.maximum(total, 0.0, out=total)
+            total[np.cumsum(d_count[:, :n_prices], axis=1) == 0] = 0.0
+            return total
+
+        pdu_demand += scatter(frame.pdu_code[closed], n_pdu)
+        if n_groups:
+            # Map frame rows to their position in the closed subset so
+            # group members reuse the per-row breakpoint columns.
+            pos = np.full(len(frame), -1, dtype=np.intp)
+            pos[closed] = np.arange(closed.size, dtype=np.intp)
+            member_idx = []
+            member_code = []
+            for k, rows in enumerate(group_rows):
+                idx = pos[np.asarray(rows, dtype=np.intp)]
+                idx = idx[idx >= 0]
+                member_idx.append(idx)
+                member_code.append(np.full(idx.size, k, dtype=np.intp))
+            sel = np.concatenate(member_idx) if member_idx else np.empty(0, np.intp)
+            if sel.size:
+                codes = np.concatenate(member_code)
+                keep = (
+                    flat_w, j_start, j_end, intercept, slope, sloped,
+                    counted, j_count,
+                )
+                (
+                    flat_w, j_start, j_end, intercept, slope, sloped,
+                    counted, j_count,
+                ) = (a[sel] for a in keep)
+                group_demand += scatter(codes, n_groups)
+
+    for row in frame.sampled_rows:
+        row = int(row)
+        fn = frame._demands[row]
+        demand = np.minimum(fn.demand_grid(prices), frame.rack_cap_w[row])
+        pdu_demand[int(frame.pdu_code[row])] += demand
+        for k, rows in enumerate(group_rows):
+            if row in rows:
+                group_demand[k] += demand
+    return pdu_demand, group_demand
+
+
+# ----------------------------------------------------------------------
 # Billing
 # ----------------------------------------------------------------------
 
@@ -466,4 +912,9 @@ def frame_from_bids(bids: Sequence[RackBid]) -> BidFrame:
         breakpoints=np.asarray(points, dtype=float),
         demands=tuple(demands),
         bids=tuple(ordered),
+        # The per-PDU blocks only carry the PDU markets' grid caches.
+        blocks=tuple(
+            PduBlock(pdu_id, tuple(group))
+            for pdu_id, group in sorted(group_by_pdu(ordered).items())
+        ),
     )

@@ -301,13 +301,3 @@ class TestFrameAdapter:
     def test_rows_sorted_by_pdu(self):
         frame = BidFrame.from_bids(self._bids())
         assert list(frame.pdu_code) == sorted(frame.pdu_code)
-
-    def test_pdu_slices_partition_frame(self):
-        frame = BidFrame.from_bids(self._bids())
-        slices = frame.pdu_slices()
-        assert [pdu_id for pdu_id, _ in slices] == list(frame.pdu_ids)
-        racks = [rid for _, sub in slices for rid in sub.rack_ids]
-        assert racks == list(frame.rack_ids)
-        for pdu_id, sub in slices:
-            assert set(sub.pdu_code.tolist()) == {0}
-            assert sub.pdu_ids == (pdu_id,)

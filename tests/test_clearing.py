@@ -103,28 +103,37 @@ class TestConstraints:
         with pytest.raises(ClearingError):
             clear_market([bid("r1", "p1", StepBid(10, 0.1))], {"p1": 5.0}, -10.0)
 
-    @pytest.mark.parametrize("n_bids", [2, 0])
     @pytest.mark.parametrize(
-        "entry", ["clear", "clear_per_pdu", "clear_per_pdu_sharded"]
+        "entry, n_bids, pdu_spot, ups_spot",
+        [
+            pytest.param(entry, n_bids, pdu_spot, ups_spot, id=f"{entry}-{n_bids}{tag}")
+            for tag, pdu_spot, ups_spot in (
+                ("", {"p1": -5.0, "p2": 40.0}, 100.0),
+                ("-nan_pdu", {"p1": float("nan"), "p2": 40.0}, 100.0),
+                ("-nan_ups", {"p1": 40.0, "p2": 40.0}, float("nan")),
+            )
+            for n_bids in (2, 0)
+            for entry in ("clear", "clear_per_pdu", "clear_per_pdu_sharded")
+        ],
     )
     def test_negative_pdu_capacity_rejected_by_every_entry_point(
-        self, entry, n_bids
+        self, entry, n_bids, pdu_spot, ups_spot
     ):
-        # One capacity check for all three clears: a negative PDU cap is
-        # an inconsistent input, never a priced-out PDU or a NaN grant.
+        # One capacity check for all three clears: a negative or NaN cap
+        # is an inconsistent input, never a priced-out PDU, a NaN grant
+        # or a silently dropped Eq. 3-4 bound.
         bids = [
             bid("r1", "p1", LinearBid(50.0, 0.05, 10.0, 0.3)),
             bid("r2", "p2", LinearBid(50.0, 0.05, 10.0, 0.3)),
         ][:n_bids]
         engine = MarketClearing()
-        pdu_spot = {"p1": -5.0, "p2": 40.0}
         with pytest.raises(ClearingError):
             if entry == "clear_per_pdu_sharded":
                 clear_per_pdu_sharded(
-                    engine, BidFrame.from_bids(bids), pdu_spot, 100.0, shards=2
+                    engine, BidFrame.from_bids(bids), pdu_spot, ups_spot, shards=2
                 )
             else:
-                getattr(engine, entry)(bids, pdu_spot, 100.0)
+                getattr(engine, entry)(bids, pdu_spot, ups_spot)
 
     def test_every_outcome_verifies(self):
         rng = np.random.default_rng(0)
@@ -249,6 +258,23 @@ class TestMixedDemandFunctions:
         )
         with pytest.raises(CapacityError):
             verify_allocation(bad, bids, {"p1": 80.0}, 1000.0)
+
+    def test_verify_catches_nan_ups_capacity(self):
+        from repro.core.allocation import AllocationResult
+
+        # Every bound compared against NaN must fail, not pass: a NaN UPS
+        # cap would otherwise wave any facility total through Eq. 4.
+        bids = [
+            bid("r1", "p1", LinearBid(50.0, 0.05, 10.0, 0.3)),
+            bid("r2", "p2", LinearBid(50.0, 0.05, 10.0, 0.3)),
+        ]
+        result = AllocationResult(
+            price=0.1, grants_w={"r1": 29.04, "r2": 29.04}, revenue_rate=0.0
+        )
+        pdu_spot = {"p1": 40.0, "p2": 40.0}
+        verify_allocation(result, bids, pdu_spot, 100.0)
+        with pytest.raises(CapacityError):
+            verify_allocation(result, bids, pdu_spot, float("nan"))
 
 
 class TestVectorizedLinearPath:

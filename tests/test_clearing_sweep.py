@@ -1,0 +1,319 @@
+"""The one-pass clearing sweep vs the slice-at-a-time reference, bit for bit.
+
+``MarketClearing`` clears every market of a slot in one sweep over the
+frame's PDU-sorted rows: one market per PDU under locational pricing,
+one market under a facility-wide price.  ``tests/oracle.py`` keeps the
+columnar clear one market at a time (per-PDU: one sub-frame per PDU),
+and the sweep must reproduce its float arithmetic exactly.  Every
+comparison here is ``==`` with no tolerance — on every
+``AllocationResult`` field, on the key order of ``grants_w`` and on
+each float's sign and bits.
+
+The sweep packs markets into blocks of at most ``_CHUNK_CELLS`` padded
+cells.  The differential property shrinks that bound to a few dozen
+cells, so markets spread over many blocks and some markets are larger
+than a block (they clear alone), and the results must not move.
+"""
+
+import dataclasses
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import MarketParameters
+from repro.core import clearing
+from repro.core.bids import RackBid
+from repro.core.clearing import MarketClearing
+from repro.core.demand import FullBid, LinearBid, StepBid
+from repro.core.frame import BidFrame
+from repro.core.sharding import clear_per_pdu_sharded
+from repro.experiments.fig07_prediction_and_scaling import make_synthetic_bids
+from repro.infrastructure.constraints import CapacityConstraint
+
+from tests import oracle
+
+
+def _canonical(value):
+    """A value with every float spelled out bit for bit (-0.0 != 0.0)."""
+    if isinstance(value, float):
+        return ("float", value.hex())
+    if isinstance(value, dict):
+        return ("dict", [(k, _canonical(v)) for k, v in value.items()])
+    return (type(value).__name__, value)
+
+
+def _assert_identical(result, reference):
+    """Every field equal, grants in the same key order, floats bit-equal."""
+    for field in dataclasses.fields(reference):
+        got = getattr(result, field.name)
+        want = getattr(reference, field.name)
+        assert got == want, field.name
+        assert _canonical(got) == _canonical(want), field.name
+
+
+def _watts(upper):
+    """A watt value: exactly zero, or bounded away from float noise."""
+    return st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=upper))
+
+
+@st.composite
+def _demand(draw):
+    kind = draw(st.sampled_from(["linear", "step", "full"]))
+    if kind == "full":
+        n_pts = draw(st.integers(min_value=1, max_value=4))
+        demands = np.cumsum(
+            [draw(st.floats(min_value=0.5, max_value=30.0)) for _ in range(n_pts)]
+        )
+        marginals = sorted(
+            (draw(st.floats(min_value=0.0, max_value=0.0005)) for _ in range(n_pts)),
+            reverse=True,
+        )
+        cap = draw(st.one_of(st.none(), st.floats(min_value=0.01, max_value=0.45)))
+        return FullBid(demands, marginals, price_cap=cap)
+    d_min = draw(_watts(40.0))
+    d_max = d_min + draw(_watts(80.0))
+    q_min = draw(st.floats(min_value=0.0, max_value=0.3))
+    q_max = q_min + draw(st.floats(min_value=0.001, max_value=0.4))
+    if kind == "step":
+        return StepBid(d_max, q_max)
+    return LinearBid(d_max, q_min, d_min, q_max)
+
+
+def _rack(i, pdu_id, demand, cap):
+    return RackBid(
+        rack_id=f"r{i}", pdu_id=pdu_id, tenant_id=f"t{i % 5}",
+        demand=demand, rack_cap_w=cap,
+    )
+
+
+def _edge_pdus(first):
+    """Three PDUs whose markets take the sweep's edge branches.
+
+    ``x-rejected``: every bid fails admission (a 60 W floor under a 5 W
+    cap).  ``x-stuck``: both bids pass admission, yet their 60 W of
+    demand at the shared top price exceeds the 40 W cap, so no price is
+    feasible.  ``x-missing`` is absent from ``pdu_spot_w`` and clears
+    against 0 W.
+    """
+    bids = [
+        _rack(first, "x-rejected", StepBid(60.0, 0.2), 100.0),
+        _rack(first + 1, "x-rejected", StepBid(70.0, 0.25), 100.0),
+        _rack(first + 2, "x-stuck", LinearBid(50.0, 0.1, 30.0, 0.3), 100.0),
+        _rack(first + 3, "x-stuck", LinearBid(45.0, 0.05, 30.0, 0.3), 100.0),
+        _rack(first + 4, "x-missing", LinearBid(30.0, 0.05, 10.0, 0.2), 100.0),
+    ]
+    return bids, {"x-rejected": 5.0, "x-stuck": 40.0}
+
+
+@st.composite
+def fleets(draw):
+    """Mixed Linear/Step/sampled FullBid fleets with every edge market,
+    a one-PDU phase constraint and a heat zone across PDUs."""
+    n_pdus = draw(st.integers(min_value=1, max_value=6))
+    bids = []
+    for p in range(n_pdus):
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            bids.append(
+                _rack(len(bids), f"p{p}", draw(_demand()), draw(_watts(150.0)))
+            )
+    edge_bids, edge_caps = _edge_pdus(len(bids))
+    bids += edge_bids
+    pdu_spot = {f"p{p}": draw(_watts(200.0)) for p in range(n_pdus)}
+    pdu_spot.update(edge_caps)
+    # A loose UPS leaves every apportioned cap at its PDU cap, so the
+    # edge markets keep their intended outcome; a tight one binds.
+    ups_spot = draw(st.one_of(_watts(400.0), st.just(1e6)))
+    phase_pdu = f"p{draw(st.integers(min_value=0, max_value=n_pdus - 1))}"
+    phase = draw(
+        st.sets(st.sampled_from([b.rack_id for b in bids if b.pdu_id == phase_pdu]),
+                min_size=1)
+    )
+    zone = draw(
+        st.sets(st.sampled_from([b.rack_id for b in bids]), min_size=2)
+    )
+    extra = (
+        CapacityConstraint("phase", frozenset(phase), draw(_watts(120.0))),
+        CapacityConstraint("zone", frozenset(zone), draw(_watts(200.0))),
+    )
+    params = MarketParameters(
+        price_step=draw(st.sampled_from([0.02, 0.03, 0.05])),
+        reserve_price=draw(st.sampled_from([0.0, 0.04])),
+    )
+    return bids, pdu_spot, ups_spot, extra, params
+
+
+@given(
+    fleet=fleets(),
+    constrained=st.booleans(),
+    include_breakpoints=st.booleans(),
+    chunk_cells=st.sampled_from([24, 40, 64]),
+)
+@settings(max_examples=120, deadline=None)
+def test_sweep_matches_slice_reference(
+    fleet, constrained, include_breakpoints, chunk_cells
+):
+    bids, pdu_spot, ups_spot, extra, params = fleet
+    extra = extra if constrained else ()
+    engine = MarketClearing(params=params, include_breakpoints=include_breakpoints)
+    frame = BidFrame.from_bids(bids)
+    per_pdu = oracle.frame_clear_per_pdu(engine, frame, pdu_spot, ups_spot, extra)
+    uniform = oracle.frame_clear(engine, frame, pdu_spot, ups_spot, extra)
+    with mock.patch.object(clearing, "_CHUNK_CELLS", chunk_cells):
+        _assert_identical(
+            engine.clear_per_pdu(frame, pdu_spot, ups_spot, extra), per_pdu
+        )
+        for shards in (1, 3):
+            _assert_identical(
+                clear_per_pdu_sharded(
+                    engine, frame, pdu_spot, ups_spot, extra, shards=shards
+                ),
+                per_pdu,
+            )
+        _assert_identical(engine.clear(frame, pdu_spot, ups_spot, extra), uniform)
+
+
+class TestEdgeMarkets:
+    def test_edge_branches_as_specified(self):
+        bids, pdu_spot = _edge_pdus(0)
+        engine = MarketClearing(params=MarketParameters(price_step=0.01))
+        frame = BidFrame.from_bids(bids)
+        result = engine.clear_per_pdu(frame, pdu_spot, 1e6)
+        _assert_identical(
+            result, oracle.frame_clear_per_pdu(engine, frame, pdu_spot, 1e6)
+        )
+        grids = dict(zip(frame.pdu_ids, engine._pdu_grids(frame)))
+        # Every bid rejected: priced one step past the grid, zero grants.
+        assert result.pdu_prices["x-rejected"] == grids["x-rejected"][-1] + 0.01
+        assert result.grants_w["r0"] == result.grants_w["r1"] == 0.0
+        # No feasible price: the empty result, racks absent from grants.
+        assert result.pdu_prices["x-stuck"] == grids["x-stuck"][-1] + 0.01
+        assert "r2" not in result.grants_w and "r3" not in result.grants_w
+        # Missing from pdu_spot_w: a 0 W cap rejects the 10 W floor.
+        assert result.grants_w["r4"] == 0.0
+        assert result.candidate_prices == (
+            grids["x-rejected"].size + grids["x-missing"].size
+        )
+        assert result.feasible_prices == 0
+
+    def test_admitted_racks_precede_rejected_ones(self):
+        bids = [
+            _rack(0, "p0", StepBid(90.0, 0.2), 100.0),  # fails admission
+            _rack(1, "p0", LinearBid(20.0, 0.05, 5.0, 0.3), 100.0),
+            _rack(2, "p1", LinearBid(20.0, 0.05, 5.0, 0.3), 100.0),
+        ]
+        engine = MarketClearing(params=MarketParameters(price_step=0.01))
+        result = engine.clear_per_pdu(bids, {"p0": 50.0, "p1": 50.0}, 1e6)
+        assert list(result.grants_w) == ["r1", "r0", "r2"]
+        assert result.grants_w["r0"] == 0.0
+
+
+class TestChunks:
+    def test_runs_cover_markets_in_order_within_the_bound(self):
+        rng = np.random.default_rng(3)
+        sizes = rng.integers(1, 60, size=40)
+        aggregates = rng.integers(1, 3, size=40)
+        with mock.patch.object(clearing, "_CHUNK_CELLS", 100):
+            runs = clearing._chunks(sizes.tolist(), aggregates.tolist())
+        assert runs[0][0] == 0 and runs[-1][1] == 40
+        assert all(a[1] == b[0] for a, b in zip(runs, runs[1:]))
+        alone = 0
+        for m0, m1 in runs:
+            cells = aggregates[m0:m1].sum() * (sizes[m0:m1].max() + 1)
+            if m1 - m0 > 1:
+                assert cells <= 100
+            else:
+                alone += cells > 100
+        assert alone and any(m1 - m0 > 1 for m0, m1 in runs)
+
+
+class TestBoundedMemory:
+    def test_one_clear_of_20k_racks_stays_under_6_mib(self):
+        # 80 PDUs x ~1,000 candidate prices: one dense block for the whole
+        # fleet would take ~12 MB; the chunked sweep stays near the
+        # footprint of one small clear per PDU.
+        rng = np.random.default_rng(0)
+        bids, pdu_spot, ups_spot = make_synthetic_bids(
+            20_000, rng, racks_per_pdu=250
+        )
+        frame = BidFrame.from_bids(bids)
+        engine = MarketClearing()
+        tracemalloc.start()
+        try:
+            engine.clear_per_pdu(frame, pdu_spot, ups_spot)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def _synthetic_fleet(racks, racks_per_pdu, seed):
+    """Synthetic fleet with every third rack's curve swapped for a step
+    or a sampled curve, so all three row kinds share PDUs."""
+    rng = np.random.default_rng(seed)
+    bids, pdu_spot, ups_spot = make_synthetic_bids(
+        racks, rng, racks_per_pdu=racks_per_pdu
+    )
+    for i in range(0, len(bids), 3):
+        fn = bids[i].demand
+        demand = (
+            StepBid(fn.d_max_w, fn.q_max)
+            if i % 2
+            else FullBid([fn.d_min_w, fn.d_max_w], [fn.q_max / 1000, fn.q_min / 1000])
+        )
+        bids[i] = dataclasses.replace(bids[i], demand=demand)
+    return bids, pdu_spot, ups_spot
+
+
+@pytest.mark.parametrize("racks, racks_per_pdu", [(300, 1), (600, 7), (3000, 250)])
+def test_every_chunk_size_gives_the_same_result(racks, racks_per_pdu):
+    bids, pdu_spot, ups_spot = _synthetic_fleet(racks, racks_per_pdu, racks_per_pdu)
+    frame = BidFrame.from_bids(bids)
+    engine = MarketClearing(params=MarketParameters(price_step=0.002))
+    per_pdu = oracle.frame_clear_per_pdu(engine, frame, pdu_spot, ups_spot)
+    uniform = oracle.frame_clear(engine, frame, pdu_spot, ups_spot)
+    for cells in (16, 1000, 1 << 20):
+        with mock.patch.object(clearing, "_CHUNK_CELLS", cells):
+            _assert_identical(
+                engine.clear_per_pdu(frame, pdu_spot, ups_spot), per_pdu
+            )
+            _assert_identical(engine.clear(frame, pdu_spot, ups_spot), uniform)
+
+
+@pytest.mark.parametrize("include_breakpoints", [True, False])
+@pytest.mark.parametrize("racks, racks_per_pdu", [(400, 3), (2000, 40)])
+def test_market_totals_match_one_market_reference(
+    racks, racks_per_pdu, include_breakpoints
+):
+    # The demand totals themselves, not only the results they select:
+    # each PDU's cells must hold the bits the one-market sweep gives its
+    # slice, and a facility-wide market (with constraint groups) the
+    # bits of the one-market sweep over the whole frame.  Without
+    # breakpoints many rows share grid cells, so the order in which
+    # rows and phases add into a cell shows in the bits.
+    bids, _, _ = _synthetic_fleet(racks, racks_per_pdu, racks)
+    frame = BidFrame.from_bids(bids)
+    engine = MarketClearing(
+        params=MarketParameters(price_step=0.003),
+        include_breakpoints=include_breakpoints,
+    )
+    grids = engine._pdu_grids(frame)
+    sizes = np.array([grid.size for grid in grids])
+    prices = np.zeros((len(grids), sizes.max()))
+    prices[np.arange(sizes.max()) < sizes[:, None]] = np.concatenate(grids)
+    pdu_demand, _ = frame.market_totals(
+        np.arange(len(frame)), 0, np.arange(len(grids)), prices, sizes
+    )
+    for k, (_, sub) in enumerate(oracle.pdu_slices(frame)):
+        expected, _ = oracle.demand_totals(sub, grids[k])
+        assert pdu_demand[k, : sizes[k]].tobytes() == expected[0].tobytes()
+
+    grid = engine.candidate_prices(frame)
+    groups = [frame.rows_for(bid.rack_id for bid in bids[k::5]) for k in range(3)]
+    got = frame.demand_totals(grid, groups)
+    expected = oracle.demand_totals(frame, grid, groups)
+    for a, b in zip(got, expected):
+        assert a.tobytes() == b.tobytes()

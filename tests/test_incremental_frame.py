@@ -20,7 +20,7 @@ from repro.config import MarketParameters
 from repro.core.bids import RackBid
 from repro.core.clearing import MarketClearing
 from repro.core.demand import FullBid, LinearBid, StepBid
-from repro.core.frame import KIND_CLOSED, BidFrame
+from repro.core.frame import BidFrame
 from repro.core.market import SpotDCAllocator
 from repro.core.sharding import IncrementalFrameBuilder
 from repro.sim.engine import run_simulation
@@ -298,22 +298,34 @@ class TestFrameCaches:
         assert engine.candidate_prices(other) is not first
         assert np.array_equal(engine.candidate_prices(other), first)
 
-    def test_pdu_slices_cached_per_frame(self):
-        frame = BidFrame.from_bids(_population())
-        assert frame.pdu_slices() is frame.pdu_slices()
-
-    def test_breakpoint_fast_path_matches_loop(self):
-        frame = BidFrame.from_bids(_population())
-        closed = np.flatnonzero(frame.kind == KIND_CLOSED)
-        fast = frame._select_breakpoints(closed)
-        expected = []
-        for i in closed:
-            expected.append(float(frame.q_min[int(i)]))
-            expected.append(float(frame.q_max[int(i)]))
-        assert np.array_equal(fast, np.asarray(expected))
-        # Mixed subsets (sampled rows present) take the generic loop.
-        mixed = frame._select_breakpoints(np.arange(len(frame)))
-        assert mixed.size >= fast.size
+    def test_block_grid_cached_across_slots(self):
+        engine = MarketClearing(params=MarketParameters(price_step=0.01))
+        builder = IncrementalFrameBuilder()
+        frame = builder.build(_closed_population())
+        first = dict(zip(frame.pdu_ids, engine._pdu_grids(frame)))
+        # Only p2's bids change: the reused blocks keep their grid
+        # objects into the next slot, the rebuilt block gets a new one.
+        changed = _closed_population()
+        changed[5] = _bid("r5", "p2", "tC", LinearBid(61.0, 0.05, 10.0, 0.31))
+        frame = builder.build(changed)
+        assert builder.last_dirty == ("p2",)
+        second = dict(zip(frame.pdu_ids, engine._pdu_grids(frame)))
+        for pdu_id, grid in second.items():
+            assert (grid is first[pdu_id]) == (pdu_id != "p2"), pdu_id
+        assert 0.31 in second["p2"] and 0.31 not in first["p2"]
+        # A moved reserve price is a new key: every block rebuilds its
+        # grid, and the new grids start at the new reserve.
+        raised = MarketClearing(
+            params=MarketParameters(price_step=0.01, reserve_price=0.02)
+        )
+        third = dict(zip(frame.pdu_ids, raised._pdu_grids(frame)))
+        for pdu_id, grid in third.items():
+            assert grid is not second[pdu_id]
+            assert grid[0] == 0.02
+        # Each block grid is the grid of a clear of that PDU alone.
+        for pdu_id, grid in third.items():
+            alone = BidFrame.from_bids([b for b in changed if b.pdu_id == pdu_id])
+            assert np.array_equal(grid, raised.candidate_prices(alone))
 
 
 # -- end-to-end: the incremental default changes no bytes --------------

@@ -146,9 +146,8 @@ class TestReconciliation:
         # Eq. 3: per-PDU totals within the PDU budgets.
         per_pdu: dict[str, float] = {}
         pdu_of = dict(zip(frame.rack_ids, np.asarray(frame.pdu_code)))
-        pdu_ids = [pdu_id for pdu_id, _ in frame.pdu_slices()]
         for rack_id, grant in fixed.grants_w.items():
-            pdu = pdu_ids[pdu_of[rack_id]]
+            pdu = frame.pdu_ids[pdu_of[rack_id]]
             per_pdu[pdu] = per_pdu.get(pdu, 0.0) + grant
         for pdu_id, total in per_pdu.items():
             assert total <= pdu_spot_w[pdu_id] + 1e-6
