@@ -9,11 +9,21 @@ from __future__ import annotations
 
 import dataclasses
 from collections.abc import Mapping, Sequence
+from itertools import repeat
+
+import numpy as np
 
 from repro.core.bids import RackBid
+from repro.core.frame import BidFrame
 from repro.errors import CapacityError
 
-__all__ = ["AllocationResult", "verify_allocation"]
+__all__ = ["AllocationResult", "capacity_excess", "verify_allocation"]
+
+#: From this many granted racks up, :func:`verify_allocation` evaluates
+#: demand with the frame's kernel; below it, with each bid's own curve.
+#: The kernel costs a fixed ~20 numpy calls, more than the one to three
+#: bids of a testbed slot cost one by one.
+_KERNEL_FROM = 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,9 +74,47 @@ class AllocationResult:
         return cls(price=price, grants_w={}, revenue_rate=0.0)
 
 
+def capacity_excess(
+    frame: BidFrame,
+    grants: np.ndarray,
+    listed: np.ndarray,
+    pdu_spot_w: Mapping[str, float],
+    ups_spot_w: float,
+    tolerance_w: float = 1e-6,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, bool]:
+    """Eqs. (3)-(4) over frame-aligned grants (:meth:`BidFrame.grant_rows`).
+
+    Returns ``(pdu_totals, pdu_caps, over, total, over_ups)``: each
+    PDU's granted total (a segment sum over its row run, in
+    :attr:`BidFrame.pdu_ids` order) and spot capacity (0 W when
+    ``pdu_spot_w`` lacks it), the ascending indices of the PDUs that
+    hold a listed rack and exceed their capacity, the facility total,
+    and whether that exceeds ``ups_spot_w``.  Both tests are written
+    ``not total <= cap + tol`` so that a NaN fails them.
+    :func:`verify_allocation` raises on an excess;
+    :func:`repro.core.sharding.reconcile_allocation` scales it away.
+    """
+    over = np.zeros(0, dtype=np.intp)
+    if len(frame):
+        starts, _ = frame.segments()
+        totals = np.add.reduceat(grants, starts)
+        caps = np.fromiter(
+            map(pdu_spot_w.get, frame.pdu_ids, repeat(0.0)),
+            dtype=float,
+            count=len(frame.pdu_ids),
+        )
+        within = totals <= caps + tolerance_w
+        if not np.logical_and.reduce(within):
+            over = (~within & np.logical_or.reduceat(listed, starts)).nonzero()[0]
+    else:
+        totals = caps = np.zeros(0)
+    total = float(np.add.reduce(grants))
+    return totals, caps, over, total, not total <= ups_spot_w + tolerance_w
+
+
 def verify_allocation(
     result: AllocationResult,
-    bids: Sequence[RackBid],
+    bids: Sequence[RackBid] | BidFrame,
     pdu_spot_w: Mapping[str, float],
     ups_spot_w: float,
     tolerance_w: float = 1e-6,
@@ -76,57 +124,102 @@ def verify_allocation(
 
     This is the reliability backstop: the operator must never issue
     grants that could overload the shared infrastructure, so the engine
-    runs this check on every clearing outcome in tests and (cheaply) in
-    the simulation loop.
+    runs this check on every clearing outcome.  It works on the slot's
+    :class:`BidFrame` columns; a bid list, one bid per rack, is
+    converted with :meth:`BidFrame.from_bids`.
 
     Every check is written ``not value <= bound`` so that a NaN grant or
-    capacity fails it instead of passing silently.
+    capacity fails it instead of passing silently.  The message names
+    the first violating rack, PDU or constraint in frame order.
 
     Raises:
-        CapacityError: If any rack, PDU, or UPS constraint is violated,
-            or if a grant exceeds the rack's demanded quantity.
+        CapacityError: If a grant goes to a rack outside ``bids``, if a
+            grant is negative or exceeds its rack's headroom (Eq. 2) or
+            its demand at its PDU's clearing price, or if a PDU (Eq. 3),
+            the UPS (Eq. 4) or an extra constraint is over its cap.
     """
-    by_rack = {bid.rack_id: bid for bid in bids}
-    pdu_totals: dict[str, float] = {}
+    frame = bids if isinstance(bids, BidFrame) else BidFrame.from_bids(bids)
+    tol = tolerance_w
+    grants_w = result.grants_w
+    grants = None
     total = 0.0
-    for rack_id, grant in result.grants_w.items():
-        if not grant >= -tolerance_w:
-            raise CapacityError(f"rack {rack_id}: negative or NaN grant {grant}")
-        bid = by_rack.get(rack_id)
-        if bid is None:
-            raise CapacityError(f"grant to rack {rack_id} that submitted no bid")
-        if not grant <= bid.rack_cap_w + tolerance_w:
+    # Without grants nothing is drawn: only a NaN or negative UPS or
+    # constraint cap can fail.
+    if grants_w:
+        grants, listed = frame.grant_rows(grants_w)
+        _check_racks(result, frame, grants, listed, tol)
+        totals, caps, over, total, _ = capacity_excess(
+            frame, grants, listed, pdu_spot_w, ups_spot_w, tol
+        )
+        if over.size:
+            pdu = int(over[0])
             raise CapacityError(
-                f"rack {rack_id}: grant {grant:.3f} W exceeds rack headroom "
-                f"{bid.rack_cap_w:.3f} W (Eq. 2)"
+                f"PDU {frame.pdu_ids[pdu]}: granted {totals[pdu]:.3f} W exceeds "
+                f"spot capacity {caps[pdu]:.3f} W (Eq. 3)"
             )
-        paid_price = result.price_for_pdu(bid.pdu_id)
-        demanded = bid.clipped_demand_at(paid_price)
-        if not grant <= demanded + tolerance_w:
-            raise CapacityError(
-                f"rack {rack_id}: grant {grant:.3f} W exceeds demand "
-                f"{demanded:.3f} W at clearing price {paid_price:.4f}"
-            )
-        pdu_totals[bid.pdu_id] = pdu_totals.get(bid.pdu_id, 0.0) + grant
-        total += grant
-    for pdu_id, pdu_total in pdu_totals.items():
-        cap = pdu_spot_w.get(pdu_id, 0.0)
-        if not pdu_total <= cap + tolerance_w:
-            raise CapacityError(
-                f"PDU {pdu_id}: granted {pdu_total:.3f} W exceeds spot "
-                f"capacity {cap:.3f} W (Eq. 3)"
-            )
-    if not total <= ups_spot_w + tolerance_w:
+    if not total <= ups_spot_w + tol:
         raise CapacityError(
             f"UPS: granted {total:.3f} W exceeds spot capacity "
             f"{ups_spot_w:.3f} W (Eq. 4)"
         )
     for constraint in extra_constraints:
-        granted = sum(
-            result.grants_w.get(rack_id, 0.0) for rack_id in constraint.rack_ids
-        )
-        if not granted <= constraint.cap_w + tolerance_w:
+        granted = 0.0
+        if grants is not None:
+            granted = float(grants[frame.rows_for(constraint.rack_ids)].sum())
+        if not granted <= constraint.cap_w + tol:
             raise CapacityError(
                 f"constraint {constraint.name}: granted {granted:.3f} W "
                 f"exceeds cap {constraint.cap_w:.3f} W"
             )
+
+
+def _check_racks(
+    result: AllocationResult,
+    frame: BidFrame,
+    grants: np.ndarray,
+    listed: np.ndarray,
+    tol: float,
+) -> None:
+    """The per-rack clauses of :func:`verify_allocation`, on listed rows."""
+    rows = listed.nonzero()[0]
+    if rows.size != len(result.grants_w):
+        row_of = frame.row_of
+        for rack_id in result.grants_w:
+            if rack_id not in row_of:
+                raise CapacityError(f"grant to rack {rack_id} that submitted no bid")
+    granted = grants[rows]
+    rack_cap = frame.rack_cap_w[rows]
+    paid = np.fromiter(
+        map(result.pdu_prices.get, frame.pdu_ids, repeat(result.price)),
+        dtype=float,
+        count=len(frame.pdu_ids),
+    )[frame.pdu_code[rows]]
+    if rows.size < _KERNEL_FROM:
+        bids = frame.to_bids()
+        demanded = np.array(
+            [
+                bids[row].clipped_demand_at(price)
+                for row, price in zip(rows.tolist(), paid.tolist())
+            ]
+        )
+    else:
+        demanded = frame.demand_at_rows(rows, paid)
+    ok = granted >= -tol
+    ok &= granted <= rack_cap + tol
+    ok &= granted <= demanded + tol
+    if np.logical_and.reduce(ok):
+        return
+    i = int(ok.argmin())
+    rack_id = frame.rack_ids[rows[i]]
+    grant = float(granted[i])
+    if not grant >= -tol:
+        raise CapacityError(f"rack {rack_id}: negative or NaN grant {grant}")
+    if not grant <= rack_cap[i] + tol:
+        raise CapacityError(
+            f"rack {rack_id}: grant {grant:.3f} W exceeds rack headroom "
+            f"{rack_cap[i]:.3f} W (Eq. 2)"
+        )
+    raise CapacityError(
+        f"rack {rack_id}: grant {grant:.3f} W exceeds demand "
+        f"{demanded[i]:.3f} W at clearing price {paid[i]:.4f}"
+    )

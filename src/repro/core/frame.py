@@ -39,7 +39,8 @@ Design points:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from itertools import repeat
 
 import numpy as np
 
@@ -399,6 +400,33 @@ class BidFrame:
         rows.sort()
         return np.asarray(rows, dtype=np.intp)
 
+    def grant_rows(
+        self, grants_w: Mapping[str, float]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """A rack-keyed grant mapping as frame rows: ``(grants, listed)``.
+
+        ``grants`` holds each row's grant (0 where the mapping has no
+        entry for the rack) and ``listed`` marks the rows the mapping
+        names.  One C-level ``map`` over :attr:`rack_ids` reads the
+        grants with NaN for a missing rack; when the non-NaN rows are
+        as many as the mapping's entries, they are exactly the listed
+        rows.  Otherwise (a NaN grant, or a rack outside the frame) a
+        second ``map`` tests membership.
+        """
+        n = len(self)
+        grants = np.fromiter(
+            map(grants_w.get, self.rack_ids, repeat(np.nan)), dtype=float, count=n
+        )
+        listed = grants == grants
+        count = np.count_nonzero(listed)
+        if count != len(grants_w):
+            listed = np.fromiter(
+                map(grants_w.__contains__, self.rack_ids), dtype=bool, count=n
+            )
+        if count != n:
+            grants[~listed] = 0.0
+        return grants, listed
+
     def segments(self) -> tuple[np.ndarray, np.ndarray]:
         """Contiguous per-PDU row segments: ``(starts, segment_codes)``.
 
@@ -742,34 +770,31 @@ class BidFrame:
         grants create a tenant entry.
         """
         if isinstance(grants_w, dict):
-            grants = np.fromiter(
-                (grants_w.get(rid, 0.0) for rid in self.rack_ids),
-                dtype=float,
-                count=len(self),
-            )
-            billed = np.fromiter(
-                (rid in grants_w for rid in self.rack_ids),
-                dtype=bool,
-                count=len(self),
-            )
+            grants, billed = self.grant_rows(grants_w)
         else:
             grants = np.asarray(grants_w, dtype=float)
             billed = np.ones(len(self), dtype=bool)
         if positive_only:
             billed = billed & (grants > 0)
         prices = np.fromiter(
-            (pdu_prices.get(p, headline_price) for p in self.pdu_ids),
+            map(pdu_prices.get, self.pdu_ids, repeat(headline_price)),
             dtype=float,
             count=len(self.pdu_ids),
         )[self.pdu_code]
         rates = np.where(billed, prices * grants / 1000.0, 0.0)
-        per_tenant = np.zeros(len(self.tenant_ids))
-        np.add.at(per_tenant, self.tenant_code, rates * (slot_seconds / 3600.0))
+        # bincount adds in row order, one tenant cell at a time.
+        per_tenant = np.bincount(
+            self.tenant_code,
+            weights=rates * (slot_seconds / 3600.0),
+            minlength=len(self.tenant_ids),
+        )
         has_entry = np.zeros(len(self.tenant_ids), dtype=bool)
         has_entry[self.tenant_code[billed]] = True
         payments = {
-            tid: float(per_tenant[i])
-            for i, tid in enumerate(self.tenant_ids)
-            if has_entry[i]
+            tid: amount
+            for tid, amount, entry in zip(
+                self.tenant_ids, per_tenant.tolist(), has_entry.tolist()
+            )
+            if entry
         }
         return float(rates.sum()), payments

@@ -109,9 +109,12 @@ class SpotDCAllocator(Allocator):
 
     Args:
         params: Operator market knobs (price grid, reserve price).
-        verify: Run the Eq. 2-4 integrity check on every outcome.  Cheap
-            relative to clearing; enabled by default as the reliability
-            backstop.
+        verify: Run the Eq. 2-4 integrity check
+            (:func:`~repro.core.allocation.verify_allocation`) on every
+            outcome; enabled by default as the reliability backstop.  It
+            reads the slot's frame columns, so it costs a fraction of
+            the clear (about a fifth of ``clear_per_pdu`` on 20,000
+            racks).
         oracle_rebid: Enable the Fig. 16 two-pass mode: clear once
             provisionally, feed the provisional price back to tenants as
             a "perfect" forecast, and clear again on the revised bids.
@@ -302,7 +305,7 @@ class SpotDCAllocator(Allocator):
             if self.verify:
                 verify_allocation(
                     result,
-                    frame.to_bids(),
+                    frame,
                     forecast.pdu_spot_w,
                     forecast.ups_spot_w,
                     extra_constraints=extra_constraints,

@@ -56,7 +56,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.allocation import AllocationResult
+from repro.core.allocation import AllocationResult, capacity_excess
 from repro.core.bids import RackBid
 from repro.core.clearing import MarketClearing, _Outcome
 from repro.core.demand import LinearBid, StepBid
@@ -345,25 +345,16 @@ def reconcile_allocation(
     surviving grants.  Grants only ever shrink, so rack caps (Eq. 2)
     stay satisfied and the clamps enforce Eqs. 3-4 directly.
     """
-    granted = np.fromiter(
-        (result.grants_w.get(rid, 0.0) for rid in frame.rack_ids),
-        dtype=float,
-        count=len(frame),
+    granted, listed = frame.grant_rows(result.grants_w)
+    totals, caps, over, total, over_ups = capacity_excess(
+        frame, granted, listed, pdu_spot_w, ups_spot_w, tolerance_w
     )
-    starts, seg_codes = frame.segments()
-    totals = np.add.reduceat(granted, starts)
-    caps = np.fromiter(
-        (pdu_spot_w.get(frame.pdu_ids[int(s)], 0.0) for s in seg_codes),
-        dtype=float,
-        count=len(starts),
-    )
-    total = float(granted.sum())
-    over_pdu = totals > caps + tolerance_w
-    if not over_pdu.any() and total <= ups_spot_w + tolerance_w:
+    if not over.size and not over_ups:
         return result
 
+    starts, seg_codes = frame.segments()
     scale = np.ones(len(starts))
-    np.divide(caps, totals, out=scale, where=over_pdu)
+    scale[over] = caps[over] / totals[over]
     lengths = np.diff(np.concatenate([starts, [len(frame)]]))
     granted = granted * np.repeat(scale, lengths)
     total = float(granted.sum())

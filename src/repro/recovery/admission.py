@@ -20,7 +20,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from array import array
 from collections.abc import Iterable, Sequence
+
+import numpy as np
 
 from repro.core.bids import RackBid, TenantBid
 from repro.core.demand import LinearBid, StepBid
@@ -32,7 +35,6 @@ __all__ = [
     "dedupe_bundles",
     "inspect_rack_bid",
     "screen_bids",
-    "screen_rack_bids",
     "validate_rack_bid",
 ]
 
@@ -112,35 +114,40 @@ def inspect_rack_bid(bid: RackBid) -> tuple[str, str] | None:
     constructors also enforce: demand objects are plain mutable Python
     objects, so a misbehaving tenant (or a bug) can corrupt a bid
     *after* construction — and ``NaN`` passes every ``<`` comparison in
-    the constructors anyway.
+    the constructors anyway.  A parameter that is not a real number at
+    all (``None``, a string) is ``non_finite`` too: ``math.isfinite``
+    rejects exactly the values the column screen of :func:`screen_bids`
+    cannot convert.
     """
     params = _linear_params(bid)
-    if params is not None:
+    closed = params is not None
+    if closed:
         d_max, q_min, d_min, q_max = params
         max_demand = d_max
+        values = [d_max, q_min, d_min, q_max, max_demand, bid.rack_cap_w]
     else:
         # Sampled demand kinds (FullBid, custom curves) expose only
         # their envelope; check what the clearing scan consumes.
-        d_max = d_min = None
         try:
             max_demand = float(bid.demand.max_demand_w)
             q_max = float(bid.demand.max_price)
         except (TypeError, ValueError, ArithmeticError) as exc:
             return ("non_finite", f"demand envelope unreadable: {exc}")
         q_min = 0.0
-    values = [
-        v
-        for v in (d_max, q_min, d_min, q_max, max_demand, bid.rack_cap_w)
-        if v is not None
-    ]
-    if not all(math.isfinite(v) for v in values):
-        return ("non_finite", f"non-finite bid parameter in {values}")
+        values = [q_min, q_max, max_demand, bid.rack_cap_w]
+    for value in values:
+        try:
+            finite = math.isfinite(value)
+        except (TypeError, ValueError, ArithmeticError):
+            return ("non_finite", f"bid parameter {value!r} is not a real number")
+        if not finite:
+            return ("non_finite", f"non-finite bid parameter in {values}")
     if q_max < q_min:
         return (
             "inverted_prices",
             f"q_max ({q_max}) below q_min ({q_min})",
         )
-    if d_max is not None and d_min is not None and d_min > d_max:
+    if closed and d_min > d_max:
         return (
             "inverted_quantities",
             f"D_min ({d_min}) above D_max ({d_max})",
@@ -171,6 +178,71 @@ def validate_rack_bid(bid: RackBid) -> None:
         )
 
 
+#: Values per row of the column screen: ``(d_min, q_min, d_max, d_max,
+#: q_max, cap)``, so that the first three are each at most the last
+#: three.  A sampled row is all NaN, so :func:`inspect_rack_bid` decides
+#: it.
+_WIDTH = 6
+_SAMPLED = (math.nan,) * _WIDTH
+#: Below this many rack bids the column check costs more (a fixed
+#: handful of numpy calls) than inspecting each bid, so every bundle
+#: goes through :func:`inspect_rack_bid`.
+_COLUMNS_FROM = 16
+
+
+def _rows(bundles: Sequence[TenantBid]) -> np.ndarray:
+    """Every rack bid of ``bundles`` as one ``(bids, _WIDTH)`` float row.
+
+    One walk extends one flat list, converted with ``array("d")``, which
+    accepts exactly the values ``math.isfinite`` accepts;
+    ``np.array(..., dtype=float)`` would also parse ``"5"`` and turn
+    ``None`` into NaN.  A list holding something that is not a real
+    number is converted row by row instead, and the rows that fail are
+    left NaN for :func:`inspect_rack_bid` to name.
+    """
+    flat: list = []
+    add = flat.extend
+    for bundle in bundles:
+        for bid in bundle.rack_bids:
+            fn = bid.demand
+            # Exact types, as in PduBlock: a subclass may override the
+            # curve, so it is sampled.
+            if type(fn) is LinearBid:
+                d_max = fn.d_max_w
+                add((fn.d_min_w, fn.q_min, d_max, d_max, fn.q_max, bid.rack_cap_w))
+            elif type(fn) is StepBid:
+                d_max = fn.demand_w
+                q_max = fn.price_cap
+                add((d_max, q_max, d_max, d_max, q_max, bid.rack_cap_w))
+            else:
+                add(_SAMPLED)
+    try:
+        values = array("d", flat)
+    except (TypeError, ValueError, ArithmeticError):
+        values = array("d")
+        for start in range(0, len(flat), _WIDTH):
+            try:
+                values += array("d", flat[start:start + _WIDTH])
+            except (TypeError, ValueError, ArithmeticError):
+                values += array("d", _SAMPLED)
+    return np.frombuffer(values).reshape(-1, _WIDTH)
+
+
+def _plainly_valid(rows: np.ndarray, axis: int | None = None):
+    """Are the rows plainly valid: ``0 <= d_min <= d_max <= cap < inf``
+    and ``0 <= q_min <= q_max < inf``?
+
+    Per row with ``axis=1``, for all rows together with ``axis=None``.
+    Each clause fails on a NaN.  A plainly valid row passes
+    :func:`inspect_rack_bid` (whose cap check even allows a ``1e-9``
+    relative excess); a row that is not plainly valid is left to it.
+    """
+    ok = np.minimum.reduce(rows, axis=axis) >= 0.0
+    ok &= np.maximum.reduce(rows, axis=axis) < math.inf
+    ok &= np.logical_and.reduce(rows[:, :3] <= rows[:, 3:], axis=axis)
+    return ok
+
+
 def screen_bids(
     tenant_bids: Iterable[TenantBid],
 ) -> tuple[list[TenantBid], tuple[QuarantinedBid, ...]]:
@@ -180,15 +252,38 @@ def screen_bids(
     partial admission would grant a tenant capacity on exactly the
     racks whose bids happened to parse, an outcome no tenant asked for.
     Quarantined bundles report one :class:`QuarantinedBid` per
-    offending rack bid.
+    offending rack bid, in bundle order and then rack order.
+
+    One walk turns every rack bid into a row of floats, and one
+    vectorized check (:func:`_plainly_valid`) passes every row whose
+    curve is plainly valid.  When all rows pass — every honest slot —
+    the bundles are admitted as they are.  Otherwise the bundles holding
+    a row that did not pass (a malformed bid, a sampled demand curve, a
+    value that is not a real number) go through
+    :func:`inspect_rack_bid` bid by bid, which decides them and writes
+    each quarantine's reason and detail.  A slot of fewer than
+    :data:`_COLUMNS_FROM` rack bids skips the columns and sends every
+    bundle there.
 
     Returns:
         ``(admitted, quarantined)``; admitted bundles preserve
         submission order.
     """
+    bundles = list(tenant_bids)
+    suspect: Iterable[int] = range(len(bundles))
+    if bundles and sum(len(b.rack_bids) for b in bundles) >= _COLUMNS_FROM:
+        rows = _rows(bundles)
+        if _plainly_valid(rows):
+            return bundles, ()
+        ends = np.cumsum([len(bundle.rack_bids) for bundle in bundles])
+        failed = (~_plainly_valid(rows, axis=1)).nonzero()[0]
+        suspect = set(ends.searchsorted(failed, side="right").tolist())
     admitted: list[TenantBid] = []
     quarantined: list[QuarantinedBid] = []
-    for bundle in tenant_bids:
+    for i, bundle in enumerate(bundles):
+        if i not in suspect:
+            admitted.append(bundle)
+            continue
         offenders = [
             (bid, verdict)
             for bid in bundle.rack_bids
@@ -201,33 +296,6 @@ def screen_bids(
             quarantined.append(
                 QuarantinedBid(
                     tenant_id=bundle.tenant_id,
-                    rack_id=bid.rack_id,
-                    reason=reason,
-                    detail=detail,
-                )
-            )
-    return admitted, tuple(quarantined)
-
-
-def screen_rack_bids(
-    bids: Sequence[RackBid],
-) -> tuple[list[RackBid], tuple[QuarantinedBid, ...]]:
-    """Screen already-flattened rack bids (no bundle atomicity).
-
-    Used by callers that never see bundles (e.g. re-screening oracle
-    rebids); each rack bid is judged on its own.
-    """
-    admitted: list[RackBid] = []
-    quarantined: list[QuarantinedBid] = []
-    for bid in bids:
-        verdict = inspect_rack_bid(bid)
-        if verdict is None:
-            admitted.append(bid)
-        else:
-            reason, detail = verdict
-            quarantined.append(
-                QuarantinedBid(
-                    tenant_id=bid.tenant_id,
                     rack_id=bid.rack_id,
                     reason=reason,
                     detail=detail,

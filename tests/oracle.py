@@ -14,7 +14,10 @@ computation:
   clear one market at a time (per-PDU: one sub-frame per PDU), whose
   arithmetic the sweep must reproduce bit for bit;
 * :func:`payments` — per-tenant billing walked grant by grant;
-* :func:`frame_from_bids` — the row-at-a-time frame build.
+* :func:`frame_from_bids` — the row-at-a-time frame build;
+* :func:`screen_bids` — admission bid by bid through
+  :func:`repro.recovery.admission.inspect_rack_bid`;
+* :func:`verify_allocation` — the Eq. 2-4 check walked grant by grant.
 
 The engine argument only supplies configuration (``params``,
 ``include_breakpoints``); nothing here calls its clearing methods.
@@ -23,12 +26,12 @@ The engine argument only supplies configuration (``params``,
 from __future__ import annotations
 
 import typing
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.allocation import AllocationResult
-from repro.core.bids import RackBid
+from repro.core.bids import RackBid, TenantBid
 from repro.core.clearing import (
     _TOL,
     MarketClearing,
@@ -44,6 +47,8 @@ from repro.core.frame import (
     PduBlock,
     group_by_pdu,
 )
+from repro.errors import CapacityError
+from repro.recovery.admission import QuarantinedBid, inspect_rack_bid
 
 if typing.TYPE_CHECKING:
     from repro.infrastructure.constraints import CapacityConstraint
@@ -58,6 +63,8 @@ __all__ = [
     "frame_clear_per_pdu",
     "frame_from_bids",
     "payments",
+    "screen_bids",
+    "verify_allocation",
 ]
 
 
@@ -813,6 +820,117 @@ def payments(
         dollars = (grant / 1000.0) * paid_price * slot_hours
         payments[bid.tenant_id] = payments.get(bid.tenant_id, 0.0) + dollars
     return payments
+
+
+# ----------------------------------------------------------------------
+# Admission and the Eq. 2-4 check
+# ----------------------------------------------------------------------
+
+
+def screen_bids(
+    tenant_bids: Iterable[TenantBid],
+) -> tuple[list[TenantBid], tuple[QuarantinedBid, ...]]:
+    """Partition solicited bundles into admitted and quarantined.
+
+    A bundle is admitted only if *every* rack bid in it is valid —
+    partial admission would grant a tenant capacity on exactly the
+    racks whose bids happened to parse, an outcome no tenant asked for.
+    Quarantined bundles report one :class:`QuarantinedBid` per
+    offending rack bid.
+
+    Returns:
+        ``(admitted, quarantined)``; admitted bundles preserve
+        submission order.
+    """
+    admitted: list[TenantBid] = []
+    quarantined: list[QuarantinedBid] = []
+    for bundle in tenant_bids:
+        offenders = [
+            (bid, verdict)
+            for bid in bundle.rack_bids
+            if (verdict := inspect_rack_bid(bid)) is not None
+        ]
+        if not offenders:
+            admitted.append(bundle)
+            continue
+        for bid, (reason, detail) in offenders:
+            quarantined.append(
+                QuarantinedBid(
+                    tenant_id=bundle.tenant_id,
+                    rack_id=bid.rack_id,
+                    reason=reason,
+                    detail=detail,
+                )
+            )
+    return admitted, tuple(quarantined)
+
+
+def verify_allocation(
+    result: AllocationResult,
+    bids: Sequence[RackBid],
+    pdu_spot_w: Mapping[str, float],
+    ups_spot_w: float,
+    tolerance_w: float = 1e-6,
+    extra_constraints: Sequence = (),
+) -> None:
+    """Assert an allocation respects Eqs. (2)-(4); raise otherwise.
+
+    This is the reliability backstop: the operator must never issue
+    grants that could overload the shared infrastructure, so the engine
+    runs this check on every clearing outcome in tests and (cheaply) in
+    the simulation loop.
+
+    Every check is written ``not value <= bound`` so that a NaN grant or
+    capacity fails it instead of passing silently.
+
+    Raises:
+        CapacityError: If any rack, PDU, or UPS constraint is violated,
+            or if a grant exceeds the rack's demanded quantity.
+    """
+    by_rack = {bid.rack_id: bid for bid in bids}
+    pdu_totals: dict[str, float] = {}
+    total = 0.0
+    for rack_id, grant in result.grants_w.items():
+        if not grant >= -tolerance_w:
+            raise CapacityError(f"rack {rack_id}: negative or NaN grant {grant}")
+        bid = by_rack.get(rack_id)
+        if bid is None:
+            raise CapacityError(f"grant to rack {rack_id} that submitted no bid")
+        if not grant <= bid.rack_cap_w + tolerance_w:
+            raise CapacityError(
+                f"rack {rack_id}: grant {grant:.3f} W exceeds rack headroom "
+                f"{bid.rack_cap_w:.3f} W (Eq. 2)"
+            )
+        paid_price = result.price_for_pdu(bid.pdu_id)
+        demanded = bid.clipped_demand_at(paid_price)
+        if not grant <= demanded + tolerance_w:
+            raise CapacityError(
+                f"rack {rack_id}: grant {grant:.3f} W exceeds demand "
+                f"{demanded:.3f} W at clearing price {paid_price:.4f}"
+            )
+        pdu_totals[bid.pdu_id] = pdu_totals.get(bid.pdu_id, 0.0) + grant
+        total += grant
+    for pdu_id, pdu_total in pdu_totals.items():
+        cap = pdu_spot_w.get(pdu_id, 0.0)
+        if not pdu_total <= cap + tolerance_w:
+            raise CapacityError(
+                f"PDU {pdu_id}: granted {pdu_total:.3f} W exceeds spot "
+                f"capacity {cap:.3f} W (Eq. 3)"
+            )
+    if not total <= ups_spot_w + tolerance_w:
+        raise CapacityError(
+            f"UPS: granted {total:.3f} W exceeds spot capacity "
+            f"{ups_spot_w:.3f} W (Eq. 4)"
+        )
+    for constraint in extra_constraints:
+        granted = sum(
+            result.grants_w.get(rack_id, 0.0) for rack_id in constraint.rack_ids
+        )
+        if not granted <= constraint.cap_w + tolerance_w:
+            raise CapacityError(
+                f"constraint {constraint.name}: granted {granted:.3f} W "
+                f"exceeds cap {constraint.cap_w:.3f} W"
+            )
 
 
 # ----------------------------------------------------------------------

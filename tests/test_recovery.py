@@ -443,6 +443,47 @@ class TestAdmission:
         assert [q.rack_id for q in quarantined] == ["r-bad"]
         assert quarantined[0].reason == "non_finite"
 
+    @pytest.mark.parametrize(
+        "attr, value", [("d_max_w", None), ("d_min_w", "5")]
+    )
+    def test_a_parameter_that_is_not_a_real_number_is_quarantined(
+        self, attr, value
+    ):
+        good = RackBid(
+            rack_id="r-good", pdu_id="p0", tenant_id="t0",
+            demand=LinearBid(40.0, 0.02, 5.0, 0.25), rack_cap_w=40.0,
+        )
+        bad = RackBid(
+            rack_id="r-bad", pdu_id="p0", tenant_id="t0",
+            demand=LinearBid(40.0, 0.02, 5.0, 0.25), rack_cap_w=40.0,
+        )
+        setattr(bad.demand, attr, value)
+        assert inspect_rack_bid(bad) == (
+            "non_finite", f"bid parameter {value!r} is not a real number"
+        )
+        admitted, quarantined = screen_bids(
+            [TenantBid(tenant_id="t0", rack_bids=(good, bad))]
+        )
+        assert admitted == []
+        assert [(q.rack_id, q.reason) for q in quarantined] == [
+            ("r-bad", "non_finite")
+        ]
+
+    def test_details_print_the_bid_values_as_given(self):
+        # Rack caps come from Rack.max_spot_w: an int for whole watts.
+        bid = RackBid(
+            rack_id="r0", pdu_id="p0", tenant_id="t0",
+            demand=LinearBid(50.0, 0.02, 5.0, 0.30), rack_cap_w=40,
+        )
+        assert inspect_rack_bid(bid) == (
+            "exceeds_rack_cap", "demand 50.0 W exceeds rack headroom 40 W"
+        )
+        bid.demand.q_min = -1.0
+        assert inspect_rack_bid(bid) == (
+            "negative_value",
+            "negative bid parameter in [50.0, -1.0, 5.0, 0.3, 50.0, 40]",
+        )
+
     def test_quarantines_surface_in_trace_and_invoice(self, tmp_path):
         from repro.economics.settlement import build_invoice
 

@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from repro.config import MarketParameters
-from repro.core.allocation import AllocationResult
+from repro.core.allocation import AllocationResult, verify_allocation
+from repro.core.bids import RackBid
 from repro.core.clearing import MarketClearing
+from repro.core.demand import LinearBid
 from repro.core.frame import BidFrame
 from repro.core.market import SpotDCAllocator
 from repro.core.sharding import (
@@ -153,6 +155,25 @@ class TestReconciliation:
             assert total <= pdu_spot_w[pdu_id] + 1e-6
         # Eq. 4: the facility total within the UPS budget.
         assert sum(fixed.grants_w.values()) <= ups_spot_w + 1e-6
+
+    def test_only_the_pdus_over_their_cap_are_scaled(self):
+        bids = [
+            RackBid(f"r{i}", f"p{i // 2}", "t0", LinearBid(20.0, 0.05, 5.0, 0.3), 20.0)
+            for i in range(4)
+        ]
+        frame = BidFrame.from_bids(bids)
+        pdu_spot_w = {"p0": 20.0, "p1": 20.0}
+        result = AllocationResult(
+            price=0.1,
+            grants_w={"r0": 15.0, "r1": 15.0, "r2": 5.0, "r3": 5.0},
+            revenue_rate=0.0,
+            pdu_prices={"p0": 0.1, "p1": 0.1},
+        )
+        fixed = reconcile_allocation(result, frame, pdu_spot_w, 1000.0)
+        assert fixed.grants_w == pytest.approx(
+            {"r0": 10.0, "r1": 10.0, "r2": 5.0, "r3": 5.0}
+        )
+        verify_allocation(fixed, frame, pdu_spot_w, 1000.0)
 
 
 class TestAllocatorConfig:
