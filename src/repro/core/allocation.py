@@ -60,6 +60,11 @@ class AllocationResult:
         """Total spot capacity allocated this slot, watts."""
         return sum(self.grants_w.values())
 
+    @property
+    def granted_racks(self) -> int:
+        """Number of racks holding a positive grant this slot."""
+        return sum(1 for g in self.grants_w.values() if g > 0)
+
     def grant_for(self, rack_id: str) -> float:
         """Grant for one rack (0 if the rack did not bid or was priced out)."""
         return self.grants_w.get(rack_id, 0.0)

@@ -126,9 +126,7 @@ class MaxPerfAllocator(Allocator):
             )
         clear_span.set(
             price=0.0,
-            granted_racks=sum(
-                1 for g in record.result.grants_w.values() if g > 0
-            ),
+            granted_racks=record.result.granted_racks,
             granted_w=record.result.total_granted_w,
         )
         return record

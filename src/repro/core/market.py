@@ -310,14 +310,15 @@ class SpotDCAllocator(Allocator):
                     forecast.ups_spot_w,
                     extra_constraints=extra_constraints,
                 )
-            clear_span.set(
-                price=result.price,
-                prices_scanned=result.candidate_prices,
-                feasible_prices=result.feasible_prices,
-                granted_racks=sum(1 for g in result.grants_w.values() if g > 0),
-                granted_w=result.total_granted_w,
-                pricing=self.pricing,
-            )
+            if tracer.enabled:
+                clear_span.set(
+                    price=result.price,
+                    prices_scanned=result.candidate_prices,
+                    feasible_prices=result.feasible_prices,
+                    granted_racks=result.granted_racks,
+                    granted_w=result.total_granted_w,
+                    pricing=self.pricing,
+                )
         _, payments = frame.settle(
             result.grants_w, result.pdu_prices, result.price, slot_seconds
         )

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
+
 from repro.config import SLO_LATENCY_MS
 from repro.errors import ConfigurationError
 
@@ -57,6 +59,24 @@ class SprintingCostModel:
         if request_rate_rps < 0:
             raise ConfigurationError("request rate must be >= 0")
         return self.cost_per_job(latency_ms) * request_rate_rps * 3600.0
+
+    def cost_rates_per_hour(
+        self, latency_ms: np.ndarray, request_rate_rps: float
+    ) -> np.ndarray:
+        """:meth:`cost_rate_per_hour` at every latency of an array, bit for bit."""
+        if request_rate_rps < 0:
+            raise ConfigurationError("request rate must be >= 0")
+        if np.any(latency_ms < 0):
+            raise ConfigurationError(
+                f"latency must be >= 0, got {float(latency_ms.min())}"
+            )
+        cost = self.a * latency_ms
+        over = latency_ms > self.slo_ms
+        # Python's float pow: np.power (and even x * x) rounds
+        # differently from x ** 2 in the last ulp.
+        excess = (latency_ms[over] - self.slo_ms).tolist()
+        cost[over] += self.b * np.array([x ** 2 for x in excess])
+        return cost * request_rate_rps * 3600.0
 
     def violates_slo(self, latency_ms: float) -> bool:
         """Whether a latency breaches the SLO."""

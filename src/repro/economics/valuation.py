@@ -6,6 +6,14 @@ This module builds those value curves from the power/performance models
 and the cost models, producing the concave, saturating dollar-per-hour
 curves of Fig. 9 — the raw material for both the bidding strategies and
 the FullBid/MaxPerf comparisons.
+
+A curve is tabulated in one pass over its whole grid through the
+models' array forms (:meth:`LatencyModel.latencies_ms`,
+:meth:`ThroughputModel.rates_at`,
+:meth:`SprintingCostModel.cost_rates_per_hour`), which repeat the scalar
+formulas' float operations in the same order, so every gain equals the
+point-by-point tabulation bit for bit (``tests/oracle.py`` keeps that
+one as the reference).
 """
 
 from __future__ import annotations
@@ -131,20 +139,11 @@ def sprinting_value_curve(
     if max_spot_w <= 0:
         raise ConfigurationError("max_spot_w must be positive")
     grid = np.linspace(0.0, max_spot_w, grid_points + 1)
-    base_cost = cost_model.cost_rate_per_hour(
-        latency_model.latency_ms(base_power_w, arrival_rps), arrival_rps
+    # grid[0] is 0, so costs[0] is the cost at the base budget itself.
+    costs = cost_model.cost_rates_per_hour(
+        latency_model.latencies_ms(base_power_w + grid, arrival_rps), arrival_rps
     )
-    gains = np.array(
-        [
-            base_cost
-            - cost_model.cost_rate_per_hour(
-                latency_model.latency_ms(base_power_w + float(d), arrival_rps),
-                arrival_rps,
-            )
-            for d in grid
-        ]
-    )
-    return SpotValueCurve.from_gain_samples(base_power_w, grid, gains)
+    return SpotValueCurve.from_gain_samples(base_power_w, grid, costs[0] - costs)
 
 
 def opportunistic_value_curve(
@@ -182,8 +181,6 @@ def opportunistic_value_curve(
         # tenant needs guaranteed capacity, not spot, to make progress).
         gains = np.zeros_like(grid)
         return SpotValueCurve.from_gain_samples(base_power_w, grid, gains)
-    rates = np.array(
-        [throughput_model.rate_at(base_power_w + float(d)) for d in grid]
-    )
+    rates = throughput_model.rates_at(base_power_w + grid)
     gains = cost_model.rho * 3600.0 * (1.0 - base_rate / np.maximum(rates, 1e-12))
     return SpotValueCurve.from_gain_samples(base_power_w, grid, gains)

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.power.server import ServerPowerModel
 
@@ -78,9 +80,19 @@ class LatencyModel:
         f = (usable / span) ** (1.0 / self.alpha)
         return max(self.min_frequency, min(1.0, f))
 
-    def service_rate_rps(self, power_w: float) -> float:
-        """Sustainable request service rate at a power budget."""
-        return self.mu_max_rps * self.frequency(power_w)
+    def frequencies(self, power_w: np.ndarray) -> np.ndarray:
+        """:meth:`frequency` at every budget of an array, bit for bit."""
+        span = self.power_model.dynamic_range_w
+        # np.where, not np.minimum/np.maximum: like min() and max(), it
+        # keeps the first operand on a tie (-0.0 vs 0.0) and on NaN.
+        above_idle = power_w - self.power_model.idle_w
+        floored = np.where(0.0 > above_idle, 0.0, above_idle)
+        usable = np.where(span < floored, span, floored)
+        exponent = 1.0 / self.alpha
+        # Python's float pow: np.power rounds differently in the last ulp.
+        f = np.array([x ** exponent for x in (usable / span).tolist()])
+        capped = np.where(f < 1.0, f, 1.0)
+        return np.where(capped > self.min_frequency, capped, self.min_frequency)
 
     def latency_ms(self, power_w: float, arrival_rps: float) -> float:
         """Tail latency at a power budget under a given arrival rate.
@@ -98,6 +110,20 @@ class LatencyModel:
         rho = arrival_rps / mu
         latency = self.d_min_ms / f + (self.tail_const_ms_rps / mu) * rho / (1 - rho)
         return min(latency, self.saturated_latency_ms)
+
+    def latencies_ms(self, power_w: np.ndarray, arrival_rps: float) -> np.ndarray:
+        """:meth:`latency_ms` at every budget of an array, bit for bit."""
+        if arrival_rps < 0:
+            raise ConfigurationError(f"arrival_rps must be >= 0, got {arrival_rps}")
+        f = self.frequencies(power_w)
+        mu = self.mu_max_rps * f
+        saturated = arrival_rps >= mu
+        # Saturated budgets take rho = 0 so that 1 - rho never divides by
+        # zero; their latency is replaced below.
+        rho = np.where(saturated, 0.0, arrival_rps / mu)
+        latency = self.d_min_ms / f + (self.tail_const_ms_rps / mu) * rho / (1 - rho)
+        cap = self.saturated_latency_ms
+        return np.where(saturated | (cap < latency), cap, latency)
 
     def power_for_latency(
         self, target_ms: float, arrival_rps: float, tolerance_w: float = 0.01

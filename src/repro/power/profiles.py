@@ -81,9 +81,7 @@ class PowerPerformanceProfile:
             ProfileCurve(
                 intensity=rate,
                 power_w=grid,
-                performance=np.array(
-                    [model.latency_ms(float(p), rate) for p in grid]
-                ),
+                performance=model.latencies_ms(grid, rate),
                 metric="latency_ms",
             )
             for rate in arrival_rates_rps
@@ -105,7 +103,7 @@ class PowerPerformanceProfile:
             ProfileCurve(
                 intensity=level,
                 power_w=grid,
-                performance=np.array([model.rate_at(float(p)) for p in grid]),
+                performance=model.rates_at(grid),
                 metric="throughput",
             )
             for level in intensities

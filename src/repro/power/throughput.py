@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.power.server import ServerPowerModel
 
@@ -48,6 +50,18 @@ class ThroughputModel:
         span = self.power_model.dynamic_range_w
         usable = min(max(power_w - self.power_model.idle_w, 0.0), span)
         return self.rate_max * (usable / span) ** self.scaling_exponent
+
+    def rates_at(self, power_w: np.ndarray) -> np.ndarray:
+        """:meth:`rate_at` at every budget of an array, bit for bit."""
+        span = self.power_model.dynamic_range_w
+        # np.where keeps the first operand on ties and NaN, as max() and
+        # min() do (np.maximum would turn -0.0 into 0.0).
+        above_idle = power_w - self.power_model.idle_w
+        floored = np.where(0.0 > above_idle, 0.0, above_idle)
+        usable = np.where(span < floored, span, floored)
+        exponent = self.scaling_exponent
+        # Python's float pow: np.power rounds differently in the last ulp.
+        return self.rate_max * np.array([x ** exponent for x in (usable / span).tolist()])
 
     def completion_time_s(self, work_units: float, power_w: float) -> float:
         """Time to finish ``work_units`` at a fixed power budget.

@@ -670,16 +670,15 @@ class SimulationEngine:
                     st.faults_seen = self._emit_fault_events(
                         injector, st.faults_seen, slot
                     )
-                grant_span.set(
-                    granted_racks=sum(
-                        1 for g in record.result.grants_w.values() if g > 0
-                    ),
-                    granted_w=record.result.total_granted_w,
-                    lost_grants=lost_grants,
-                    delayed_grants=delayed_grants,
-                    barred_racks=barred_grants,
-                    stale_grants_applied=stale_applied,
-                )
+                if tel.enabled:
+                    grant_span.set(
+                        granted_racks=record.result.granted_racks,
+                        granted_w=record.result.total_granted_w,
+                        lost_grants=lost_grants,
+                        delayed_grants=delayed_grants,
+                        barred_racks=barred_grants,
+                        stale_grants_applied=stale_applied,
+                    )
 
             with tracer.span("enforce", slot=slot) as enforce_span:
                 revoked_this_slot = 0
@@ -845,9 +844,10 @@ class SimulationEngine:
 
             st.m_slots.inc()
             st.m_bids.inc(len(record.bids))
-            st.m_grants.inc(
-                sum(1 for g in record.result.grants_w.values() if g > 0)
-            )
+            if tel.enabled:
+                # Counted again after enforce: degradation control may
+                # have revoked grants since the grant span counted them.
+                st.m_grants.inc(record.result.granted_racks)
             st.m_revenue.inc(spot_revenue)
             st.g_price.set(record.result.price)
             st.g_ups.set(self.monitor.latest_ups_power_w())

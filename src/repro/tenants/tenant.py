@@ -11,10 +11,15 @@ Tenants are the demand side of SpotDC (paper Section II-C):
 * **Non-participating tenants** never bid; their (fluctuating) power
   draw is what creates — and reclaims — the shared spot capacity.
 
-Value curves are cached: the opportunistic curve is independent of the
-backlog (the normalised gain depends only on the power model), and the
-sprinting curve is quantised over arrival rate, which keeps year-long
-simulations fast without changing bids materially.
+A participating tenant builds a rack's value curve only when that rack
+bids: ``make_bid`` asks for curves of the racks in ``needed_spot_w``
+alone, and ``value_curves`` (MaxPerf, Fig. 9) asks for every rack that
+can use spot capacity.  Curves are cached per rack: the opportunistic
+curve is independent of the backlog (the normalised gain depends only
+on the power model), and the sprinting curve is quantised over arrival
+rate, which keeps year-long simulations fast without changing bids
+materially.  Checkpoints leave the caches out; a restored tenant
+rebuilds the same curves.
 """
 
 from __future__ import annotations
@@ -85,7 +90,7 @@ class Tenant(abc.ABC):
 
     @abc.abstractmethod
     def value_curves(self, slot: int) -> dict[str, SpotValueCurve]:
-        """Value curves for the racks that want spot capacity this slot."""
+        """Value curves for the racks that can use spot capacity this slot."""
 
     @abc.abstractmethod
     def make_bid(
@@ -134,26 +139,43 @@ class _ParticipatingTenant(Tenant):
         self.q_high = q_high
         self.strategy = strategy or LinearElasticStrategy()
 
+    def __getstate__(self) -> dict:
+        # A cached curve is a pure function of the rack's static models
+        # and its cache key, so a restored tenant rebuilds it bit for bit;
+        # checkpoints carry the attribute but not the curves.
+        state = self.__dict__.copy()
+        state["_curve_cache"] = {}
+        return state
+
+    @abc.abstractmethod
+    def value_curve(self, rack: TenantRack, slot: int) -> SpotValueCurve:
+        """The (cached) value curve of one rack with ``useful_spot_w > 0``."""
+
+    def value_curves(self, slot: int) -> dict[str, SpotValueCurve]:
+        return {
+            rack.rack_id: self.value_curve(rack, slot)
+            for rack in self.racks
+            if rack.useful_spot_w > 0
+        }
+
     def _contexts(
         self, slot: int, predicted_price: float | None
     ) -> list[RackBidContext]:
+        # Curves are built for the racks that bid this slot, not for
+        # every rack that could.
         needed = self.needed_spot_w(slot)
-        curves = self.value_curves(slot)
-        contexts = []
-        for rack in self.racks:
-            if rack.rack_id not in needed:
-                continue
-            contexts.append(
-                RackBidContext(
-                    rack=rack,
-                    needed_w=needed[rack.rack_id],
-                    value_curve=curves[rack.rack_id],
-                    q_low=self.q_low,
-                    q_high=self.q_high,
-                    predicted_price=predicted_price,
-                )
+        return [
+            RackBidContext(
+                rack=rack,
+                needed_w=needed[rack.rack_id],
+                value_curve=self.value_curve(rack, slot),
+                q_low=self.q_low,
+                q_high=self.q_high,
+                predicted_price=predicted_price,
             )
-        return contexts
+            for rack in self.racks
+            if rack.rack_id in needed
+        ]
 
     def make_bid(
         self, slot: int, predicted_price: float | None = None
@@ -235,26 +257,22 @@ class SprintingTenant(_ParticipatingTenant):
         assert isinstance(workload, InteractiveWorkload)
         return max(workload.latency_model.mu_max_rps * 0.02, 1e-6)
 
-    def value_curves(self, slot: int) -> dict[str, SpotValueCurve]:
-        curves: dict[str, SpotValueCurve] = {}
-        for rack in self.racks:
-            if rack.useful_spot_w <= 0:
-                continue
-            workload = rack.workload
-            assert isinstance(workload, InteractiveWorkload)
-            quantum = self._quantum_for(rack)
-            rate_bin = int(round(workload.intensity(slot) / quantum))
-            key = (rack.rack_id, rate_bin)
-            if key not in self._curve_cache:
-                self._curve_cache[key] = sprinting_value_curve(
-                    workload.latency_model,
-                    self.cost_models[rack.rack_id],
-                    base_power_w=rack.guaranteed_w,
-                    arrival_rps=rate_bin * quantum,
-                    max_spot_w=rack.useful_spot_w,
-                )
-            curves[rack.rack_id] = self._curve_cache[key]
-        return curves
+    def value_curve(self, rack: TenantRack, slot: int) -> SpotValueCurve:
+        workload = rack.workload
+        assert isinstance(workload, InteractiveWorkload)
+        quantum = self._quantum_for(rack)
+        rate_bin = int(round(workload.intensity(slot) / quantum))
+        key = (rack.rack_id, rate_bin)
+        curve = self._curve_cache.get(key)
+        if curve is None:
+            curve = self._curve_cache[key] = sprinting_value_curve(
+                workload.latency_model,
+                self.cost_models[rack.rack_id],
+                base_power_w=rack.guaranteed_w,
+                arrival_rps=rate_bin * quantum,
+                max_spot_w=rack.useful_spot_w,
+            )
+        return curve
 
 
 class OpportunisticTenant(_ParticipatingTenant):
@@ -303,23 +321,19 @@ class OpportunisticTenant(_ParticipatingTenant):
                 needed[rack.rack_id] = rack.useful_spot_w
         return needed
 
-    def value_curves(self, slot: int) -> dict[str, SpotValueCurve]:
-        curves: dict[str, SpotValueCurve] = {}
-        for rack in self.racks:
-            if rack.useful_spot_w <= 0:
-                continue
-            if rack.rack_id not in self._curve_cache:
-                workload = rack.workload
-                assert isinstance(workload, BatchWorkload)
-                self._curve_cache[rack.rack_id] = opportunistic_value_curve(
-                    workload.throughput_model,
-                    self.cost_models[rack.rack_id],
-                    base_power_w=rack.guaranteed_w,
-                    backlog_units=1.0,
-                    max_spot_w=rack.useful_spot_w,
-                )
-            curves[rack.rack_id] = self._curve_cache[rack.rack_id]
-        return curves
+    def value_curve(self, rack: TenantRack, slot: int) -> SpotValueCurve:
+        curve = self._curve_cache.get(rack.rack_id)
+        if curve is None:
+            workload = rack.workload
+            assert isinstance(workload, BatchWorkload)
+            curve = self._curve_cache[rack.rack_id] = opportunistic_value_curve(
+                workload.throughput_model,
+                self.cost_models[rack.rack_id],
+                base_power_w=rack.guaranteed_w,
+                backlog_units=1.0,
+                max_spot_w=rack.useful_spot_w,
+            )
+        return curve
 
 
 class NonParticipatingTenant(Tenant):

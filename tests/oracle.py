@@ -17,7 +17,10 @@ computation:
 * :func:`frame_from_bids` — the row-at-a-time frame build;
 * :func:`screen_bids` — admission bid by bid through
   :func:`repro.recovery.admission.inspect_rack_bid`;
-* :func:`verify_allocation` — the Eq. 2-4 check walked grant by grant.
+* :func:`verify_allocation` — the Eq. 2-4 check walked grant by grant;
+* :func:`sprinting_value_curve` / :func:`opportunistic_value_curve` —
+  tenant value curves tabulated point by point through the scalar
+  latency, throughput and cost models.
 
 The engine argument only supplies configuration (``params``,
 ``include_breakpoints``); nothing here calls its clearing methods.
@@ -47,7 +50,11 @@ from repro.core.frame import (
     PduBlock,
     group_by_pdu,
 )
-from repro.errors import CapacityError
+from repro.economics.cost import OpportunisticCostModel, SprintingCostModel
+from repro.economics.valuation import SpotValueCurve
+from repro.errors import CapacityError, ConfigurationError
+from repro.power.latency import LatencyModel
+from repro.power.throughput import ThroughputModel
 from repro.recovery.admission import QuarantinedBid, inspect_rack_bid
 
 if typing.TYPE_CHECKING:
@@ -62,8 +69,10 @@ __all__ = [
     "frame_clear",
     "frame_clear_per_pdu",
     "frame_from_bids",
+    "opportunistic_value_curve",
     "payments",
     "screen_bids",
+    "sprinting_value_curve",
     "verify_allocation",
 ]
 
@@ -1036,3 +1045,92 @@ def frame_from_bids(bids: Sequence[RackBid]) -> BidFrame:
             for pdu_id, group in sorted(group_by_pdu(ordered).items())
         ),
     )
+
+
+# ----------------------------------------------------------------------
+# Tenant value curves
+# ----------------------------------------------------------------------
+
+
+def sprinting_value_curve(
+    latency_model: LatencyModel,
+    cost_model: SprintingCostModel,
+    base_power_w: float,
+    arrival_rps: float,
+    max_spot_w: float,
+    grid_points: int = 100,
+) -> SpotValueCurve:
+    """Value curve for a sprinting (interactive) tenant's rack.
+
+    The gain is the reduction of the latency-cost accrual rate when the
+    rack budget rises from ``base_power_w`` to ``base_power_w + d``:
+    dominated by avoided quadratic SLO penalties when the base budget
+    forces latency above the SLO.
+
+    Args:
+        latency_model: The rack's tail-latency model.
+        cost_model: The tenant's SLO cost model.
+        base_power_w: Budget without spot capacity.
+        arrival_rps: Anticipated request rate for the slot being bid on.
+        max_spot_w: Rack spot headroom ``P_r^R``.
+        grid_points: Tabulation resolution.
+    """
+    if max_spot_w <= 0:
+        raise ConfigurationError("max_spot_w must be positive")
+    grid = np.linspace(0.0, max_spot_w, grid_points + 1)
+    base_cost = cost_model.cost_rate_per_hour(
+        latency_model.latency_ms(base_power_w, arrival_rps), arrival_rps
+    )
+    gains = np.array(
+        [
+            base_cost
+            - cost_model.cost_rate_per_hour(
+                latency_model.latency_ms(base_power_w + float(d), arrival_rps),
+                arrival_rps,
+            )
+            for d in grid
+        ]
+    )
+    return SpotValueCurve.from_gain_samples(base_power_w, grid, gains)
+
+
+def opportunistic_value_curve(
+    throughput_model: ThroughputModel,
+    cost_model: OpportunisticCostModel,
+    base_power_w: float,
+    backlog_units: float,
+    max_spot_w: float,
+    grid_points: int = 100,
+) -> SpotValueCurve:
+    """Value curve for an opportunistic (batch) tenant's rack.
+
+    The gain is the completion-cost saving on the current backlog,
+    normalised to a per-hour rate over the backlog's base completion
+    time: ``V(d) = rho * (W/R0 - W/R(d)) / (W/R0 / 3600)``, which reduces
+    to ``rho * 3600 * (1 - R0/R(d))`` — concave and saturating in ``d``.
+
+    Args:
+        throughput_model: The rack's processing-rate model.
+        cost_model: The tenant's linear completion-time cost model.
+        base_power_w: Budget without spot capacity.
+        backlog_units: Outstanding work (only its positivity matters for
+            the normalised gain; retained for API symmetry/documentation).
+        max_spot_w: Rack spot headroom ``P_r^R``.
+        grid_points: Tabulation resolution.
+    """
+    if max_spot_w <= 0:
+        raise ConfigurationError("max_spot_w must be positive")
+    if backlog_units < 0:
+        raise ConfigurationError("backlog_units must be >= 0")
+    grid = np.linspace(0.0, max_spot_w, grid_points + 1)
+    base_rate = throughput_model.rate_at(base_power_w)
+    if backlog_units == 0 or base_rate <= 0:
+        # No backlog (nothing to speed up) or base budget below idle (the
+        # tenant needs guaranteed capacity, not spot, to make progress).
+        gains = np.zeros_like(grid)
+        return SpotValueCurve.from_gain_samples(base_power_w, grid, gains)
+    rates = np.array(
+        [throughput_model.rate_at(base_power_w + float(d)) for d in grid]
+    )
+    gains = cost_model.rho * 3600.0 * (1.0 - base_rate / np.maximum(rates, 1e-12))
+    return SpotValueCurve.from_gain_samples(base_power_w, grid, gains)

@@ -130,6 +130,36 @@ class TestCheckpointResume:
         reference = (tmp_path / "ref" / "run_trace.jsonl").read_bytes()
         assert crashed == reference
 
+    def test_checkpoints_carry_no_value_curves(self, tmp_path):
+        # A cached value curve is a pure function of its rack's models
+        # and its key: checkpoints leave the caches out, and the resumed
+        # run rebuilds the same curves, so it still matches the
+        # uninterrupted run byte for byte.
+        slots = 40
+        resumed = _crashed_then_resumed(
+            tmp_path, seed=7, telemetry_dir=tmp_path / "crashed",
+            crash_at=30, checkpoint_every=10, slots=slots,
+        )
+        envelope = load_checkpoint(latest_checkpoint(tmp_path / "ckpt"))
+        restored = envelope["engine"].scenario.participating_tenants()
+        assert restored
+        assert all(tenant._curve_cache == {} for tenant in restored)
+        engine = SimulationEngine(
+            build_testbed(seed=7),
+            telemetry=TelemetryConfig(out_dir=tmp_path / "ref", label="run"),
+        )
+        engine.begin_run(slots)
+        for slot in range(slots):
+            engine.step_slot(slot)
+            if slot == envelope["slot"]:
+                # The live tenants held curves when the checkpoint was cut.
+                live = engine.scenario.participating_tenants()
+                assert any(tenant._curve_cache for tenant in live)
+        reference = engine.finish_run()
+        _assert_results_equal(resumed, reference)
+        crashed = (tmp_path / "crashed" / "run_trace.jsonl").read_bytes()
+        assert crashed == (tmp_path / "ref" / "run_trace.jsonl").read_bytes()
+
     def test_later_crash_still_fires_after_resume(self, tmp_path):
         # Only the crash that killed the run is disarmed on resume; a
         # second scheduled crash must still fire.

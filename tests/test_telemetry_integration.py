@@ -42,6 +42,18 @@ class TestEngineTracing:
         assert phases["bid_collect"].attrs["racks_bid"] == 0
         assert phases["clear"].attrs["granted_racks"] == 0
 
+    def test_granted_racks_count_positive_grants(self, result):
+        collector = result.collector
+        granted = [
+            sum(1 for r in collector.rack_ids if collector.rack_granted_array(r)[slot] > 0)
+            for slot in range(SLOTS)
+        ]
+        assert max(granted) > 0
+        for slot, count in enumerate(granted):
+            phases = result.trace.phase_spans(slot)
+            assert phases["clear"].attrs["granted_racks"] == count
+            assert phases["grant"].attrs["granted_racks"] == count
+
     def test_invoice_events_one_per_tenant(self, result):
         invoices = [
             e for e in result.trace.events if e.name == "settlement.invoice"

@@ -14,6 +14,7 @@ from repro.tenants.bidding import (
 )
 from repro.tenants.tenant import (
     NonParticipatingTenant,
+    OpportunisticTenant,
     SprintingTenant,
 )
 
@@ -105,6 +106,55 @@ class TestOpportunisticTenant:
     def test_price_cap_at_amortized_rate(self, scenario):
         tenant = tenant_by_id(scenario, "Count-1")
         assert tenant.q_high == pytest.approx(0.205)
+
+
+class TestLazyValueCurves:
+    """``make_bid`` builds value curves only for the racks that bid."""
+
+    PAIRS = {
+        SprintingTenant: ("Search-1", "Web"),
+        OpportunisticTenant: ("Count-1", "Graph-1"),
+    }
+
+    @staticmethod
+    def _cached_racks(tenant):
+        return {k[0] if isinstance(k, tuple) else k for k in tenant._curve_cache}
+
+    @pytest.mark.parametrize(
+        "cls", [SprintingTenant, OpportunisticTenant], ids=lambda c: c.kind
+    )
+    def test_make_bid_skips_racks_that_need_nothing(self, cls):
+        # One tenant owning two testbed racks, each with its own models.
+        # Batch racks want spot only once a backlog builds, so the racks
+        # run at their guaranteed budgets until exactly one of them bids.
+        fresh = build_testbed(seed=5)
+        fresh.prepare(600)
+        owners = [tenant_by_id(fresh, t) for t in self.PAIRS[cls]]
+        tenant = cls(
+            "pair",
+            [owner.racks[0] for owner in owners],
+            cost_models={
+                owner.racks[0].rack_id: owner.cost_models[owner.racks[0].rack_id]
+                for owner in owners
+            },
+            q_low=owners[0].q_low,
+            q_high=owners[0].q_high,
+        )
+        for slot in range(600):
+            if len(tenant.needed_spot_w(slot)) == 1:
+                break
+            tenant.execute_slot(slot, {}, fresh.slot_seconds)
+        else:
+            pytest.fail("no slot where exactly one of the two racks bids")
+        (bidding,) = tenant.needed_spot_w(slot)
+        bid = tenant.make_bid(slot)
+        assert bid is not None
+        assert [b.rack_id for b in bid.rack_bids] == [bidding]
+        assert self._cached_racks(tenant) == {bidding}
+        curves = tenant.value_curves(slot)
+        assert set(curves) == {r.rack_id for r in tenant.racks if r.useful_spot_w > 0}
+        assert len(curves) == 2
+        assert self._cached_racks(tenant) == set(curves)
 
 
 class TestNonParticipating:
