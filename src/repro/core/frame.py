@@ -15,12 +15,12 @@ Design points:
 * **Rows are sorted by PDU** (stably, preserving submission order within
   a PDU), so each PDU owns one contiguous row run and per-PDU sums are
   segment sums (``np.add.reduceat``) rather than object regrouping.
-* **One bid-to-column conversion**: :class:`PduBlock` turns one PDU's
-  :class:`RackBid` objects into frame columns, and every frame is
-  assembled from blocks (:meth:`BidFrame.from_blocks`) — from scratch
-  by :meth:`BidFrame.from_bids`, or slot over slot by
-  :class:`repro.core.sharding.IncrementalFrameBuilder`, which reuses
-  the blocks of unchanged PDUs.  The frame keeps its blocks
+* **One bid-to-column conversion**: a slot's rack bids become columns
+  once, in a :class:`~repro.core.bids.BidTable`, and
+  :meth:`BidFrame.from_table` sorts the table by PDU — from scratch, or
+  slot over slot (:class:`repro.core.sharding.IncrementalFrameBuilder`)
+  over the previous frame, whose unchanged PDUs keep their rows and
+  :class:`PduBlock`.  The frame keeps its blocks
   (:attr:`BidFrame.blocks`); each block caches its PDU market's price
   grid, so a reused block keeps its grid across slots.
 * **Many markets, one sweep**: :meth:`BidFrame.market_totals` totals
@@ -36,23 +36,18 @@ Design points:
   ``FullBid`` and custom demand functions are *sampled* onto the price
   grid through their own ``demand_grid``.
 """
-
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import repeat
+from itertools import accumulate, chain, repeat
+from operator import is_, itemgetter, or_
 
 import numpy as np
 
-from repro.core.bids import RackBid
-from repro.core.demand import (
-    DemandFunction,
-    LinearBid,
-    StepBid,
-    demand_matrix,
-)
+from repro.core.bids import CURVE_LINEAR, CURVE_SAMPLED, CURVE_STEP, BidTable, RackBid
+from repro.core.demand import DemandFunction, demand_matrix
 
-__all__ = ["BidFrame", "PduBlock", "group_by_pdu"]
+__all__ = ["BidFrame", "PduBlock"]
 
 
 #: Row kinds: closed-form rows evaluate through the vectorised kernel;
@@ -61,134 +56,256 @@ KIND_CLOSED = 0
 KIND_SAMPLED = 1
 
 
-def group_by_pdu(bids: Iterable[RackBid]) -> dict[str, list[RackBid]]:
-    """Bids grouped by PDU id, submission order kept within each group."""
-    groups: dict[str, list[RackBid]] = {}
-    for b in bids:
-        groups.setdefault(b.pdu_id, []).append(b)
-    return groups
-
-
 class PduBlock:
-    """One PDU's bids as frame columns.
+    """One PDU's rows of a frame: its bids, breakpoints and price grid.
 
-    This is the only place a :class:`RackBid` becomes frame columns:
-    :meth:`BidFrame.from_blocks` concatenates blocks into a frame.  The
-    tenant table is *local* (first appearance within this PDU's rows);
-    ``from_blocks`` merges the local tables in block order, which
-    preserves global first-appearance order.  ``breakpoints`` are the
-    grid-augmentation points of the block's rows, in row order.
+    A block outlives its slot: a frame built over a previous one hands
+    each unchanged PDU's block on, so the block's cached price grid (see
+    ``MarketClearing._grid``) and bid objects carry over.
+    ``breakpoints`` are the grid-augmentation points of the block's
+    rows, in row order.
     """
 
-    __slots__ = (
-        "pdu_id",
-        "bids",
-        "rack_ids",
-        "tenant_table",
-        "tenant_code_local",
-        "kind",
-        "d_max_w",
-        "q_min",
-        "d_min_w",
-        "q_max",
-        "rack_cap_w",
-        "max_demand_w",
-        "floor_w",
-        "breakpoints",
-        "demands",
-        "_grid_cache",
-    )
+    __slots__ = ("pdu_id", "bids", "breakpoints", "_grid_cache")
 
-    def __init__(self, pdu_id: str, bids: tuple[RackBid, ...]) -> None:
-        tenant_index: dict[str, int] = {}
-        tenant_code: list[int] = []
-        # One row of (cap, d_max, q_min, d_min, q_max, max_demand) per
-        # bid, plus the grid-augmentation points of its public curve
-        # attributes (q_min / q_max / price_cap), in row order.
-        rows: list[tuple] = []
-        points: list[float] = []
-        sampled: list[int] = []
-        for i, b in enumerate(bids):
-            tenant_code.append(
-                tenant_index.setdefault(b.tenant_id, len(tenant_index))
-            )
-            fn = b.demand
-            # The type checks are deliberately exact: subclasses may
-            # override demand_at/demand_grid, so they must be sampled.
-            if type(fn) is LinearBid:
-                rows.append(
-                    (b.rack_cap_w, fn.d_max_w, fn.q_min, fn.d_min_w,
-                     fn.q_max, fn.d_max_w)
-                )
-                points += (fn.q_min, fn.q_max)
-            elif type(fn) is StepBid:
-                # The degenerate q_min == q_max curve.
-                rows.append(
-                    (b.rack_cap_w, fn.demand_w, fn.price_cap, fn.demand_w,
-                     fn.price_cap, fn.demand_w)
-                )
-                points.append(fn.price_cap)
-            else:
-                # Sampled: only q_max (the max acceptable price) and the
-                # zero-price demand are meaningful columns.
-                rows.append(
-                    (b.rack_cap_w, 0.0, 0.0, 0.0, fn.max_price, fn.max_demand_w)
-                )
-                sampled.append(i)
-                for attr in ("q_min", "q_max", "price_cap"):
-                    value = getattr(fn, attr, None)
-                    if value is not None:
-                        points.append(float(value))
-        n = len(bids)
-        # One contiguous array per column: strided views of the row
-        # array would pickle larger and slower in every checkpoint.
-        caps, d_max, q_min, d_min, q_max, max_demand = np.ascontiguousarray(
-            np.array(rows, dtype=float).reshape(n, 6).T
-        )
-        kind = np.zeros(n, dtype=np.uint8)  # all KIND_CLOSED
-        demands: list[DemandFunction | None] = [None] * n
-        # Rack-clipped demand at each row's own max acceptable price:
-        # the closed-form curve's value at q_max, or the sampled curve's
-        # own demand_at(max_price).
-        floor = np.where(q_max <= q_min, d_max, d_max + (d_min - d_max))
-        if sampled:
-            kind[sampled] = KIND_SAMPLED
-            for i in sampled:
-                fn = demands[i] = bids[i].demand
-                floor[i] = fn.demand_at(fn.max_price)
-        np.minimum(floor, caps, out=floor)
+    def __init__(
+        self, pdu_id: str, bids: tuple[RackBid, ...], breakpoints: np.ndarray
+    ) -> None:
         self.pdu_id = pdu_id
         self.bids = bids
-        self.rack_ids = tuple([b.rack_id for b in bids])
-        self.tenant_table = tuple(tenant_index)
-        self.tenant_code_local = np.array(tenant_code, dtype=np.intp)
-        self.kind = kind
-        self.d_max_w = d_max
-        self.q_min = q_min
-        self.d_min_w = d_min
-        self.q_max = q_max
-        self.rack_cap_w = caps
-        self.max_demand_w = max_demand
-        self.floor_w = floor
-        self.breakpoints = np.asarray(points, dtype=float)
-        self.demands = tuple(demands)
+        self.breakpoints = breakpoints
         # ``(key, grid)`` of the last price grid cleared over this PDU's
         # market (see MarketClearing._grid).
         self._grid_cache: tuple | None = None
 
     def __len__(self) -> int:
-        return len(self.rack_ids)
+        return len(self.bids)
 
     def __repr__(self) -> str:
         return f"PduBlock(pdu={self.pdu_id!r}, bids={len(self)})"
+
+
+#: Below this many rows a frame is sorted, compared with the previous
+#: one and built row by row in Python: numpy's per-call cost would
+#: exceed the work.
+_ROWS_FROM = 16
+
+
+def _gather(items: Sequence, order: Sequence[int]) -> tuple:
+    """``items`` in ``order``, as a tuple."""
+    if len(order) < 2:
+        return tuple(items[i] for i in order)
+    return itemgetter(*(order.tolist() if isinstance(order, np.ndarray) else order))(items)
+
+
+def _old_blocks(previous: "BidFrame", pdu_ids, counts) -> list[tuple[PduBlock | None, int]]:
+    """Per PDU of the sorted rows, its previous block if it had as many
+    rows, with that block's first row in ``previous`` (else ``(None, 0)``)."""
+    old_at = {p: i for i, p in enumerate(previous.pdu_ids)}
+    starts = [0, *accumulate(map(len, previous.blocks))]
+    found = []
+    for pdu_id, count in zip(pdu_ids, counts):
+        i = old_at.get(pdu_id)
+        block = None if i is None else previous.blocks[i]
+        found.append((block, starts[i]) if block is not None and len(block) == count else (None, 0))
+    return found
+
+
+def _unchanged(previous, table, order, pdu_ids, counts, rack_ids, bids):
+    """Which PDUs of the PDU-sorted rows are unchanged from ``previous``.
+
+    A PDU is unchanged when it has as many rows as before and each row
+    is unchanged: same rack, tenant and cap, and a closed-form curve of
+    the same kind whose four floats compare ``==`` (so a ``0.0`` that
+    became ``-0.0`` leaves it unchanged) or the demand object sent
+    before.  Sorted row ``r`` is table row ``order[r]`` and holds
+    ``bids[r]``.  Returns the flag per PDU, and the rows of the
+    unchanged PDUs with their previous rows.
+    """
+    old = _old_blocks(previous, pdu_ids, counts)
+    kept = [block is not None for block, _ in old]
+    starts = [0, *accumulate(counts)]
+    rows = np.repeat(kept, counts).nonzero()[0]
+    was = rows + np.repeat([w - s for (_, w), s in zip(old, starts)], counts)[rows]
+    at = order[rows]
+    tenant_at = dict(zip(table.tenant_ids, range(len(table.tenant_ids))))
+    tenant = np.frombuffer(table.tenant_code, dtype=np.intp)
+    renamed = np.fromiter(
+        map(tenant_at.get, previous.tenant_ids, repeat(-1)),
+        dtype=np.intp,
+        count=len(previous.tenant_ids),
+    )
+    values = table.values[:, at]
+    same = np.zeros((2, len(order)), dtype=bool)
+    # Row 0: same tenant and cap; row 1: also the same closed-form curve.
+    same[0, rows] = (renamed[previous.tenant_code[was]] == tenant[at]) & (
+        values[0] == previous.rack_cap_w[was]
+    )
+    code = np.frombuffer(table.curve, dtype=np.uint8)[at]
+    curve = (code == previous._curve[was]) & (code != CURVE_SAMPLED)
+    for value, column in zip(
+        values[1:], (previous.d_max_w, previous.q_min, previous.d_min_w, previous.q_max)
+    ):
+        curve &= value == column[was]
+    same[1, rows] = same[0, rows] & curve
+    ids, plain = np.logical_and.reduceat(same, starts[:-1], axis=1).tolist()
+    for j, ((block, w), start, end) in enumerate(zip(old, starts, starts[1:])):
+        if kept[j]:
+            kept[j] = ids[j] and rack_ids[start:end] == previous.rack_ids[w:w + end - start]
+        if kept[j] and not plain[j]:
+            # A row whose curve differs is unchanged if it holds the
+            # demand object sent before.
+            differs = (~same[1, start:end]).nonzero()[0].tolist()
+            kept[j] = all(bids[start + r].demand is block.bids[r].demand for r in differs)
+    keep = np.repeat(kept, counts)[rows]
+    return kept, rows[keep], was[keep]
+
+
+def _same_row(previous, table, i, bid, w, sent) -> bool:
+    """:func:`_unchanged`'s rule for table row ``i`` (``bid``) and
+    previous row ``w`` (``sent``)."""
+    cap, *floats = table.row(i)
+    if (
+        bid.rack_id != previous.rack_ids[w]
+        or cap != previous.rack_cap_w[w]
+        or table.tenant_ids[table.tenant_code[i]]
+        != previous.tenant_ids[previous.tenant_code[w]]
+    ):
+        return False
+    if bid.demand is sent.demand:
+        return True
+    return table.curve[i] == previous._curve[w] != CURVE_SAMPLED and floats == [
+        previous.d_max_w[w], previous.q_min[w], previous.d_min_w[w], previous.q_max[w],
+    ]
+
+
+def _few_unchanged(previous, table, order, pdu_ids, counts, rack_ids, bids):
+    """:func:`_unchanged` row by row, for a few rows."""
+    kept: list[bool] = []
+    rows: list[int] = []
+    was: list[int] = []
+    start = 0
+    for (block, w), count in zip(_old_blocks(previous, pdu_ids, counts), counts):
+        span = range(start, start + count)
+        kept.append(
+            block is not None
+            and all(
+                _same_row(previous, table, order[r], bids[r], w + r - start, block.bids[r - start])
+                for r in span
+            )
+        )
+        if kept[-1]:
+            rows += span
+            was += range(w, w + count)
+        start += count
+    return kept, rows, was
+
+
+def _envelopes(columns, curve, pdu_code, kept, bids) -> tuple[list[int], dict]:
+    """Read the envelope of each sampled row of a changed PDU into
+    ``columns``; return the sampled rows and those rows' breakpoints."""
+    sampled = (curve == CURVE_SAMPLED).nonzero()[0].tolist()
+    points: dict[int, list[float]] = {}
+    for r in sampled:
+        if not kept[pdu_code[r]]:
+            fn = bids[r].demand
+            columns[1:6, r] = 0.0, 0.0, 0.0, fn.max_price, fn.max_demand_w
+            points[r] = _sampled_points(fn)
+    return sampled, points
+
+
+def _sampled_points(fn) -> list[float]:
+    """A sampled curve's grid-augmentation points: its public attributes."""
+    return [
+        float(v)
+        for v in (getattr(fn, a, None) for a in ("q_min", "q_max", "price_cap"))
+        if v is not None
+    ]
+
+
+def _breakpoints(columns, curve, points):
+    """Each row's breakpoints, in row order: ``(q_min, q_max)`` where the
+    curve code is below ``(1, 2)`` — both for a LinearBid, the price cap
+    for a StepBid — and a sampled row's ``points``.  Returns a function
+    of a row range that copies out its breakpoints."""
+    take = curve[:, None] < (CURVE_STEP, CURVE_SAMPLED)
+    flat = columns[2:5:2].T[take]
+    size = take.sum(axis=1)
+    if points:
+        before = size.cumsum().tolist()
+        flat = np.insert(
+            flat,
+            [before[r] for r, p in points.items() for _ in p],
+            [v for p in points.values() for v in p],
+        )
+        for r, p in points.items():
+            size[r] = len(p)
+    ends = [0, *size.cumsum().tolist()]
+    return lambda a, b: flat[ends[a]:ends[b]].copy()
+
+
+def _few_rows(table, order, counts, previous, kept_rows, bids):
+    """:meth:`BidFrame.from_table`'s columns for a few rows, row by row
+    (``kept_rows`` maps a kept row to its previous row).
+
+    The same values as the vectorized build — ``d_max + (d_min - d_max)``
+    or ``d_max`` for the floor, clipped to the cap as ``np.minimum``
+    clips — with a handful of numpy calls instead of dozens.
+    """
+    pdu_code = [j for j, count in enumerate(counts) for _ in range(count)]
+    curve = [table.curve[i] for i in order]
+    cells: list[list[float]] = []
+    per_row: list[list[float]] = []
+    sampled = []
+    for r, i in enumerate(order):
+        if curve[r] == CURVE_SAMPLED:
+            sampled.append(r)
+        if r in kept_rows:
+            w = kept_rows[r]
+            cells.append([
+                column[w]
+                for column in (
+                    previous.rack_cap_w, previous.d_max_w, previous.q_min, previous.d_min_w,
+                    previous.q_max, previous.max_demand_w, previous.floor_w,
+                )
+            ])
+            per_row.append([])
+            continue
+        cap, d_max, q_min, d_min, q_max = table.row(i)
+        top = d_max
+        if curve[r] == CURVE_SAMPLED:
+            fn = bids[r].demand
+            d_max = q_min = d_min = 0.0
+            q_max, top = float(fn.max_price), float(fn.max_demand_w)
+            floor = float(fn.demand_at(fn.max_price))
+            per_row.append(_sampled_points(fn))
+        else:
+            floor = d_max if q_max <= q_min else d_max + (d_min - d_max)
+            per_row.append([q_min, q_max] if curve[r] == CURVE_LINEAR else [q_max])
+        # np.minimum(floor, cap): a tie or a NaN floor keeps the floor.
+        floor = floor if floor < cap or floor != floor else cap
+        cells.append([cap, d_max, q_min, d_min, q_max, top, floor])
+    columns = np.array(list(chain.from_iterable(zip(*cells)))).reshape(7, -1)
+    tenants = [table.tenant_code[i] for i in order]
+    seen = list(dict.fromkeys(tenants))
+    renumber = {t: k for k, t in enumerate(seen)}
+    return (
+        np.array(pdu_code, dtype=np.intp),
+        np.array(curve, dtype=np.uint8),
+        columns,
+        lambda a, b: np.array([v for p in per_row[a:b] for v in p], dtype=float),
+        sampled,
+        seen,
+        np.array([renumber[t] for t in tenants], dtype=np.intp),
+    )
 
 
 class BidFrame:
     """One slot's rack bids as aligned columns, sorted by PDU.
 
     Build with :meth:`from_bids` (adapter from the object API) or
-    :meth:`from_blocks` (per-PDU :class:`PduBlock` columns).  All
-    columns share row order; rows are grouped by PDU.
+    :meth:`from_table` (a slot's :class:`~repro.core.bids.BidTable`).
+    All columns share row order; rows are grouped by PDU.
 
     Attributes:
         rack_ids: Rack id per row.
@@ -230,6 +347,7 @@ class BidFrame:
         "blocks",
         "_demands",
         "_bids",
+        "_curve",
         "_row_of",
         "_segments",
         "_sampled_rows",
@@ -255,6 +373,7 @@ class BidFrame:
         demands: tuple[DemandFunction | None, ...],
         bids: tuple[RackBid, ...] | None,
         blocks: tuple[PduBlock, ...],
+        curve: np.ndarray | None = None,
     ) -> None:
         self.rack_ids = rack_ids
         self.pdu_ids = pdu_ids
@@ -272,7 +391,12 @@ class BidFrame:
         self.breakpoints = breakpoints
         self.blocks = blocks
         self._demands = demands
+        # ``None`` reads the bids from the blocks when first asked.
         self._bids = bids
+        # The rows' BidTable curve codes, which a later frame's reuse
+        # rule reads (a StepBid is not the equal LinearBid).  ``None``
+        # reuses nothing.
+        self._curve = curve
         self._row_of: dict[str, int] | None = None
         self._segments: tuple[np.ndarray, np.ndarray] | None = None
         self._sampled_rows: np.ndarray | None = None
@@ -285,83 +409,123 @@ class BidFrame:
 
     @classmethod
     def from_bids(cls, bids: Sequence[RackBid]) -> "BidFrame":
-        """Build the columnar frame from object bids (the slot adapter).
-
-        Groups the bids by PDU in submission order and assembles one
-        :class:`PduBlock` per PDU, in sorted PDU order — the stable
-        PDU sort of the rows.  Every downstream stage (admission, demand
-        evaluation, clearing, billing) then reads columns instead of
-        objects.
-        """
-        groups = group_by_pdu(bids)
-        return cls.from_blocks(
-            [PduBlock(pdu_id, tuple(groups[pdu_id])) for pdu_id in sorted(groups)]
-        )
+        """Build the columnar frame from object bids (the slot adapter)."""
+        return cls.from_table(BidTable.from_bids(bids))
 
     @classmethod
-    def from_blocks(cls, blocks: Sequence[PduBlock]) -> "BidFrame":
-        """Assemble a frame from per-PDU column blocks (sorted by PDU).
+    def from_table(
+        cls, table: BidTable, previous: "BidFrame | None" = None
+    ) -> "BidFrame":
+        """The frame of a slot's admitted :class:`BidTable`.
 
-        Rows concatenate in block (= PDU-sorted, submission-stable)
-        order, and the merged tenant table preserves first appearance
-        over rows — within a block the local table is first-appearance
-        ordered, and blocks merge in row order, so ``dict.setdefault``
-        over block tables is ``dict.fromkeys`` over rows.
+        Rows are sorted by PDU once (stably, so each PDU keeps its
+        submission order).  Over a ``previous`` frame, a PDU whose rows
+        are all unchanged (see :func:`_unchanged`) keeps its block and
+        its previous rows, and when every PDU is unchanged and none left,
+        ``previous`` itself is returned.  Other PDUs get new blocks, built
+        from slices of the sorted columns; only there is a sampled
+        curve's envelope read (``max_price``, ``max_demand_w``,
+        ``demand_at(max_price)`` and any public ``q_min``/``q_max``/
+        ``price_cap`` breakpoints).  Below :data:`_ROWS_FROM` rows the
+        same comparison and columns are done row by row in Python.
         """
-        blocks = [b for b in blocks if len(b.rack_ids)]
-        if not blocks:
+        n = len(table.bids)
+        if not n and previous is not None and not len(previous):
+            return previous
+        pdu_ids = tuple(sorted(set(table.pdu_ids)))
+        few = n < _ROWS_FROM
+        if few:
+            order = sorted(range(n), key=table.pdu_ids.__getitem__)
+            counts = [table.pdu_ids.count(p) for p in pdu_ids]
+        else:
+            rank = dict(zip(pdu_ids, range(len(pdu_ids))))
+            code = np.fromiter(map(rank.__getitem__, table.pdu_ids), dtype=np.intp, count=n)
+            counts = np.bincount(code, minlength=len(pdu_ids)).tolist()
+            order = code.argsort(kind="stable")
+        rack_ids = _gather(table.rack_ids, order)
+        bids = _gather(table.bids, order)
+        kept = [False] * len(pdu_ids)
+        rows: Sequence[int] = ()
+        was: Sequence[int] = ()
+        if n and previous is not None and previous._curve is not None:
+            kept, rows, was = (_few_unchanged if few else _unchanged)(
+                previous, table, order, pdu_ids, counts, rack_ids, bids
+            )
+            if all(kept) and len(pdu_ids) == len(previous.pdu_ids):
+                return previous
+        if not n:
             none = np.empty(0)
+            code = np.empty(0, dtype=np.intp)
+            curve = code.astype(np.uint8)
             return cls(
-                rack_ids=(),
-                pdu_ids=(),
-                pdu_code=np.empty(0, dtype=np.intp),
-                tenant_ids=(),
-                tenant_code=np.empty(0, dtype=np.intp),
-                kind=np.empty(0, dtype=np.uint8),
-                d_max_w=none,
-                q_min=none,
-                d_min_w=none,
-                q_max=none,
-                rack_cap_w=none,
-                max_demand_w=none,
-                floor_w=none,
-                breakpoints=none,
-                demands=(),
-                bids=(),
-                blocks=(),
+                (), (), code, (), code, curve, none, none, none, none, none, none,
+                none, none, (), (), (), curve=curve,
             )
-        tenant_index: dict[str, int] = {}
-        tenant_cols = []
-        pdu_cols = []
-        for i, b in enumerate(blocks):
-            remap = np.fromiter(
-                (
-                    tenant_index.setdefault(t, len(tenant_index))
-                    for t in b.tenant_table
-                ),
-                dtype=np.intp,
-                count=len(b.tenant_table),
+        if few:
+            pdu_code, curve, columns, points, sampled, seen, tenant_code = _few_rows(
+                table, order, counts, previous, dict(zip(rows, was)), bids
             )
-            tenant_cols.append(remap[b.tenant_code_local])
-            pdu_cols.append(np.full(len(b.rack_ids), i, dtype=np.intp))
+        else:
+            pdu_code = np.repeat(np.arange(len(pdu_ids)), counts)
+            curve = np.frombuffer(table.curve, dtype=np.uint8)[order]
+            columns = np.empty((7, n))
+            # Column by column: one temporary row at a time, not a table.
+            for k, column in enumerate(table.values):
+                np.take(column, order, out=columns[k])
+            columns[5] = columns[1]
+            sampled, points = _envelopes(columns, curve, pdu_code, kept, bids)
+            cap, d_max, q_min, d_min, q_max, _, floor = columns
+            floor[:] = np.where(q_max <= q_min, d_max, d_max + (d_min - d_max))
+            for r in points:
+                fn = bids[r].demand
+                floor[r] = fn.demand_at(fn.max_price)
+            np.minimum(floor, cap, out=floor)
+            if len(rows):
+                for k, column in enumerate((
+                    previous.rack_cap_w, previous.d_max_w, previous.q_min, previous.d_min_w,
+                    previous.q_max, previous.max_demand_w, previous.floor_w,
+                )):
+                    columns[k, rows] = column[was]
+            points = _breakpoints(columns, curve, points)
+            # Tenants in first-appearance order over the sorted rows.
+            tenant = np.frombuffer(table.tenant_code, dtype=np.intp)[order]
+            seen = list(dict.fromkeys(tenant.tolist()))
+            renumber = np.zeros(len(table.tenant_ids), dtype=np.intp)
+            renumber[seen] = np.arange(len(seen))
+            tenant_code = renumber[tenant]
+        old_blocks = dict(zip(previous.pdu_ids, previous.blocks)) if len(rows) else {}
+        blocks = []
+        start = 0
+        for pdu_id, count, reuse in zip(pdu_ids, counts, kept):
+            end = start + count
+            blocks.append(
+                old_blocks[pdu_id]
+                if reuse
+                else PduBlock(pdu_id, bids[start:end], points(start, end))
+            )
+            start = end
+        demands: list = [None] * n
+        for r in sampled:
+            demands[r] = bids[r].demand
         return cls(
-            rack_ids=tuple(r for b in blocks for r in b.rack_ids),
-            pdu_ids=tuple(b.pdu_id for b in blocks),
-            pdu_code=np.concatenate(pdu_cols),
-            tenant_ids=tuple(tenant_index),
-            tenant_code=np.concatenate(tenant_cols),
-            kind=np.concatenate([b.kind for b in blocks]),
-            d_max_w=np.concatenate([b.d_max_w for b in blocks]),
-            q_min=np.concatenate([b.q_min for b in blocks]),
-            d_min_w=np.concatenate([b.d_min_w for b in blocks]),
-            q_max=np.concatenate([b.q_max for b in blocks]),
-            rack_cap_w=np.concatenate([b.rack_cap_w for b in blocks]),
-            max_demand_w=np.concatenate([b.max_demand_w for b in blocks]),
-            floor_w=np.concatenate([b.floor_w for b in blocks]),
+            rack_ids=rack_ids,
+            pdu_ids=pdu_ids,
+            pdu_code=pdu_code,
+            tenant_ids=tuple(table.tenant_ids[t] for t in seen),
+            tenant_code=tenant_code,
+            kind=(curve == CURVE_SAMPLED).view(np.uint8),
+            d_max_w=columns[1],
+            q_min=columns[2],
+            d_min_w=columns[3],
+            q_max=columns[4],
+            rack_cap_w=columns[0],
+            max_demand_w=columns[5],
+            floor_w=columns[6],
             breakpoints=np.concatenate([b.breakpoints for b in blocks]),
-            demands=tuple(d for b in blocks for d in b.demands),
-            bids=tuple(bid for b in blocks for bid in b.bids),
+            demands=tuple(demands),
+            bids=None,
             blocks=tuple(blocks),
+            curve=curve,
         )
 
     # ------------------------------------------------------------------
@@ -370,7 +534,9 @@ class BidFrame:
 
     def to_bids(self) -> tuple[RackBid, ...]:
         """The frame's rows as the original :class:`RackBid` objects
-        (frame row order)."""
+        (frame row order), read from the blocks when first asked."""
+        if self._bids is None:
+            self._bids = tuple(chain.from_iterable(b.bids for b in self.blocks))
         return self._bids
 
     # ------------------------------------------------------------------

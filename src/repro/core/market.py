@@ -18,13 +18,12 @@ from collections.abc import Sequence
 
 from repro.config import MarketParameters
 from repro.core.allocation import AllocationResult, verify_allocation
-from repro.core.bids import RackBid, flatten_bids
+from repro.core.bids import BidTable, RackBid, TenantBid, flatten_bids
 from repro.core.clearing import MarketClearing
 from repro.core.frame import BidFrame
 from repro.core.sharding import IncrementalFrameBuilder, clear_per_pdu_sharded
 from repro.errors import ConfigurationError
 from repro.prediction.spot import SpotCapacityForecast
-from repro.core.bids import TenantBid
 from repro.recovery.admission import QuarantinedBid, dedupe_bundles, screen_bids
 from repro.tenants.tenant import Tenant
 
@@ -102,7 +101,13 @@ class Allocator(abc.ABC):
 class SpotDCAllocator(Allocator):
     """The SpotDC market (paper Algorithm 1, steps 3-5).
 
-    Each slot's frame comes from an
+    Each slot's bundles are walked once into a
+    :class:`~repro.core.bids.BidTable` by the
+    :mod:`repro.recovery.admission` front door, which screens them
+    before anything is built: a malformed bundle is quarantined whole —
+    the tenant sits the slot out, exactly like a lost bid — and surfaces
+    on :attr:`SlotMarketRecord.quarantined`.  The duplicate-rack check
+    and the frame read the same table.  The frame comes from an
     :class:`~repro.core.sharding.IncrementalFrameBuilder`: only PDUs
     whose bids changed since the last slot are rebuilt, and an
     unchanged slot reuses the previous frame object outright.
@@ -113,7 +118,7 @@ class SpotDCAllocator(Allocator):
             (:func:`~repro.core.allocation.verify_allocation`) on every
             outcome; enabled by default as the reliability backstop.  It
             reads the slot's frame columns, so it costs a fraction of
-            the clear (about a fifth of ``clear_per_pdu`` on 20,000
+            the clear (about a sixth of ``clear_per_pdu`` on 20,000
             racks).
         oracle_rebid: Enable the Fig. 16 two-pass mode: clear once
             provisionally, feed the provisional price back to tenants as
@@ -123,12 +128,6 @@ class SpotDCAllocator(Allocator):
             (see :meth:`repro.core.clearing.MarketClearing.clear_per_pdu`);
             ``"uniform"`` clears one facility-wide price, the paper's
             literal description.
-        admission: Screen solicited bids through the
-            :mod:`repro.recovery.admission` front door before frame
-            construction (default on).  Malformed bundles are
-            quarantined whole — the tenant sits the slot out, exactly
-            like a lost bid — and surface on
-            :attr:`SlotMarketRecord.quarantined`.
         shards: Partition the per-PDU clearing work into this many
             contiguous shards (:mod:`repro.core.sharding`).  ``1`` (the
             default) is the serial path; any value produces
@@ -144,6 +143,8 @@ class SpotDCAllocator(Allocator):
 
     name = "spotdc"
     charges_tenants = True
+    #: Admission always screens the bids; there is no unscreened path.
+    admission = True
 
     def __init__(
         self,
@@ -151,7 +152,6 @@ class SpotDCAllocator(Allocator):
         verify: bool = True,
         oracle_rebid: bool = False,
         pricing: str = "per_pdu",
-        admission: bool = True,
         shards: int = 1,
         shard_jobs: int = 1,
         shard_spans: bool = False,
@@ -172,7 +172,6 @@ class SpotDCAllocator(Allocator):
         self.verify = verify
         self.oracle_rebid = oracle_rebid
         self.pricing = pricing
-        self.admission = admission
         self.shards = shards
         self.shard_jobs = shard_jobs
         self.shard_spans = shard_spans
@@ -206,7 +205,7 @@ class SpotDCAllocator(Allocator):
         predicted_price: float | None,
         submitted_bids: Sequence[TenantBid] | None = None,
         duplicated=None,
-    ) -> tuple[list[RackBid], tuple[QuarantinedBid, ...], tuple[str, ...]]:
+    ) -> tuple[BidTable, list[RackBid], tuple[QuarantinedBid, ...], tuple[str, ...]]:
         if submitted_bids is None:
             tenant_bids = []
             for tenant in tenants:
@@ -229,14 +228,12 @@ class SpotDCAllocator(Allocator):
         # admission, so a redelivered bundle can never double-bill (and
         # never trips flatten_bids' duplicate-rack integrity check).
         tenant_bids, absorbed = dedupe_bundles(tenant_bids)
-        quarantined: tuple[QuarantinedBid, ...] = ()
-        if self.admission:
-            # Admission happens on *bundles*: a bundle with any
-            # malformed rack bid is rejected whole — partial admission
-            # would grant a tenant capacity on exactly the racks whose
-            # bids happened to parse.
-            tenant_bids, quarantined = screen_bids(tenant_bids)
-        return flatten_bids(tenant_bids), quarantined, absorbed
+        # Admission happens on *bundles*: a bundle with any malformed
+        # rack bid is rejected whole — partial admission would grant a
+        # tenant capacity on exactly the racks whose bids happened to
+        # parse.  The screen walks the bundles into the slot's table.
+        _, quarantined, table = screen_bids(tenant_bids)
+        return table, flatten_bids(table), quarantined, absorbed
 
     def allocate(
         self,
@@ -255,7 +252,7 @@ class SpotDCAllocator(Allocator):
 
             tracer = NULL_TRACER
         with tracer.span("bid_collect", slot=slot) as bid_span:
-            bids, quarantined, absorbed = self._collect_bids(
+            table, bids, quarantined, absorbed = self._collect_bids(
                 slot,
                 tenants,
                 predicted_price,
@@ -285,7 +282,7 @@ class SpotDCAllocator(Allocator):
             # and billing all consume the frame from here on.  The
             # incremental builder re-aggregates only PDUs whose bids
             # changed since the last slot.
-            frame = self.frame_builder.build(bids)
+            frame = self.frame_builder.build(table)
             result = self._clear(
                 frame, forecast, extra_constraints, tracer=tracer, slot=slot
             )
@@ -293,10 +290,10 @@ class SpotDCAllocator(Allocator):
                 # Fig. 16: strategic tenants re-bid knowing the market
                 # price.  The rebid frame is transient — it must not
                 # displace the builder's slot-over-slot block cache.
-                rebids, requarantined, _ = self._collect_bids(
+                table, rebids, requarantined, _ = self._collect_bids(
                     slot, tenants, result.price
                 )
-                frame = BidFrame.from_bids(rebids)
+                frame = BidFrame.from_table(table)
                 result = self._clear(
                     frame, forecast, extra_constraints, tracer=tracer, slot=slot
                 )

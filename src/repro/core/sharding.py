@@ -3,16 +3,17 @@
 Two scaling walls stand between the 15k-rack columnar pipeline and the
 ROADMAP's million-rack north star, and this module removes both:
 
-1. **Frame construction dominates.**  At 15k racks the clear itself runs
-   in ~11 ms but rebuilding the :class:`~repro.core.frame.BidFrame`
-   struct-of-arrays from scratch costs ~32 ms *every slot*, even when
-   no bid changed.  :class:`IncrementalFrameBuilder` keeps persistent
-   per-PDU column blocks (:class:`~repro.core.frame.PduBlock`, the same
-   blocks :meth:`~repro.core.frame.BidFrame.from_bids` assembles) and
-   rebuilds only the PDUs whose bids actually changed since the
-   previous slot; an unchanged slot returns the previous frame
-   *object*.  Each block caches its PDU market's price grid, so a
-   reused block keeps its grid alive downstream too.
+1. **Frame construction dominates.**  Rebuilding the
+   :class:`~repro.core.frame.BidFrame` struct-of-arrays from scratch
+   every slot costs more than the clear itself, even when no bid
+   changed.  :class:`IncrementalFrameBuilder` builds each slot's frame
+   over the previous one (:meth:`~repro.core.frame.BidFrame.from_table`):
+   PDUs whose bids are unchanged keep their rows and per-PDU block
+   (:class:`~repro.core.frame.PduBlock`), only the PDUs whose bids
+   actually changed since the previous slot are rebuilt, and an
+   unchanged slot returns the previous frame *object*.  Each block
+   caches its PDU market's price grid, so a reused block keeps its grid
+   alive downstream too.
 
 2. **One process clears everything.**  The market's physical hierarchy
    (UPS → PDU → rack, paper Eqs. 2-4) makes each PDU subtree an
@@ -57,10 +58,9 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from repro.core.allocation import AllocationResult, capacity_excess
-from repro.core.bids import RackBid
+from repro.core.bids import BidTable, RackBid
 from repro.core.clearing import MarketClearing, _Outcome
-from repro.core.demand import LinearBid, StepBid
-from repro.core.frame import BidFrame, PduBlock, group_by_pdu
+from repro.core.frame import BidFrame
 
 __all__ = [
     "IncrementalFrameBuilder",
@@ -70,63 +70,40 @@ __all__ = [
 ]
 
 
-def _same_bid(old: RackBid, new: RackBid) -> bool:
-    """Value equality for one bid, demand curves compared by parameters.
-
-    Demand functions are plain classes without ``__eq__``, and tenants
-    construct fresh bid objects every slot — identity alone would mark
-    every block dirty.  Closed-form curves compare by their defining
-    floats; anything else (FullBid, custom subclasses) is conservatively
-    treated as changed, which costs a rebuild but never staleness.
-    """
-    if old is new:
-        return True
-    if (
-        old.rack_id != new.rack_id
-        or old.pdu_id != new.pdu_id
-        or old.tenant_id != new.tenant_id
-        or old.rack_cap_w != new.rack_cap_w
-    ):
+def _resent(bids: Sequence[RackBid], sent: Sequence[RackBid]) -> bool:
+    """Is each rack bid the one sent before at its position, or an equal
+    one holding the same demand object?"""
+    if len(bids) != len(sent):
         return False
-    fo, fn = old.demand, new.demand
-    if fo is fn:
-        return True
-    kind = type(fo)
-    if kind is not type(fn):
-        return False
-    if kind is LinearBid:
-        return (
-            fo.d_max_w == fn.d_max_w
-            and fo.q_min == fn.q_min
-            and fo.d_min_w == fn.d_min_w
-            and fo.q_max == fn.q_max
-        )
-    if kind is StepBid:
-        return fo.demand_w == fn.demand_w and fo.price_cap == fn.price_cap
-    return False
-
-
-def _same_bids(old: Sequence[RackBid], new: Sequence[RackBid]) -> bool:
-    return len(old) == len(new) and all(
-        _same_bid(o, n) for o, n in zip(old, new)
-    )
+    for new, old in zip(bids, sent):
+        if new is not old and not (
+            new.demand is old.demand
+            and new.rack_id == old.rack_id
+            and new.pdu_id == old.pdu_id
+            and new.tenant_id == old.tenant_id
+            and new.rack_cap_w == old.rack_cap_w
+        ):
+            return False
+    return True
 
 
 class IncrementalFrameBuilder:
-    """Build each slot's :class:`BidFrame` from persistent PDU blocks.
+    """Build each slot's :class:`BidFrame` over the previous slot's.
 
-    ``build(bids)`` groups the slot's bids by PDU exactly as
-    :meth:`BidFrame.from_bids` does, reuses every block whose bids are
-    value-unchanged since the previous slot, rebuilds only the dirty
-    ones, and assembles the frame through :meth:`BidFrame.from_blocks`.
-    A slot with *no* dirty or removed PDUs returns the previous frame
-    object itself, so downstream per-frame caches survive across slots
-    too; a reused block keeps its cached price grid either way.
+    ``build`` hands the slot's table and the previous frame to
+    :meth:`BidFrame.from_table`, which keeps the block of every PDU
+    whose rows are unchanged (see there for the rule) and builds the
+    rest.  A slot with *no* changed or removed PDU returns the previous
+    frame object itself, so downstream per-frame caches survive across
+    slots too; a reused block keeps its cached price grid either way.
+    When the frame holds one slot's bids and the next slot resends them
+    (each rack bid holding the demand object sent at its position), the
+    previous frame is returned before any walk.
 
     The builder is plain state on the allocator: checkpointing pickles
-    it with the engine, and because its output is value-identical to
-    ``from_bids`` regardless of cache contents, crash/resume stays
-    byte-identical whether the cache was warm or cold.
+    its frame with the engine, and because its output is value-identical
+    to ``from_bids`` regardless of the previous frame, crash/resume stays
+    byte-identical whether the frame was warm or cold.
 
     Attributes:
         last_dirty: PDU ids rebuilt (or removed) by the latest build,
@@ -136,34 +113,40 @@ class IncrementalFrameBuilder:
     """
 
     def __init__(self) -> None:
-        self._blocks: dict[str, PduBlock] = {}
         self._frame: BidFrame | None = None
+        # The rack bids ``_frame`` holds, in the order given (``None``:
+        # not known, or not all from one slot).
+        self._sent: list[RackBid] | None = None
         self.last_dirty: tuple[str, ...] = ()
         self.builds = 0
         self.rebuilt_pdus = 0
         self.reused_pdus = 0
 
-    def build(self, bids: Sequence[RackBid]) -> BidFrame:
-        """The slot's frame, value-identical to ``BidFrame.from_bids``."""
+    def build(self, bids: BidTable | Sequence[RackBid]) -> BidFrame:
+        """The slot's frame, value-identical to ``BidFrame.from_bids``.
+
+        Takes the slot's admitted :class:`BidTable` (or its rack bids).
+        """
         self.builds += 1
-        groups = group_by_pdu(bids)
-        removed = [p for p in self._blocks if p not in groups]
-        dirty: list[str] = []
-        blocks: dict[str, PduBlock] = {}
-        for pdu_id, group in groups.items():
-            old = self._blocks.get(pdu_id)
-            if old is not None and _same_bids(old.bids, group):
-                blocks[pdu_id] = old
-                self.reused_pdus += 1
-            else:
-                blocks[pdu_id] = PduBlock(pdu_id, tuple(group))
-                dirty.append(pdu_id)
-                self.rebuilt_pdus += 1
-        self.last_dirty = tuple(sorted(set(dirty) | set(removed)))
-        self._blocks = blocks
-        if not self.last_dirty and self._frame is not None:
-            return self._frame
-        frame = BidFrame.from_blocks([blocks[p] for p in sorted(blocks)])
+        previous = self._frame
+        sent = bids.bids if isinstance(bids, BidTable) else list(bids)
+        if self._sent is not None and _resent(sent, self._sent):
+            frame = previous
+        else:
+            table = bids if isinstance(bids, BidTable) else BidTable.from_bids(sent)
+            frame = BidFrame.from_table(table, previous)
+        if frame is previous:
+            self.last_dirty = ()
+            self.reused_pdus += len(frame.blocks)
+            return frame
+        old = {} if previous is None else dict(zip(previous.pdu_ids, previous.blocks))
+        dirty = [b.pdu_id for b in frame.blocks if old.pop(b.pdu_id, None) is not b]
+        self.rebuilt_pdus += len(dirty)
+        self.reused_pdus += len(frame.blocks) - len(dirty)
+        self.last_dirty = tuple(sorted(dirty + list(old)))
+        # Remember the bids only while the frame holds exactly them: a
+        # kept block holds an earlier slot's, which these would outlive.
+        self._sent = sent if len(dirty) == len(frame.blocks) else None
         self._frame = frame
         return frame
 

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 import numpy as np
 
-from repro.core.bids import RackBid, TenantBid
+from repro.core.bids import BidTable, RackBid, TenantBid
 from repro.core.demand import LinearBid, StepBid
 from repro.errors import BidValidationError
 
@@ -178,74 +177,32 @@ def validate_rack_bid(bid: RackBid) -> None:
         )
 
 
-#: Values per row of the column screen: ``(d_min, q_min, d_max, d_max,
-#: q_max, cap)``, so that the first three are each at most the last
-#: three.  A sampled row is all NaN, so :func:`inspect_rack_bid` decides
-#: it.
-_WIDTH = 6
-_SAMPLED = (math.nan,) * _WIDTH
 #: Below this many rack bids the column check costs more (a fixed
 #: handful of numpy calls) than inspecting each bid, so every bundle
 #: goes through :func:`inspect_rack_bid`.
 _COLUMNS_FROM = 16
 
 
-def _rows(bundles: Sequence[TenantBid]) -> np.ndarray:
-    """Every rack bid of ``bundles`` as one ``(bids, _WIDTH)`` float row.
+def _plainly_valid(values: np.ndarray) -> np.ndarray:
+    """Per row of :attr:`BidTable.values <repro.core.bids.BidTable.values>`:
+    is it plainly valid, ``0 <= d_min <= d_max <= cap < inf`` and
+    ``0 <= q_min <= q_max < inf``?
 
-    One walk extends one flat list, converted with ``array("d")``, which
-    accepts exactly the values ``math.isfinite`` accepts;
-    ``np.array(..., dtype=float)`` would also parse ``"5"`` and turn
-    ``None`` into NaN.  A list holding something that is not a real
-    number is converted row by row instead, and the rows that fail are
-    left NaN for :func:`inspect_rack_bid` to name.
+    Each clause fails on a NaN, so a sampled row (NaN until admitted) or
+    a value that is not a real number never passes.  A plainly valid row
+    passes :func:`inspect_rack_bid` (whose cap check even allows a
+    ``1e-9`` relative excess); a row that is not plainly valid is left
+    to it.
     """
-    flat: list = []
-    add = flat.extend
-    for bundle in bundles:
-        for bid in bundle.rack_bids:
-            fn = bid.demand
-            # Exact types, as in PduBlock: a subclass may override the
-            # curve, so it is sampled.
-            if type(fn) is LinearBid:
-                d_max = fn.d_max_w
-                add((fn.d_min_w, fn.q_min, d_max, d_max, fn.q_max, bid.rack_cap_w))
-            elif type(fn) is StepBid:
-                d_max = fn.demand_w
-                q_max = fn.price_cap
-                add((d_max, q_max, d_max, d_max, q_max, bid.rack_cap_w))
-            else:
-                add(_SAMPLED)
-    try:
-        values = array("d", flat)
-    except (TypeError, ValueError, ArithmeticError):
-        values = array("d")
-        for start in range(0, len(flat), _WIDTH):
-            try:
-                values += array("d", flat[start:start + _WIDTH])
-            except (TypeError, ValueError, ArithmeticError):
-                values += array("d", _SAMPLED)
-    return np.frombuffer(values).reshape(-1, _WIDTH)
-
-
-def _plainly_valid(rows: np.ndarray, axis: int | None = None):
-    """Are the rows plainly valid: ``0 <= d_min <= d_max <= cap < inf``
-    and ``0 <= q_min <= q_max < inf``?
-
-    Per row with ``axis=1``, for all rows together with ``axis=None``.
-    Each clause fails on a NaN.  A plainly valid row passes
-    :func:`inspect_rack_bid` (whose cap check even allows a ``1e-9``
-    relative excess); a row that is not plainly valid is left to it.
-    """
-    ok = np.minimum.reduce(rows, axis=axis) >= 0.0
-    ok &= np.maximum.reduce(rows, axis=axis) < math.inf
-    ok &= np.logical_and.reduce(rows[:, :3] <= rows[:, 3:], axis=axis)
+    cap, d_max, q_min, d_min, q_max = values
+    ok = (d_min >= 0.0) & (d_min <= d_max) & (d_max <= cap) & (cap < math.inf)
+    ok &= (q_min >= 0.0) & (q_min <= q_max) & (q_max < math.inf)
     return ok
 
 
 def screen_bids(
     tenant_bids: Iterable[TenantBid],
-) -> tuple[list[TenantBid], tuple[QuarantinedBid, ...]]:
+) -> tuple[list[TenantBid], tuple[QuarantinedBid, ...], BidTable]:
     """Partition solicited bundles into admitted and quarantined.
 
     A bundle is admitted only if *every* rack bid in it is valid —
@@ -254,44 +211,43 @@ def screen_bids(
     Quarantined bundles report one :class:`QuarantinedBid` per
     offending rack bid, in bundle order and then rack order.
 
-    One walk turns every rack bid into a row of floats, and one
-    vectorized check (:func:`_plainly_valid`) passes every row whose
-    curve is plainly valid.  When all rows pass — every honest slot —
-    the bundles are admitted as they are.  Otherwise the bundles holding
-    a row that did not pass (a malformed bid, a sampled demand curve, a
-    value that is not a real number) go through
+    The bundles are walked once into a :class:`~repro.core.bids.BidTable`,
+    and one vectorized check (:func:`_plainly_valid`) passes every row
+    whose curve is plainly valid.  When all rows pass — every honest
+    slot — the bundles are admitted as they are.  Otherwise the bundles
+    holding a row that did not pass (a malformed bid, a sampled demand
+    curve, a value that is not a real number) go through
     :func:`inspect_rack_bid` bid by bid, which decides them and writes
     each quarantine's reason and detail.  A slot of fewer than
     :data:`_COLUMNS_FROM` rack bids skips the columns and sends every
     bundle there.
 
     Returns:
-        ``(admitted, quarantined)``; admitted bundles preserve
-        submission order.
+        ``(admitted, quarantined, table)``: the admitted bundles in
+        submission order, and their table.
     """
-    bundles = list(tenant_bids)
+    table = BidTable.from_bundles(tenant_bids)
+    bundles = table.bundles
     suspect: Iterable[int] = range(len(bundles))
-    if bundles and sum(len(b.rack_bids) for b in bundles) >= _COLUMNS_FROM:
-        rows = _rows(bundles)
-        if _plainly_valid(rows):
-            return bundles, ()
-        ends = np.cumsum([len(bundle.rack_bids) for bundle in bundles])
-        failed = (~_plainly_valid(rows, axis=1)).nonzero()[0]
-        suspect = set(ends.searchsorted(failed, side="right").tolist())
-    admitted: list[TenantBid] = []
+    if len(table.bids) >= _COLUMNS_FROM:
+        plain = _plainly_valid(table.values)
+        if np.logical_and.reduce(plain):
+            return bundles, (), table
+        failed = (~plain).nonzero()[0]
+        suspect = set(np.searchsorted(table.ends, failed, side="right").tolist())
+    admitted: list[bool] = []
     quarantined: list[QuarantinedBid] = []
     for i, bundle in enumerate(bundles):
-        if i not in suspect:
-            admitted.append(bundle)
-            continue
-        offenders = [
-            (bid, verdict)
-            for bid in bundle.rack_bids
-            if (verdict := inspect_rack_bid(bid)) is not None
-        ]
-        if not offenders:
-            admitted.append(bundle)
-            continue
+        offenders = (
+            [
+                (bid, verdict)
+                for bid in bundle.rack_bids
+                if (verdict := inspect_rack_bid(bid)) is not None
+            ]
+            if i in suspect
+            else ()
+        )
+        admitted.append(not offenders)
         for bid, (reason, detail) in offenders:
             quarantined.append(
                 QuarantinedBid(
@@ -301,4 +257,7 @@ def screen_bids(
                     detail=detail,
                 )
             )
-    return admitted, tuple(quarantined)
+    if not quarantined:
+        return bundles, (), table
+    table = table.keep(admitted)
+    return table.bundles, tuple(quarantined), table

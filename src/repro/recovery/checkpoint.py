@@ -47,7 +47,10 @@ __all__ = [
 #: engine no longer carries a ``spot_predictor``.
 #: 4: frames keep their blocks and no per-PDU slice cache; each block
 #: caches its PDU market's price grid.
-CHECKPOINT_FORMAT = 4
+#: 5: blocks keep only their bids and breakpoints; the builder keeps its
+#: last frame and the bids that frame holds; tenants carry their slot's
+#: needs (``None`` on disk).
+CHECKPOINT_FORMAT = 5
 
 _MAGIC = "spotdc-checkpoint"
 _NAME_RE = re.compile(r"^checkpoint_(\d{6,})\.pkl$")

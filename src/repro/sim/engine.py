@@ -845,8 +845,9 @@ class SimulationEngine:
             st.m_slots.inc()
             st.m_bids.inc(len(record.bids))
             if tel.enabled:
-                # Counted again after enforce: degradation control may
-                # have revoked grants since the grant span counted them.
+                # Racks still granted after enforce: degradation control
+                # may have revoked grants the ``grant`` span's
+                # ``granted_racks`` counted, so this can read lower.
                 st.m_grants.inc(record.result.granted_racks)
             st.m_revenue.inc(spot_revenue)
             st.g_price.set(record.result.price)

@@ -138,14 +138,35 @@ class _ParticipatingTenant(Tenant):
         self.q_low = q_low
         self.q_high = q_high
         self.strategy = strategy or LinearElasticStrategy()
+        # ``(slot, needs)`` from the slot's first needed_spot_w until
+        # execute_slot, which can change a workload's needs.
+        self._needs: tuple[int, dict[str, float]] | None = None
 
     def __getstate__(self) -> dict:
         # A cached curve is a pure function of the rack's static models
         # and its cache key, so a restored tenant rebuilds it bit for bit;
-        # checkpoints carry the attribute but not the curves.
+        # checkpoints carry the attributes but not the curves or needs.
         state = self.__dict__.copy()
         state["_curve_cache"] = {}
+        state["_needs"] = None
         return state
+
+    def needed_spot_w(self, slot: int) -> dict[str, float]:
+        # Computed once per slot: the engine asks to build its requesting
+        # set, make_bid asks again.
+        if self._needs is None or self._needs[0] != slot:
+            self._needs = (slot, self._spot_needs(slot))
+        return self._needs[1]
+
+    @abc.abstractmethod
+    def _spot_needs(self, slot: int) -> dict[str, float]:
+        """Extra watts wanted per rack this slot (racks needing none omitted)."""
+
+    def execute_slot(
+        self, slot: int, budgets_w: Mapping[str, float], slot_seconds: float
+    ) -> dict[str, SlotPerformance]:
+        self._needs = None
+        return super().execute_slot(slot, budgets_w, slot_seconds)
 
     @abc.abstractmethod
     def value_curve(self, rack: TenantRack, slot: int) -> SpotValueCurve:
@@ -242,7 +263,7 @@ class SprintingTenant(_ParticipatingTenant):
         self._rate_quantum = rate_quantum_rps
         self._curve_cache: dict[tuple[str, int], SpotValueCurve] = {}
 
-    def needed_spot_w(self, slot: int) -> dict[str, float]:
+    def _spot_needs(self, slot: int) -> dict[str, float]:
         needed: dict[str, float] = {}
         for rack in self.racks:
             extra = rack.workload.desired_power_w(slot) - rack.guaranteed_w
@@ -312,7 +333,7 @@ class OpportunisticTenant(_ParticipatingTenant):
         self.cost_models = dict(cost_models)
         self._curve_cache: dict[str, SpotValueCurve] = {}
 
-    def needed_spot_w(self, slot: int) -> dict[str, float]:
+    def _spot_needs(self, slot: int) -> dict[str, float]:
         needed: dict[str, float] = {}
         for rack in self.racks:
             workload = rack.workload

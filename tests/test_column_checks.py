@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.config import MarketParameters, make_rng
 from repro.core import allocation
 from repro.core.allocation import verify_allocation
-from repro.core.bids import RackBid, TenantBid
+from repro.core.bids import BidTable, RackBid, TenantBid
 from repro.core.clearing import MarketClearing
 from repro.core.demand import FullBid, LinearBid, StepBid
 from repro.core.frame import BidFrame
@@ -136,7 +136,7 @@ class TestScreen:
     def test_matches_the_object_screen(self, bundles, columns_from):
         want_admitted, want_quarantined = oracle.screen_bids(bundles)
         with _threshold(admission, "_COLUMNS_FROM", columns_from):
-            admitted, quarantined = screen_bids(bundles)
+            admitted, quarantined, _ = screen_bids(bundles)
         assert [id(b) for b in admitted] == [id(b) for b in want_admitted]
         assert quarantined == want_quarantined
 
@@ -145,7 +145,7 @@ class TestScreen:
     def test_plainly_valid_rows_are_the_valid_rows_within_their_cap(self, bundles):
         bids = [bid for bundle in bundles for bid in bundle.rack_bids]
         assume(bids)
-        plain = admission._plainly_valid(admission._rows(bundles), axis=1)
+        plain = admission._plainly_valid(BidTable.from_bundles(bundles).values)
         for bid, is_plain in zip(bids, plain.tolist()):
             if type(bid.demand) not in (LinearBid, StepBid):
                 assert not is_plain  # sampled: inspect_rack_bid decides
@@ -169,7 +169,7 @@ class TestScreen:
         with mock.patch.object(
             admission, "inspect_rack_bid", side_effect=AssertionError
         ):
-            admitted, quarantined = screen_bids(bundles)
+            admitted, quarantined, _ = screen_bids(bundles)
         assert admitted == bundles and quarantined == ()
 
     def test_one_unreadable_value_leaves_the_other_rows_to_the_columns(self):
@@ -183,7 +183,7 @@ class TestScreen:
             return inspect_rack_bid(bid)
 
         with mock.patch.object(admission, "inspect_rack_bid", side_effect=spy):
-            admitted, quarantined = screen_bids(bundles)
+            admitted, quarantined, _ = screen_bids(bundles)
         assert inspected == [bids[7].rack_id]
         assert [q.reason for q in quarantined] == ["non_finite"]
         assert admitted == bundles[:7] + bundles[8:]

@@ -10,14 +10,22 @@ leaving mid-run, quarantined bundles, revocations, and fault-injected
 lost-bid slots all reduce to bid-list mutations, so each gets an
 explicit invalidation test; a property test then checks parity after
 arbitrary mutation sequences.
+
+Frames of fewer than ``frame._ROWS_FROM`` rows are compared and built
+row by row, larger ones vectorized; every case here runs both ways (the
+``...Vectorized`` classes patch the threshold to 0).
 """
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import MarketParameters
-from repro.core.bids import RackBid
+from repro.core import frame as frame_module
+from repro.core.bids import BidTable, RackBid
 from repro.core.clearing import MarketClearing
 from repro.core.demand import FullBid, LinearBid, StepBid
 from repro.core.frame import BidFrame
@@ -120,6 +128,13 @@ class _OpaqueLinear(LinearBid):
     """A LinearBid subclass: sampled, yet with public curve attributes."""
 
 
+@pytest.fixture
+def vectorized():
+    """Build every frame through the vectorized path, however few its rows."""
+    with mock.patch.object(frame_module, "_ROWS_FROM", 0):
+        yield
+
+
 class TestParityWithFromBids:
     def test_from_bids_matches_reference(self):
         bids = _population() + [
@@ -160,6 +175,11 @@ class TestParityWithFromBids:
         _assert_frames_identical(frame, frame_from_bids(_population()))
 
 
+@pytest.mark.usefixtures("vectorized")
+class TestParityWithFromBidsVectorized(TestParityWithFromBids):
+    pass
+
+
 class TestDirtyTracking:
     def _built(self):
         builder = IncrementalFrameBuilder()
@@ -172,6 +192,48 @@ class TestDirtyTracking:
         second = builder.build(_closed_population())
         assert second is first
         assert builder.last_dirty == ()
+
+    def test_resent_demand_objects_skip_the_walk(self):
+        """Fresh bids holding the demand objects sent before, in the same
+        order: the previous frame, without walking the bids."""
+        sent = _population()
+        again = [RackBid(b.rack_id, b.pdu_id, b.tenant_id, b.demand, b.rack_cap_w) for b in sent]
+        builder = IncrementalFrameBuilder()
+        first = builder.build(sent)
+        with mock.patch.object(BidTable, "from_bids", side_effect=AssertionError("walked")):
+            assert builder.build(again) is first
+        assert builder.last_dirty == ()
+        # Fewer bids, or r4 (on p1) with another rack id, cap, PDU or
+        # tenant but the same demand object, are walked.
+        r4 = again[4]
+        for bids, dirty in (
+            (again[:-2], ("p3",)),
+            (again[:4] + [_bid("r9", "p1", "tC", r4.demand)] + again[5:], ("p1",)),
+            (again[:4] + [_bid("r4", "p1", "tC", r4.demand, cap=90.0)] + again[5:], ("p1",)),
+            (again[:4] + [_bid("r4", "p2", "tC", r4.demand)] + again[5:], ("p1", "p2")),
+            (again[:4] + [_bid("r4", "p1", "tF", r4.demand)] + again[5:], ("p1",)),
+        ):
+            builder = IncrementalFrameBuilder()
+            builder.build(sent)
+            frame = builder.build(bids)
+            assert builder.last_dirty == dirty
+            _assert_frames_identical(frame, frame_from_bids(bids))
+
+    def test_kept_rows_keep_their_bits(self):
+        """A ``0.0`` resent as ``-0.0`` leaves its PDU unchanged: when
+        another PDU is rebuilt, the frame keeps this PDU's previous rows
+        bit for bit."""
+        builder = IncrementalFrameBuilder()
+        first = _closed_population()
+        first[0] = _bid("r0", "p0", "tA", LinearBid(60.0, 0.0, 10.0, 0.3))
+        builder.build(first)
+        second = _closed_population()
+        second[0] = _bid("r0", "p0", "tA", LinearBid(60.0, -0.0, 10.0, 0.3))
+        second[5] = _bid("r5", "p2", "tC", LinearBid(61.0, 0.05, 10.0, 0.3))
+        frame = builder.build(second)
+        assert builder.last_dirty == ("p2",)
+        assert not np.signbit(frame.q_min[frame.row_of["r0"]])
+        _assert_frames_identical(frame, frame_from_bids(second))
 
     def test_tenant_joins_dirties_only_its_pdu(self):
         builder = self._built()
@@ -224,6 +286,11 @@ class TestDirtyTracking:
         assert builder.reused_pdus == 3
 
 
+@pytest.mark.usefixtures("vectorized")
+class TestDirtyTrackingVectorized(TestDirtyTracking):
+    pass
+
+
 # -- property test: parity after arbitrary mutation sequences ----------
 
 _PDUS = ("p0", "p1", "p2", "p3")
@@ -267,20 +334,22 @@ def _apply_mutation(bids, op, rng):
             st.integers(min_value=0, max_value=30),
         ),
         max_size=8,
-    )
+    ),
+    rows_from=st.sampled_from([0, frame_module._ROWS_FROM]),
 )
 @settings(max_examples=40, deadline=None)
-def test_incremental_equals_from_scratch_after_any_mutations(ops):
-    builder = IncrementalFrameBuilder()
-    bids = _population()
-    _assert_frames_identical(builder.build(bids), frame_from_bids(bids))
-    for op in ops:
-        bids = _apply_mutation(bids, op, None)
-        frame = builder.build(bids)
-        _assert_frames_identical(frame, frame_from_bids(bids))
-        _assert_frames_identical(BidFrame.from_bids(bids), frame_from_bids(bids))
-        # Every dirty PDU names a real PDU of the old or new population.
-        assert set(builder.last_dirty) <= set(_PDUS) | {b.pdu_id for b in bids}
+def test_incremental_equals_from_scratch_after_any_mutations(ops, rows_from):
+    with mock.patch.object(frame_module, "_ROWS_FROM", rows_from):
+        builder = IncrementalFrameBuilder()
+        bids = _population()
+        _assert_frames_identical(builder.build(bids), frame_from_bids(bids))
+        for op in ops:
+            bids = _apply_mutation(bids, op, None)
+            frame = builder.build(bids)
+            _assert_frames_identical(frame, frame_from_bids(bids))
+            _assert_frames_identical(BidFrame.from_bids(bids), frame_from_bids(bids))
+            # Every dirty PDU names a real PDU of the old or new population.
+            assert set(builder.last_dirty) <= set(_PDUS) | {b.pdu_id for b in bids}
 
 
 # -- per-frame caches unlocked by frame reuse --------------------------
@@ -328,14 +397,19 @@ class TestFrameCaches:
             assert np.array_equal(grid, raised.candidate_prices(alone))
 
 
+@pytest.mark.usefixtures("vectorized")
+class TestFrameCachesVectorized(TestFrameCaches):
+    pass
+
+
 # -- end-to-end: the incremental default changes no bytes --------------
 
 
 class _ScratchBuilder:
     """Builds every slot's frame from scratch with the reference build."""
 
-    def build(self, bids):
-        return frame_from_bids(bids)
+    def build(self, table):
+        return frame_from_bids(table.bids)
 
 
 class TestEndToEnd:
@@ -357,3 +431,8 @@ class TestEndToEnd:
         assert self._trace_bytes(tmp_path, "inc", True) == self._trace_bytes(
             tmp_path, "scratch", False
         )
+
+
+@pytest.mark.usefixtures("vectorized")
+class TestEndToEndVectorized(TestEndToEnd):
+    pass

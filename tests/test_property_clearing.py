@@ -247,7 +247,7 @@ class TestAdmissionProperties:
     @settings(max_examples=100, deadline=None)
     def test_bundles_admitted_whole_or_not_at_all(self, data):
         bundles, dirty = data
-        admitted, quarantined = screen_bids(bundles)
+        admitted, quarantined, _ = screen_bids(bundles)
         admitted_tenants = {b.tenant_id for b in admitted}
         quarantined_tenants = {q.tenant_id for q in quarantined}
         # A bundle with any corrupt bid is quarantined whole; a clean
@@ -264,7 +264,7 @@ class TestAdmissionProperties:
     @settings(max_examples=60, deadline=None)
     def test_admitted_bids_always_clear_cleanly(self, data):
         bundles, _ = data
-        admitted, _ = screen_bids(bundles)
+        admitted, _, _ = screen_bids(bundles)
         bids = [rb for bundle in admitted for rb in bundle.rack_bids]
         pdu_spot = {"p0": 120.0, "p1": 120.0}
         engine = MarketClearing(params=MarketParameters(price_step=0.01))

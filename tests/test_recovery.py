@@ -9,17 +9,18 @@ quarantine every malformed bundle whole, with a machine-readable reason.
 """
 
 import dataclasses
+import math
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.config import make_rng
+from repro.config import MarketParameters, make_rng
 from repro.core.allocation import AllocationResult, verify_allocation
 from repro.core.bids import RackBid, TenantBid
 from repro.core.demand import LinearBid
 from repro.core.frame import BidFrame
-from repro.core.market import SlotMarketRecord
+from repro.core.market import SlotMarketRecord, SpotDCAllocator
 from repro.errors import (
     ConfigurationError,
     OperatorCrash,
@@ -466,7 +467,7 @@ class TestAdmission:
             ),
             "non_finite",
         )
-        admitted, quarantined = screen_bids(
+        admitted, quarantined, _ = screen_bids(
             [TenantBid(tenant_id="t0", rack_bids=(good, bad))]
         )
         assert admitted == []
@@ -491,13 +492,38 @@ class TestAdmission:
         assert inspect_rack_bid(bad) == (
             "non_finite", f"bid parameter {value!r} is not a real number"
         )
-        admitted, quarantined = screen_bids(
+        admitted, quarantined, _ = screen_bids(
             [TenantBid(tenant_id="t0", rack_bids=(good, bad))]
         )
         assert admitted == []
         assert [(q.rack_id, q.reason) for q in quarantined] == [
             ("r-bad", "non_finite")
         ]
+
+    @pytest.mark.parametrize("value", [None, "5", math.nan, math.inf])
+    def test_the_market_always_screens(self, value):
+        """No allocator skips admission: a bad value on one of three racks
+        of a PDU quarantines its bundle, and the other two still clear."""
+        with pytest.raises(TypeError):
+            SpotDCAllocator(admission=False)
+        allocator = SpotDCAllocator(params=MarketParameters(price_step=0.01))
+        assert allocator.admission is True
+        bundles = [
+            TenantBid(f"t{i}", (RackBid(
+                f"r{i}", "p0", f"t{i}", LinearBid(40.0, 0.02, 5.0, 0.25), 40.0
+            ),))
+            for i in range(3)
+        ]
+        bundles[1].rack_bids[0].demand.d_max_w = value
+        record = allocator.allocate(
+            0, [], SpotCapacityForecast({"p0": 60.0}, 60.0), 60.0,
+            submitted_bids=bundles,
+        )
+        assert [(q.rack_id, q.reason) for q in record.quarantined] == [
+            ("r1", "non_finite")
+        ]
+        assert set(record.result.grants_w) == {"r0", "r2"}
+        assert record.result.total_granted_w > 0.0
 
     def test_details_print_the_bid_values_as_given(self):
         # Rack caps come from Rack.max_spot_w: an int for whole watts.
