@@ -30,9 +30,9 @@ from repro.telemetry import TelemetryConfig, write_summary_json
 from repro.telemetry.registry import NULL_REGISTRY
 from repro.telemetry.tracing import NULL_TRACER
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
+#: Smoke runs archive into the git-ignored ``results/smoke/``.
+RESULTS_DIR = pathlib.Path(__file__).parent / "results" / ("smoke" if SMOKE else "")
 
 #: Worker processes for the telemetry-mode timing runs; 1 (default)
 #: times them serially for the least contention noise.

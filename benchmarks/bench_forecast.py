@@ -40,9 +40,9 @@ from repro.infrastructure.ups import Ups
 from repro.prediction.spot import SpotCapacityPredictor
 from repro.telemetry import write_summary_json
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
+#: Smoke runs archive into the git-ignored ``results/smoke/``.
+RESULTS_DIR = pathlib.Path(__file__).parent / "results" / ("smoke" if SMOKE else "")
 
 #: Worker processes for the frontier cells; 1 (default) runs serially.
 JOBS = int(os.environ.get("BENCH_JOBS", "1"))

@@ -32,9 +32,9 @@ from repro.telemetry import write_summary_json
 
 from tests import oracle
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
+#: Smoke runs archive into the git-ignored ``results/smoke/``.
+RESULTS_DIR = pathlib.Path(__file__).parent / "results" / ("smoke" if SMOKE else "")
 JOBS = int(os.environ.get("BENCH_JOBS", "1"))
 
 RACKS = 20_000 if SMOKE else 1_000_000

@@ -20,9 +20,9 @@ import time
 from repro.sweep import run_sweep
 from repro.telemetry import write_summary_json
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
+#: Smoke runs archive into the git-ignored ``results/smoke/``.
+RESULTS_DIR = pathlib.Path(__file__).parent / "results" / ("smoke" if SMOKE else "")
 
 #: Per-cell horizon: long enough that pool startup amortises away.
 SLOTS = 30 if SMOKE else 150

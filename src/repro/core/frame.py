@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import accumulate, chain, repeat
-from operator import is_, itemgetter, or_
+from operator import itemgetter, or_
 
 import numpy as np
 
@@ -282,7 +282,8 @@ def _few_rows(table, order, counts, previous, kept_rows, bids):
         else:
             floor = d_max if q_max <= q_min else d_max + (d_min - d_max)
             per_row.append([q_min, q_max] if curve[r] == CURVE_LINEAR else [q_max])
-        # np.minimum(floor, cap): a tie or a NaN floor keeps the floor.
+        # As np.minimum(floor, cap): a tie gives the cap, a NaN on
+        # either side gives NaN.
         floor = floor if floor < cap or floor != floor else cap
         cells.append([cap, d_max, q_min, d_min, q_max, top, floor])
     columns = np.array(list(chain.from_iterable(zip(*cells)))).reshape(7, -1)
@@ -673,31 +674,6 @@ class BidFrame:
         starts, seg_codes = self.segments()
         out[seg_codes] = np.add.reduceat(demand, starts, axis=0)
         return out
-
-    def demand_totals(
-        self,
-        prices: np.ndarray,
-        group_rows: "Sequence[np.ndarray]" = (),
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Aggregate rack-clipped demand over one ascending price grid.
-
-        The one-market case of :meth:`market_totals`: every row counts
-        and every PDU accumulates over ``prices``.
-
-        Returns:
-            ``(pdu_demand, group_demand)`` with shapes
-            ``(n_pdus, P)`` and ``(len(group_rows), P)``.
-        """
-        prices = np.asarray(prices, dtype=float)
-        return self.market_totals(
-            np.arange(len(self), dtype=np.intp),
-            0,
-            np.zeros(len(self.pdu_ids), dtype=np.intp),
-            prices[None, :],
-            np.array([prices.size]),
-            group_rows,
-            np.zeros(len(group_rows), dtype=np.intp),
-        )
 
     def market_totals(
         self,

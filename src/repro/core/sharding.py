@@ -100,10 +100,10 @@ class IncrementalFrameBuilder:
     (each rack bid holding the demand object sent at its position), the
     previous frame is returned before any walk.
 
-    The builder is plain state on the allocator: checkpointing pickles
-    its frame with the engine, and because its output is value-identical
-    to ``from_bids`` regardless of the previous frame, crash/resume stays
-    byte-identical whether the frame was warm or cold.
+    The frame, its blocks and the sent bids are derived state:
+    checkpoints leave them out, and a restored builder starts cold.
+    Because its output is value-identical to ``from_bids`` regardless of
+    the previous frame, crash/resume stays byte-identical.
 
     Attributes:
         last_dirty: PDU ids rebuilt (or removed) by the latest build,
@@ -121,6 +121,9 @@ class IncrementalFrameBuilder:
         self.builds = 0
         self.rebuilt_pdus = 0
         self.reused_pdus = 0
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_frame": None, "_sent": None}
 
     def build(self, bids: BidTable | Sequence[RackBid]) -> BidFrame:
         """The slot's frame, value-identical to ``BidFrame.from_bids``.

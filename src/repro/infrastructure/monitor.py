@@ -19,6 +19,7 @@ fault-free simulations pay nothing for it.
 from __future__ import annotations
 
 import collections
+import itertools
 from collections.abc import Mapping
 
 import numpy as np
@@ -27,6 +28,12 @@ from repro.errors import SimulationError
 from repro.infrastructure.topology import PowerTopology
 
 __all__ = ["PowerMonitor"]
+
+
+def _last(series: collections.deque, n: int) -> list:
+    """The last ``n`` samples of a series (all, if fewer), oldest first,
+    read from its end without copying the rest."""
+    return list(itertools.islice(reversed(series), n))[::-1]
 
 
 class PowerMonitor:
@@ -59,6 +66,47 @@ class PowerMonitor:
         # slot whose metered samples diverge from the true draws.
         self._true_rack_series: dict[str, collections.deque[float]] | None = None
         self._slots_recorded = 0
+
+    def __getstate__(self) -> dict:
+        # A checkpoint appends the series to its history segment and
+        # restores them from it; the pickle keeps whether a true series
+        # exists.
+        state = self.__dict__.copy()
+        del state["_rack_series"], state["_pdu_series"], state["_ups_series"]
+        state["_true_rack_series"] = self._true_rack_series is not None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        shadowed = state.pop("_true_rack_series")
+        self.__init__(state["_topology"], state["_history_slots"])
+        self.__dict__.update(state)
+        if shadowed:
+            self._true_rack_series = {
+                rack_id: collections.deque(maxlen=self._history_slots)
+                for rack_id in self._rack_series
+            }
+
+    def _all_series(self) -> list:
+        true = self._true_rack_series or {}
+        return [
+            *self._rack_series.values(), *self._pdu_series.values(),
+            self._ups_series, *true.values(),
+        ]
+
+    def history_since(self, start: int) -> list:
+        """One row per slot from the ``start``-th on, oldest first (fewer
+        when ``history_slots`` dropped some): every series' sample."""
+        n = self._slots_recorded - start
+        return list(zip(*(_last(series, n) for series in self._all_series())))
+
+    def extend_history(self, rows: list) -> None:
+        """Append :meth:`history_since` rows to the series."""
+        series = self._all_series()
+        # Rows written before the true series existed lack it: until the
+        # first divergence the true draws are the metered ones.
+        rows = [row + row[: len(series) - len(row)] for row in rows]
+        for entries, column in zip(series, zip(*rows)):
+            entries.extend(column)
 
     @property
     def slots_recorded(self) -> int:
@@ -148,8 +196,7 @@ class PowerMonitor:
         series = self._rack_series[rack_id]
         if not series:
             return 0.0
-        recent = list(series)[-window:]
-        return max(recent)
+        return max(_last(series, window))
 
     def rack_recent_true_max_w(self, rack_id: str, window: int = 5) -> float:
         """Maximum of a rack's last ``window`` *true* samples.
@@ -166,7 +213,7 @@ class PowerMonitor:
         series = self._true_rack_series[rack_id]
         if not series:
             return 0.0
-        return max(list(series)[-window:])
+        return max(_last(series, window))
 
     def latest_pdu_power_w(self, pdu_id: str) -> float:
         """Most recent aggregate draw at a PDU (0 before any sample)."""

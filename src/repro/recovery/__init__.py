@@ -27,7 +27,6 @@ from repro.recovery.admission import (
     dedupe_bundles,
     inspect_rack_bid,
     screen_bids,
-    validate_rack_bid,
 )
 from repro.recovery.checkpoint import (
     CHECKPOINT_FORMAT,
@@ -58,5 +57,4 @@ __all__ = [
     "load_checkpoint",
     "save_checkpoint",
     "screen_bids",
-    "validate_rack_bid",
 ]

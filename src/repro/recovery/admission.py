@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.core.bids import BidTable, RackBid, TenantBid
 from repro.core.demand import LinearBid, StepBid
-from repro.errors import BidValidationError
 
 __all__ = [
     "QUARANTINE_REASONS",
@@ -34,7 +33,6 @@ __all__ = [
     "dedupe_bundles",
     "inspect_rack_bid",
     "screen_bids",
-    "validate_rack_bid",
 ]
 
 
@@ -160,21 +158,6 @@ def inspect_rack_bid(bid: RackBid) -> tuple[str, str] | None:
             f"demand {max_demand} W exceeds rack headroom {cap} W",
         )
     return None
-
-
-def validate_rack_bid(bid: RackBid) -> None:
-    """Raise :class:`BidValidationError` if the bid is malformed.
-
-    The raising variant for callers validating bids directly; the
-    market itself never raises — it quarantines via :func:`screen_bids`.
-    """
-    verdict = inspect_rack_bid(bid)
-    if verdict is not None:
-        reason, detail = verdict
-        raise BidValidationError(
-            f"rack {bid.rack_id} (tenant {bid.tenant_id}): {detail}",
-            reason=reason,
-        )
 
 
 #: Below this many rack bids the column check costs more (a fixed

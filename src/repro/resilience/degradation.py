@@ -206,7 +206,7 @@ class DegradationController:
 
     def credited_dollars(self) -> float:
         """Total settlement credits across the run."""
-        return sum(note.dollars for note in self._credits)
+        return sum((note.dollars for note in self._credits), 0.0)
 
     # ------------------------------------------------------------------
     # Per-slot enforcement

@@ -83,7 +83,8 @@ class _RunState:
     is identical to the historical single-function loop) and the
     "seen" cursors for incremental fault/degradation event bridging.
     The object is plain data and picklable: it is checkpointed with the
-    engine, so a resumed run continues mid-loop without re-deriving
+    engine, so a resumed run continues mid-loop — cursors, handles and
+    the forecast-accuracy accumulators included — without re-deriving
     anything.
     """
 
@@ -204,6 +205,9 @@ class SimulationEngine:
             run if the config names an output directory.
     """
 
+    #: Written once per run by checkpoints (:mod:`repro.recovery.checkpoint`).
+    run_inputs = ("_rack_infos", "_tenant_infos")
+
     def __init__(
         self,
         scenario: Scenario,
@@ -296,6 +300,8 @@ class SimulationEngine:
         self._quarantined_by_tenant: dict[str, int] = {}
         # Active run state; set by begin_run, cleared by finish_run.
         self._run: _RunState | None = None
+        # Where checkpoints go and what they hold (repro.recovery.checkpoint).
+        self._checkpoint_cursor = None
         deadline = getattr(scenario, "clearing_deadline_s", None)
         if deadline is None or deadline is False:
             self.deadline_guard = None
@@ -306,6 +312,14 @@ class SimulationEngine:
                 else float(deadline)
             )
             self.deadline_guard = ClearingDeadlineGuard(budget)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in self.run_inputs:
+            del state[name]
+        # Each checkpoint envelope records its own cursor.
+        state["_checkpoint_cursor"] = None
+        return state
 
     def begin_run(
         self,
@@ -339,7 +353,6 @@ class SimulationEngine:
                 raise SimulationError(
                     "checkpoint_every requires a checkpoint_dir"
                 )
-        start_slot = 0
         if resume_from is not None:
             envelope = load_checkpoint(resume_from)
             if envelope["horizon"] != slots:
@@ -355,40 +368,39 @@ class SimulationEngine:
                 )
             # Adopt the checkpointed engine wholesale: every attribute —
             # RNG streams, monitor history, ledger, telemetry, fault and
-            # degradation state — continues exactly where the crashed
-            # run left it.
+            # degradation state, and the mid-loop run state with its
+            # cursors and accumulators — continues exactly where the
+            # crashed run left it.
             self.__dict__.update(envelope["engine"].__dict__)
+            self._run.checkpoint_every = checkpoint_every
+            self._run.checkpoint_dir = checkpoint_dir
+            if self.shock_absorber is not None:
+                self.shock_absorber.bind_telemetry(self.telemetry.registry)
+            if self.fault_model is not None:
+                # The crash that killed the previous run must not re-fire
+                # on the resumed one (later scheduled crashes still do).
+                self.fault_model.disarm_next_crash(start_slot)
+            return start_slot
         scenario = self.scenario
-        if resume_from is None:
-            # prepare() re-seeds tenant RNG streams for a fresh run; on
-            # resume the checkpointed streams are mid-sequence and must
-            # not be reset.
-            scenario.prepare(slots)
-        participants = scenario.participating_tenants()
-        slot_seconds = scenario.slot_seconds
-        total_guaranteed = scenario.total_guaranteed_w()
+        # prepare() re-seeds tenant RNG streams for a fresh run.
+        scenario.prepare(slots)
         injector = self.fault_model
-
         registry = self.telemetry.registry
         absorber = self.shock_absorber
         if absorber is not None:
-            if resume_from is None:
-                # The schedule is materialised once, up front: a crash
-                # mid-event resumes the checkpointed absorber (with the
-                # already-built schedule) and replays the remaining
-                # event window byte-identically.
-                absorber.prepare(scenario.seed, slots)
+            # The schedule is materialised once, up front: a crash
+            # mid-event resumes the checkpointed absorber (with the
+            # already-built schedule) and replays the remaining event
+            # window byte-identically.
+            absorber.prepare(scenario.seed, slots)
             absorber.bind_telemetry(registry)
-        # On a fresh run the "seen" cursors are all zero; on resume they
-        # pick up the checkpointed logs' lengths so "new since" deltas
-        # stay correct.
         self._run = _RunState(
             slots=slots,
             checkpoint_every=checkpoint_every,
             checkpoint_dir=checkpoint_dir,
-            participants=participants,
-            slot_seconds=slot_seconds,
-            total_guaranteed=total_guaranteed,
+            participants=scenario.participating_tenants(),
+            slot_seconds=scenario.slot_seconds,
+            total_guaranteed=scenario.total_guaranteed_w(),
             m_slots=registry.counter("slots_total"),
             m_bids=registry.counter("bids_total"),
             m_grants=registry.counter("grants_total"),
@@ -422,13 +434,9 @@ class SimulationEngine:
                 else 0
             ),
             emergencies_seen=len(self.emergencies.events),
-            next_slot=start_slot,
+            next_slot=0,
         )
-        if resume_from is not None and injector is not None:
-            # The crash that killed the previous run must not re-fire on
-            # the resumed one (later scheduled crashes still do).
-            injector.disarm_next_crash(start_slot)
-        return start_slot
+        return 0
 
     def _require_run(self) -> _RunState:
         if self._run is None:

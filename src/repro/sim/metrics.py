@@ -19,6 +19,17 @@ from repro.workloads.base import SlotPerformance
 
 __all__ = ["MetricsCollector"]
 
+#: The per-slot series, facility-wide and per id: checkpoints append them
+#: to a history segment, not the pickle (:mod:`repro.recovery.checkpoint`).
+_SERIES = (
+    "_price", "_spot_granted", "_spot_revenue", "_forecast_ups",
+    "_forecast_pdu_total", "_ups_power",
+)
+_SERIES_BY_ID = (
+    "_pdu_power", "_pdu_price", "_rack_power", "_rack_perf", "_rack_wanted",
+    "_rack_granted", "_rack_slo_violation", "_tenant_payment",
+)
+
 
 class MetricsCollector:
     """Accumulates one simulation run's telemetry."""
@@ -50,10 +61,34 @@ class MetricsCollector:
         self._tenant_payment: dict[str, list[float]] = {t: [] for t in tenant_ids}
         self._slots = 0
 
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in _SERIES + _SERIES_BY_ID:
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["rack_ids"], state["pdu_ids"], state["tenant_ids"])
+        self.__dict__.update(state)
+
     @property
     def slots(self) -> int:
         """Slots recorded so far."""
         return self._slots
+
+    def _all_series(self) -> list:
+        by_id = (getattr(self, name).values() for name in _SERIES_BY_ID)
+        return [getattr(self, name) for name in _SERIES] + [s for v in by_id for s in v]
+
+    def history_since(self, start: int) -> list:
+        """One row per slot from the ``start``-th on: every series' entry,
+        in id order."""
+        return list(zip(*(series[start:] for series in self._all_series())))
+
+    def extend_history(self, rows: list) -> None:
+        """Append :meth:`history_since` rows to the series."""
+        for series, column in zip(self._all_series(), zip(*rows)):
+            series.extend(column)
 
     def record_slot(
         self,

@@ -195,6 +195,15 @@ class Scenario:
         default=None, compare=False, repr=False
     )
 
+    #: Written once per run by checkpoints (:mod:`repro.recovery.checkpoint`).
+    run_inputs = ("spec", "price_sheet")
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in self.run_inputs:
+            del state[name]
+        return state
+
     def __post_init__(self) -> None:
         # Catch bad run parameters at construction, not slots deep in
         # the engine: a NaN cost or zero-length slot silently corrupts

@@ -56,6 +56,7 @@ class TierWorkload(Workload):
     """
 
     metric = "latency_ms"
+    run_inputs = ("latency_model", "_rates", "_desired")
 
     def __init__(
         self, name: str, latency_model: LatencyModel, target_ms: float
@@ -138,6 +139,7 @@ class BundledSprintingTenant(Tenant):
     """
 
     kind = "sprinting"
+    run_inputs = ("arrival_trace", "cost_model")
 
     def __init__(
         self,

@@ -40,6 +40,15 @@ class TenantRack:
     power_model: ServerPowerModel
     workload: Workload
 
+    #: Written once per run by checkpoints (:mod:`repro.recovery.checkpoint`).
+    run_inputs = ("power_model",)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in self.run_inputs:
+            del state[name]
+        return state
+
     def __post_init__(self) -> None:
         if self.guaranteed_w <= 0:
             raise ConfigurationError(

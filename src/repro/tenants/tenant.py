@@ -55,6 +55,8 @@ class Tenant(abc.ABC):
     #: Tenant class label: ``"sprinting"``, ``"opportunistic"``, or
     #: ``"non-participating"`` (paper Table I's Type column).
     kind: str = "tenant"
+    #: Written once per run by checkpoints (:mod:`repro.recovery.checkpoint`).
+    run_inputs: tuple[str, ...] = ()
 
     def __init__(self, tenant_id: str, racks: list[TenantRack]) -> None:
         if not tenant_id:
@@ -68,6 +70,12 @@ class Tenant(abc.ABC):
             )
         self.tenant_id = tenant_id
         self.racks = racks
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in self.run_inputs:
+            del state[name]
+        return state
 
     @property
     def participates(self) -> bool:
@@ -121,6 +129,8 @@ class Tenant(abc.ABC):
 class _ParticipatingTenant(Tenant):
     """Shared machinery for tenants that bid in the market."""
 
+    run_inputs = ("cost_models",)
+
     def __init__(
         self,
         tenant_id: str,
@@ -146,7 +156,7 @@ class _ParticipatingTenant(Tenant):
         # A cached curve is a pure function of the rack's static models
         # and its cache key, so a restored tenant rebuilds it bit for bit;
         # checkpoints carry the attributes but not the curves or needs.
-        state = self.__dict__.copy()
+        state = super().__getstate__()
         state["_curve_cache"] = {}
         state["_needs"] = None
         return state

@@ -71,10 +71,19 @@ class Workload(abc.ABC):
     name: str = "workload"
     #: Performance metric family: ``"latency_ms"`` or ``"throughput"``.
     metric: str = "latency_ms"
+    #: Models, traces and the per-slot arrays (read-only) :meth:`prepare`
+    #: fixes: checkpoints write them once per run (repro.recovery.checkpoint).
+    run_inputs: tuple[str, ...] = ()
 
     def __init__(self) -> None:
         self._prepared_slots = 0
         self._next_slot = 0
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in self.run_inputs:
+            del state[name]
+        return state
 
     @abc.abstractmethod
     def prepare(self, slots: int, rng: np.random.Generator) -> None:
@@ -101,6 +110,10 @@ class Workload(abc.ABC):
             raise WorkloadError("slots must be positive")
         self._prepared_slots = slots
         self._next_slot = 0
+        for name in self.run_inputs:
+            value = getattr(self, name)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     def _check_slot(self, slot: int) -> None:
         if self._prepared_slots == 0:
@@ -139,6 +152,7 @@ class InteractiveWorkload(Workload):
     """
 
     metric = "latency_ms"
+    run_inputs = ("latency_model", "arrival_trace", "_rates", "_desired")
 
     def __init__(
         self,
@@ -217,6 +231,7 @@ class BatchWorkload(Workload):
     """
 
     metric = "throughput"
+    run_inputs = ("throughput_model", "arrival_trace", "_arrivals")
 
     def __init__(
         self,
@@ -316,6 +331,7 @@ class TracePowerWorkload(Workload):
     """
 
     metric = "power_w"
+    run_inputs = ("power_trace", "_power")
 
     def __init__(self, name: str, power_trace) -> None:
         super().__init__()

@@ -1025,7 +1025,9 @@ def frame_from_bids(bids: Sequence[RackBid]) -> BidFrame:
             )
         else:
             at_cap = b.demand.demand_at(b.demand.max_price)
-        floor[i] = min(at_cap, caps[i])
+        # As np.minimum clips: a tie gives the cap, a NaN on either
+        # side gives NaN.
+        floor[i] = np.minimum(at_cap, caps[i])
     return BidFrame(
         rack_ids=tuple(b.rack_id for b in ordered),
         pdu_ids=pdu_ids,

@@ -32,6 +32,21 @@ from repro.infrastructure.constraints import CapacityConstraint
 
 from tests import oracle
 
+
+def _one_market_totals(frame, prices, group_rows=()):
+    """``frame.market_totals`` with one market: every row, every PDU, one
+    ascending price grid."""
+    prices = np.asarray(prices, dtype=float)
+    return frame.market_totals(
+        np.arange(len(frame), dtype=np.intp),
+        0,
+        np.zeros(len(frame.pdu_ids), dtype=np.intp),
+        prices[None, :],
+        np.array([prices.size]),
+        group_rows,
+        np.zeros(len(group_rows), dtype=np.intp),
+    )
+
 PARAMS = MarketParameters(price_step=0.01)
 
 
@@ -227,7 +242,7 @@ class TestDemandKernelParity:
         frame = BidFrame.from_bids(bids)
         prices = MarketClearing(params=PARAMS).candidate_prices(frame)
         group_rows = [frame.rows_for(c.rack_ids) for c in extra]
-        totals, group_totals = frame.demand_totals(prices, group_rows)
+        totals, group_totals = _one_market_totals(frame, prices, group_rows)
         matrix = frame.demand_matrix(prices)
         expected = frame.pdu_demand(matrix)
         np.testing.assert_allclose(totals, expected, atol=1e-8)
@@ -251,7 +266,7 @@ class TestDemandKernelParity:
         ]
         frame = BidFrame.from_bids(bids)
         prices = np.array([0.1, 0.2, 0.25, 0.9])
-        totals, _ = frame.demand_totals(prices)
+        totals, _ = _one_market_totals(frame, prices)
         assert totals[0, 2] == 0.0
         assert totals[0, 3] == 0.0
 

@@ -37,6 +37,21 @@ from repro.infrastructure.constraints import CapacityConstraint
 from tests import oracle
 
 
+def _one_market_totals(frame, prices, group_rows=()):
+    """``frame.market_totals`` with one market: every row, every PDU, one
+    ascending price grid."""
+    prices = np.asarray(prices, dtype=float)
+    return frame.market_totals(
+        np.arange(len(frame), dtype=np.intp),
+        0,
+        np.zeros(len(frame.pdu_ids), dtype=np.intp),
+        prices[None, :],
+        np.array([prices.size]),
+        group_rows,
+        np.zeros(len(group_rows), dtype=np.intp),
+    )
+
+
 def _canonical(value):
     """A value with every float spelled out bit for bit (-0.0 != 0.0)."""
     if isinstance(value, float):
@@ -313,7 +328,7 @@ def test_market_totals_match_one_market_reference(
 
     grid = engine.candidate_prices(frame)
     groups = [frame.rows_for(bid.rack_id for bid in bids[k::5]) for k in range(3)]
-    got = frame.demand_totals(grid, groups)
+    got = _one_market_totals(frame, grid, groups)
     expected = oracle.demand_totals(frame, grid, groups)
     for a, b in zip(got, expected):
         assert a.tobytes() == b.tobytes()

@@ -14,8 +14,6 @@ import sys
 import time
 from pathlib import Path
 
-import pytest
-
 from repro.daemon.chaos import check_crash_safety, short_socket_path
 from repro.resilience import FaultProfile
 

@@ -1,7 +1,12 @@
 """Power monitoring and PDU variation statistics."""
 
+import math
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.infrastructure.monitor import PowerMonitor
@@ -11,8 +16,7 @@ from repro.infrastructure.topology import PowerTopology
 from repro.infrastructure.ups import Ups
 
 
-@pytest.fixture
-def topology():
+def _topology():
     return PowerTopology.build(
         Ups("u", 1000.0),
         [Pdu("p1", 500.0), Pdu("p2", 500.0)],
@@ -22,6 +26,17 @@ def topology():
             Rack("r3", "t3", "p2", 100.0, 150.0),
         ],
     )
+
+
+@pytest.fixture
+def topology():
+    return _topology()
+
+
+#: Rack samples, NaN and both signed zeros included.
+SAMPLES = st.one_of(
+    st.sampled_from([math.nan, 0.0, -0.0]), st.floats(0.0, 1e4)
+)
 
 
 def full_sample(a=10.0, b=20.0, c=30.0):
@@ -86,6 +101,60 @@ class TestRecentMax:
     def test_rejects_bad_window(self, topology):
         with pytest.raises(SimulationError):
             PowerMonitor(topology).rack_recent_max_w("r1", window=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        samples=st.lists(st.tuples(SAMPLES, SAMPLES), min_size=1, max_size=30),
+        window=st.integers(1, 40),
+        history=st.integers(1, 40),
+    )
+    def test_reads_the_operands_copying_the_series_would(
+        self, samples, window, history
+    ):
+        # Reading only the last ``window`` samples hands ``max`` the same
+        # float objects, oldest first, as copying the whole series did —
+        # so NaN and signed-zero ties resolve exactly as before.
+        monitor = PowerMonitor(_topology(), history_slots=history)
+        for true, metered in samples:
+            monitor.record_slot(
+                full_sample(a=true), full_sample(a=metered)
+            )
+        copied = max(list(monitor._rack_series["r1"])[-window:])
+        assert monitor.rack_recent_max_w("r1", window) is copied
+        shadow = monitor._true_rack_series
+        if shadow is not None:
+            copied = max(list(shadow["r1"])[-window:])
+        assert monitor.rack_recent_true_max_w("r1", window) is copied
+
+
+class TestHistory:
+    def test_pickle_and_history_parts_restore_every_series(self, topology):
+        # Checkpoints pickle the monitor without its series and append
+        # them in parts; parts written before the true series existed
+        # restore it from the metered samples.
+        monitor = PowerMonitor(topology, history_slots=7)
+        parts, saved = [], 0
+        for slot in range(9):
+            true = full_sample(a=float(slot))
+            metered = true if slot < 4 else full_sample(a=float(slot) + 0.5)
+            monitor.record_slot(true, metered)
+            if slot % 3 == 2:
+                parts.append(monitor.history_since(saved))
+                saved = monitor.slots_recorded
+        restored = pickle.loads(pickle.dumps(monitor))
+        assert restored.ups_series().size == 0
+        for part in parts:
+            restored.extend_history(part)
+        for rack_id in ("r1", "r2", "r3"):
+            assert list(restored._rack_series[rack_id]) == list(
+                monitor._rack_series[rack_id]
+            )
+            assert list(restored._true_rack_series[rack_id]) == list(
+                monitor._true_rack_series[rack_id]
+            )
+        assert np.array_equal(restored.pdu_series("p1"), monitor.pdu_series("p1"))
+        assert np.array_equal(restored.ups_series(), monitor.ups_series())
+        assert restored.slots_recorded == 9
 
 
 class TestVariationStats:

@@ -28,6 +28,7 @@ from repro.errors import (
     SimulationError,
 )
 from repro.prediction.spot import SpotCapacityForecast
+from repro.recovery import checkpoint as checkpoint_module
 from repro.recovery import (
     QUARANTINE_REASONS,
     ClearingDeadlineGuard,
@@ -42,6 +43,7 @@ from repro.recovery import (
 )
 from repro.resilience import FaultProfile
 from repro.resilience.faults import CrashFault, FaultInjector
+from repro.sim import engine as engine_module
 from repro.sim.engine import SimulationEngine, run_simulation
 from repro.sim.scenario import testbed_scenario as build_testbed
 from repro.telemetry import TelemetryConfig
@@ -161,6 +163,130 @@ class TestCheckpointResume:
         crashed = (tmp_path / "crashed" / "run_trace.jsonl").read_bytes()
         assert crashed == (tmp_path / "ref" / "run_trace.jsonl").read_bytes()
 
+    def test_resumed_summary_matches_uninterrupted(self, tmp_path):
+        # The run state's forecast-accuracy accumulators come back with
+        # the checkpoint: the summary covers every slot, not only those
+        # after the resume.
+        _crashed_then_resumed(
+            tmp_path, seed=7, telemetry_dir=tmp_path / "crashed"
+        )
+        run_simulation(
+            build_testbed(seed=7),
+            SLOTS,
+            telemetry=TelemetryConfig(out_dir=tmp_path / "ref", label="run"),
+        )
+        crashed = (tmp_path / "crashed" / "run_summary.json").read_bytes()
+        assert crashed == (tmp_path / "ref" / "run_summary.json").read_bytes()
+
+    def test_crash_between_history_append_and_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        # The run dies after appending slot 7's history but before its
+        # checkpoint lands, and a torn record follows.  The resume from
+        # slot 5 cuts both off: trace, summary and history segment end
+        # byte-identical to the uninterrupted run's.
+        class Killed(Exception):
+            pass
+
+        write = checkpoint_module._write_atomic
+
+        def dying(path, data):
+            if path.name == "checkpoint_000007.pkl":
+                raise Killed
+            write(path, data)
+
+        monkeypatch.setattr(checkpoint_module, "_write_atomic", dying)
+        crashed = tmp_path / "crashed"
+        with pytest.raises(Killed):
+            run_simulation(
+                build_testbed(seed=6), SLOTS, checkpoint_every=2,
+                checkpoint_dir=crashed / "ckpt",
+                telemetry=TelemetryConfig(out_dir=crashed, label="run"),
+            )
+        monkeypatch.setattr(checkpoint_module, "_write_atomic", write)
+        (segment,) = (crashed / "ckpt").glob("history_*.seg")
+        with open(segment, "ab") as fh:
+            fh.write(b"\x40\x00\x00\x00torn")
+        checkpoint = latest_checkpoint(crashed / "ckpt")
+        assert checkpoint.name == "checkpoint_000005.pkl"
+        run_simulation(
+            build_testbed(seed=6), SLOTS, checkpoint_every=2,
+            checkpoint_dir=crashed / "ckpt", resume_from=checkpoint,
+        )
+        ref = tmp_path / "ref"
+        run_simulation(
+            build_testbed(seed=6), SLOTS, checkpoint_every=2,
+            checkpoint_dir=ref / "ckpt",
+            telemetry=TelemetryConfig(out_dir=ref, label="run"),
+        )
+        for name in ("run_trace.jsonl", "run_summary.json"):
+            assert (crashed / name).read_bytes() == (ref / name).read_bytes()
+        (expected,) = (ref / "ckpt").glob("history_*.seg")
+        assert segment.name == expected.name
+        assert segment.read_bytes() == expected.read_bytes()
+
+    def test_only_the_newest_two_checkpoints_are_kept(self, tmp_path):
+        engine = SimulationEngine(build_testbed(seed=1))
+        engine.run(12, checkpoint_every=2, checkpoint_dir=tmp_path)
+        kept = sorted(p.name for p in tmp_path.glob("checkpoint_*.pkl"))
+        assert kept == ["checkpoint_000007.pkl", "checkpoint_000009.pkl"]
+        # The older one still has its inputs and history.
+        load_checkpoint(tmp_path / kept[0])
+
+    def test_checkpoint_size_does_not_grow_with_the_run(
+        self, tmp_path, monkeypatch
+    ):
+        # History goes to the append-only segment and run inputs to a
+        # file written once, so the envelope carries live state only.
+        sizes = {}
+        save = engine_module.save_checkpoint
+
+        def measured(engine, directory, slot, horizon):
+            path = save(engine, directory, slot, horizon)
+            sizes[slot] = path.stat().st_size
+            return path
+
+        monkeypatch.setattr(engine_module, "save_checkpoint", measured)
+        engine = SimulationEngine(build_testbed(seed=3))
+        engine.run(400, checkpoint_every=10, checkpoint_dir=tmp_path)
+        assert abs(sizes[199] - sizes[19]) <= 0.05 * sizes[19]
+
+    def test_restored_run_inputs_are_read_only_and_equal(self, tmp_path):
+        scenario = build_testbed(seed=2)
+        # A wrapped tenant's own inputs are found through the wrapper.
+        scenario.tenants[0] = OverdrawingTenant(
+            scenario.tenants[0], 0.2, 0.1, make_rng(4)
+        )
+        SimulationEngine(scenario).run(
+            SLOTS, checkpoint_every=3, checkpoint_dir=tmp_path
+        )
+        restored = load_checkpoint(latest_checkpoint(tmp_path))["engine"]
+        reference = SimulationEngine(build_testbed(seed=2))
+        reference.begin_run(SLOTS)
+        assert restored._rack_infos == reference._rack_infos
+        assert restored.scenario.spec == reference.scenario.spec
+        assert restored.scenario.price_sheet == reference.scenario.price_sheet
+        for got, want in zip(
+            restored.scenario.tenants, reference.scenario.tenants
+        ):
+            got = getattr(got, "inner", got)
+            assert getattr(got, "cost_models", None) == getattr(
+                want, "cost_models", None
+            )
+            for rack, expected in zip(got.racks, want.racks):
+                assert rack.power_model == expected.power_model
+                workload = rack.workload
+                assert workload.run_inputs
+                for name in workload.run_inputs:
+                    value = getattr(workload, name)
+                    want = getattr(expected.workload, name)
+                    if isinstance(value, np.ndarray):
+                        assert not value.flags.writeable
+                        assert not want.flags.writeable
+                        assert value.tobytes() == want.tobytes()
+                    else:
+                        assert value == want
+
     def test_later_crash_still_fires_after_resume(self, tmp_path):
         # Only the crash that killed the run is disarmed on resume; a
         # second scheduled crash must still fire.
@@ -261,6 +387,36 @@ class TestCheckpointEnvelope:
         with pytest.raises(RecoveryError) as exc:
             load_checkpoint(path)
         assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("kind", ["inputs", "history"])
+    @pytest.mark.parametrize("damage", ["missing", "truncated", "flipped", "foreign"])
+    def test_damaged_inputs_or_history_raise_naming_the_file(
+        self, tmp_path, kind, damage
+    ):
+        # Each checkpoint names its run inputs and history by digest; a
+        # missing file, a corrupt one, or one from another run fails the
+        # load with the file's path.
+        engine = SimulationEngine(build_testbed(seed=1))
+        engine.run(6, checkpoint_every=2, checkpoint_dir=tmp_path / "a")
+        other = SimulationEngine(build_testbed(seed=2))
+        other.run(6, checkpoint_every=2, checkpoint_dir=tmp_path / "b")
+        checkpoint = latest_checkpoint(tmp_path / "a")
+        pattern = "inputs_*.pkl" if kind == "inputs" else "history_*.seg"
+        (target,) = (tmp_path / "a").glob(pattern)
+        (foreign,) = (tmp_path / "b").glob(pattern)
+        data = bytearray(target.read_bytes())
+        if damage == "missing":
+            target.unlink()
+        elif damage == "truncated":
+            target.write_bytes(data[: len(data) // 2])
+        elif damage == "flipped":
+            data[len(data) // 2] ^= 0xFF
+            target.write_bytes(bytes(data))
+        else:
+            target.write_bytes(foreign.read_bytes())
+        with pytest.raises(RecoveryError) as exc:
+            load_checkpoint(checkpoint)
+        assert str(target) in str(exc.value)
 
     def test_latest_skips_corrupt_newest_with_warning(self, tmp_path):
         engine = SimulationEngine(build_testbed(seed=1))
