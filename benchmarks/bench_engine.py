@@ -17,6 +17,7 @@ assertions are identical.
 
 import os
 import pathlib
+import statistics
 import time
 
 from repro.config import DEFAULT_SEED, MarketParameters, make_rng
@@ -38,10 +39,10 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results" / ("smoke" if SMOKE else
 #: times them serially for the least contention noise.
 JOBS = int(os.environ.get("BENCH_JOBS", "1"))
 
-#: (slots, clearing racks, timing repeats) per mode.
+#: (slots, clearing racks, timed bare/wrapped clearing pairs) per mode.
 SLOTS = 80 if SMOKE else 400
 CLEARING_RACKS = 2_000 if SMOKE else 15_000
-REPEATS = 3 if SMOKE else 5
+REPEATS = 51 if SMOKE else 21
 
 
 def _run_once(slots: int, telemetry: TelemetryConfig | None) -> float:
@@ -95,24 +96,30 @@ def test_engine_slot_loop(archive):
     assert enabled_s < 2.0 * disabled_s
 
 
-def _best_clear_seconds(engine, frame, pdu_spot, ups_spot, wrapped: bool) -> float:
-    """Min-of-N wall time for one clearing, bare or null-instrumented.
+def _paired_clear_ratios(engine, frame, pdu_spot, ups_spot) -> list[float]:
+    """Null-instrumented over bare wall time of one clearing, per pair.
 
-    ``wrapped`` reproduces exactly what the disabled telemetry path adds
-    around a clearing call: one null span enter/exit and one null
+    Each pair times a bare and a wrapped call back to back, the bare one
+    first in even pairs and second in odd ones, so a drift in machine
+    speed and the position within a pair hit both sides alike.  The
+    wrapped call reproduces exactly what the disabled telemetry path
+    adds around a clearing call: one null span enter/exit and one null
     counter increment.
     """
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        if wrapped:
-            with NULL_TRACER.span("clear", slot=0):
+    ratios = []
+    for pair in range(REPEATS):
+        seconds = {}
+        for wrapped in (pair % 2 == 1, pair % 2 == 0):
+            start = time.perf_counter()
+            if wrapped:
+                with NULL_TRACER.span("clear", slot=0):
+                    engine.clear(frame, pdu_spot, ups_spot)
+                NULL_REGISTRY.counter("clearings_total").inc()
+            else:
                 engine.clear(frame, pdu_spot, ups_spot)
-            NULL_REGISTRY.counter("clearings_total").inc()
-        else:
-            engine.clear(frame, pdu_spot, ups_spot)
-        best = min(best, time.perf_counter() - start)
-    return best
+            seconds[wrapped] = time.perf_counter() - start
+        ratios.append(seconds[True] / seconds[False])
+    return ratios
 
 
 def test_disabled_telemetry_overhead():
@@ -124,15 +131,13 @@ def test_disabled_telemetry_overhead():
     )
     # Warm both code paths before timing.
     engine.clear(frame, pdu_spot, ups_spot)
-    bare = _best_clear_seconds(engine, frame, pdu_spot, ups_spot, wrapped=False)
-    wrapped = _best_clear_seconds(engine, frame, pdu_spot, ups_spot, wrapped=True)
-    overhead = wrapped / bare - 1.0
+    ratio = statistics.median(_paired_clear_ratios(engine, frame, pdu_spot, ups_spot))
+    overhead = ratio - 1.0
     print(
-        f"\n{CLEARING_RACKS} racks: bare {bare * 1e3:.2f} ms, "
-        f"null-instrumented {wrapped * 1e3:.2f} ms, "
-        f"overhead {100 * overhead:+.3f}%"
+        f"\n{CLEARING_RACKS} racks: null-instrumented / bare, median of "
+        f"{REPEATS} pairs: overhead {100 * overhead:+.3f}%"
     )
-    assert wrapped < 1.02 * bare, (
+    assert ratio < 1.02, (
         f"disabled telemetry adds {100 * overhead:.2f}% to the "
         f"{CLEARING_RACKS}-rack clearing (budget: 2%)"
     )

@@ -314,7 +314,7 @@ def _scenario_from_args(args: argparse.Namespace, **changes):
 @_reports_bad_flags
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.errors import OperatorCrash, RecoveryError
-    from repro.recovery import latest_checkpoint
+    from repro.recovery import load_latest_checkpoint
     from repro.sim.engine import run_simulation
 
     if args.checkpoint_every is not None and args.checkpoint_dir is None:
@@ -328,7 +328,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        resume_from = latest_checkpoint(args.checkpoint_dir)
+        resume_from = load_latest_checkpoint(args.checkpoint_dir)
         if resume_from is None:
             print(
                 f"no checkpoint found in {args.checkpoint_dir}",

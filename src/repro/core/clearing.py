@@ -17,7 +17,8 @@ Implementation notes:
   is converted once on entry), demand totals over the price grid come
   from a breakpoint sweep over the PDU-sorted rows
   (:meth:`~repro.core.frame.BidFrame.market_totals`), and grants are
-  extracted as one demand-vector evaluation at the clearing prices.
+  extracted as one demand-vector evaluation at the clearing prices; a
+  PDU block kept from an earlier slot keeps both (see ``_sweep``).
   Clearing cost stays in ndarray time, which is what makes 15,000-rack
   scans fast (Fig. 7b).
 * **One sweep clears every market of a slot.**  Under locational
@@ -303,7 +304,8 @@ class MarketClearing:
         ``_CHUNK_CELLS`` padded cells (:func:`_chunks`), and each block
         is cleared with one fixed set of numpy calls.  A market's result
         does not depend on which block it lands in: its cells get the
-        same float operations in the same order either way.
+        same float operations in the same order either way, so a PDU
+        market can reuse an earlier clear's totals over the same rows.
 
         Args:
             frame: The bids; each PDU belongs to exactly one market.
@@ -348,6 +350,26 @@ class MarketClearing:
         caps_of_group = np.asarray(group_caps, dtype=float)
         group_bounds = groups_of.searchsorted(np.arange(n_markets + 1))
 
+        # A clean PDU (no row rejected, no constraint group in its market)
+        # whose block's cache entry holds its market's grid object takes
+        # the totals kept there or stores fresh ones: they depend on its
+        # rows and grid, not on caps.  Once its totals are reused, it also
+        # keeps its grants, which serve again at the same clearing price.
+        counts = np.diff(row_bounds)
+        clean = ~np.logical_or.reduceat(rejected, starts)
+        clean &= (group_bounds[:-1] == group_bounds[1:])[pdu_market]
+        markets = pdu_market.tolist()
+        entries = {}
+        reused = [False] * len(starts)
+        kept_price = np.full(len(starts), np.nan)
+        for p, (block, ok) in enumerate(zip(frame.blocks, clean.tolist())):
+            entry = block._grid_cache
+            if ok and entry is not None and entry[1] is grids[markets[p]]:
+                entries[p] = entry
+                reused[p] = len(entry) > 2
+                kept_price[p] = entry[3] if len(entry) > 3 else np.nan
+        counted = ~(rejected | np.repeat(reused, counts))
+
         aggregates = (pdu_bounds[1:] - first_pdu) + (group_bounds[1:] - group_bounds[:-1])
         size_list = sizes.tolist()
         pdu_bounds_list = pdu_bounds.tolist()
@@ -367,10 +389,11 @@ class MarketClearing:
             here = slice(group_bounds_list[m0], group_bounds_list[m1])
 
             # Demand accumulation: a breakpoint sweep over each market's
-            # grid (BidFrame.market_totals); constraint groups accumulate
-            # alongside the per-PDU totals.
+            # grid (BidFrame.market_totals) for the rows of PDUs without
+            # a kept totals row; constraint groups accumulate alongside
+            # the per-PDU totals.
             pdu_demand, group_demand = frame.market_totals(
-                admitted_here + r0,
+                counted[r0:r1].nonzero()[0] + r0,
                 p0,
                 pdu_market[p0:p1] - m0,
                 prices,
@@ -378,6 +401,9 @@ class MarketClearing:
                 group_rows[here],
                 groups_of[here] - m0,
             )
+            for p in range(p0, p1):
+                if reused[p]:
+                    pdu_demand[p - p0, : entries[p][2].size] = entries[p][2]
             local_first = first_pdu[m0:m1] - p0
             if m1 - m0 == p1 - p0:
                 total = pdu_demand  # one PDU per market
@@ -416,14 +442,31 @@ class MarketClearing:
             revenue = np.where(cleared & ~(best_revenue < 0.0), best_revenue, 0.0)
 
             # Grant extraction: one demand-vector evaluation of every
-            # admitted row at its market's clearing price.
+            # admitted row at its market's clearing price, but for the
+            # rows of a PDU whose kept grants were taken at that price.
+            local_market = pdu_market[p0:p1] - m0
+            again = cleared[local_market] & (kept_price[p0:p1] == best_price[local_market])
             admitted_market = chunk_market[admitted_here]
             grant = cleared[admitted_market]
             granted = np.zeros(r1 - r0)
+            if again.any():
+                again_rows = np.repeat(again, counts[p0:p1])
+                grant &= ~again_rows[admitted_here]
+                granted[again_rows] = np.concatenate([entries[p0 + k][4] for k in again.nonzero()[0]])
             if grant.any():
                 granted[admitted_here[grant]] = frame.demand_at_rows(
                     admitted_here[grant] + r0, best_price[admitted_market[grant]]
                 )
+            for p, same in zip(range(p0, p1), again.tolist()):
+                entry = entries.get(p)
+                if entry is None or same:
+                    continue
+                if not reused[p]:
+                    entry = (*entry[:2], pdu_demand[p - p0, : entry[1].size].copy())
+                elif cleared[markets[p] - m0]:
+                    rows = slice(row_bounds_list[p] - r0, row_bounds_list[p + 1] - r0)
+                    entry = (*entry[:3], best_price[markets[p] - m0], granted[rows].copy())
+                frame.blocks[p]._grid_cache = entry
             parts.append((
                 np.where(cleared, best_price, prices[local, local_sizes - 1] + step),
                 revenue,

@@ -22,7 +22,7 @@ Design points:
   over the previous frame, whose unchanged PDUs keep their rows and
   :class:`PduBlock`.  The frame keeps its blocks
   (:attr:`BidFrame.blocks`); each block caches its PDU market's price
-  grid, so a reused block keeps its grid across slots.
+  grid, and the demand totals and grants over it, across slots.
 * **Many markets, one sweep**: :meth:`BidFrame.market_totals` totals
   the demand of every market of a slot — one per PDU under locational
   pricing, one for the facility under a uniform price — each over its
@@ -60,8 +60,9 @@ class PduBlock:
     """One PDU's rows of a frame: its bids, breakpoints and price grid.
 
     A block outlives its slot: a frame built over a previous one hands
-    each unchanged PDU's block on, so the block's cached price grid (see
-    ``MarketClearing._grid``) and bid objects carry over.
+    each unchanged PDU's block on, so its bid objects and its cached
+    price grid, demand totals and grants (``MarketClearing._sweep``)
+    carry over.
     ``breakpoints`` are the grid-augmentation points of the block's
     rows, in row order.
     """
@@ -75,7 +76,8 @@ class PduBlock:
         self.bids = bids
         self.breakpoints = breakpoints
         # ``(key, grid)`` of the last price grid cleared over this PDU's
-        # market (see MarketClearing._grid).
+        # market, then its totals, price and grants there (see
+        # MarketClearing._sweep).
         self._grid_cache: tuple | None = None
 
     def __len__(self) -> int:

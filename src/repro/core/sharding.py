@@ -12,8 +12,8 @@ ROADMAP's million-rack north star, and this module removes both:
    (:class:`~repro.core.frame.PduBlock`), only the PDUs whose bids
    actually changed since the previous slot are rebuilt, and an
    unchanged slot returns the previous frame *object*.  Each block
-   caches its PDU market's price grid, so a reused block keeps its grid
-   alive downstream too.
+   caches its PDU market's price grid, demand totals and grants, so a
+   reused block is not swept again downstream either.
 
 2. **One process clears everything.**  The market's physical hierarchy
    (UPS → PDU → rack, paper Eqs. 2-4) makes each PDU subtree an
@@ -95,7 +95,8 @@ class IncrementalFrameBuilder:
     whose rows are unchanged (see there for the rule) and builds the
     rest.  A slot with *no* changed or removed PDU returns the previous
     frame object itself, so downstream per-frame caches survive across
-    slots too; a reused block keeps its cached price grid either way.
+    slots too; a reused block keeps its cached price grid, demand
+    totals and grants either way.
     When the frame holds one slot's bids and the next slot resends them
     (each rack bid holding the demand object sent at its position), the
     previous frame is returned before any walk.

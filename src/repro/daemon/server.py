@@ -47,7 +47,7 @@ from repro.errors import (
     OperatorCrash,
     ProtocolError,
 )
-from repro.recovery.checkpoint import latest_checkpoint, save_checkpoint
+from repro.recovery.checkpoint import load_latest_checkpoint, save_checkpoint
 from repro.sim.engine import SimulationEngine
 
 __all__ = ["KILL_POINTS", "MarketDaemon", "DaemonServer", "serve"]
@@ -120,8 +120,8 @@ class MarketDaemon:
             telemetry=telemetry,
         )
         self.slots = int(slots)
-        resume_from = latest_checkpoint(self.checkpoint_dir) if resume else None
-        self._next = self.engine.begin_run(self.slots, resume_from=resume_from)
+        envelope = load_latest_checkpoint(self.checkpoint_dir) if resume else None
+        self._next = self.engine.begin_run(self.slots, resume_from=envelope)
         # Tenant -> rack directory; the server-authoritative source for
         # pdu_id / rack_cap_w on every submission.
         self.racks_of_tenant = {

@@ -51,7 +51,7 @@ from repro.economics.settlement import build_all_invoices, reconcile
 from repro.errors import OperatorCrash, SimulationError
 from repro.events import DeratingCascade, EdrShock, EventProfile, PriceSpike
 from repro.experiments.common import parallel_map
-from repro.recovery import latest_checkpoint
+from repro.recovery import load_latest_checkpoint
 from repro.resilience import FaultProfile
 from repro.sim.engine import run_simulation
 from repro.sim.results import SimulationResult
@@ -349,10 +349,10 @@ def run_edr_recovery_check(
             raise SimulationError(
                 f"injected mid-event crash at slot {crash_at} never fired"
             )
-        checkpoint = latest_checkpoint(ckpt_dir)
+        checkpoint = load_latest_checkpoint(ckpt_dir)
         if checkpoint is None:
             raise SimulationError("crashed run left no checkpoint behind")
-        resumed_slot = int(checkpoint.stem.split("_")[1]) + 1
+        resumed_slot = checkpoint["slot"] + 1
         resumed = run_simulation(
             _shocked_scenario(seed, profile),
             slots,

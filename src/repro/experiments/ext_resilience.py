@@ -35,7 +35,7 @@ from repro.core.baselines import PowerCappedAllocator
 from repro.economics.settlement import build_all_invoices, reconcile
 from repro.errors import OperatorCrash, SimulationError
 from repro.experiments.common import parallel_map
-from repro.recovery import latest_checkpoint
+from repro.recovery import load_latest_checkpoint
 from repro.resilience import FAULT_CLASSES, FaultProfile
 from repro.sim.engine import run_simulation
 from repro.sim.results import SimulationResult
@@ -304,10 +304,10 @@ def run_recovery_check(
             raise SimulationError(
                 f"injected crash at slot {crash_at} never fired"
             )
-        checkpoint = latest_checkpoint(ckpt_dir)
+        checkpoint = load_latest_checkpoint(ckpt_dir)
         if checkpoint is None:
             raise SimulationError("crashed run left no checkpoint behind")
-        resumed_slot = int(checkpoint.stem.split("_")[1]) + 1
+        resumed_slot = checkpoint["slot"] + 1
         # The scenario/telemetry arguments here only shape the engine
         # that the checkpointed state *replaces*; the resumed run keeps
         # exporting into the crashed run's telemetry directory.

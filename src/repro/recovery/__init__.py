@@ -33,6 +33,7 @@ from repro.recovery.checkpoint import (
     checkpoint_path,
     latest_checkpoint,
     load_checkpoint,
+    load_latest_checkpoint,
     save_checkpoint,
 )
 from repro.recovery.deadline import (
@@ -55,6 +56,7 @@ __all__ = [
     "inspect_rack_bid",
     "latest_checkpoint",
     "load_checkpoint",
+    "load_latest_checkpoint",
     "save_checkpoint",
     "screen_bids",
 ]

@@ -23,7 +23,8 @@ and it keeps the fault, emergency and degradation logs, which grow per
 event, not per slot.  Derived caches (the frame builder's frame,
 tenants' value curves) are not written; the restored run rebuilds them
 bit for bit.  Only the newest two checkpoint files are kept, so
-:func:`latest_checkpoint` can fall back when the newest is corrupt.
+:func:`load_latest_checkpoint` can fall back when the newest is corrupt;
+the envelope it validated is what a resume adopts.
 
 Format & compatibility policy
 -----------------------------
@@ -58,6 +59,7 @@ __all__ = [
     "checkpoint_path",
     "latest_checkpoint",
     "load_checkpoint",
+    "load_latest_checkpoint",
     "save_checkpoint",
 ]
 
@@ -299,7 +301,7 @@ def load_checkpoint(path: str | Path) -> dict:
     return envelope
 
 
-def latest_checkpoint(directory: str | Path) -> Path | None:
+def load_latest_checkpoint(directory: str | Path) -> dict | None:
     """The highest-slot *valid* checkpoint in a directory, or ``None``.
 
     Only files matching the canonical ``checkpoint_<slot>.pkl`` name are
@@ -308,7 +310,7 @@ def latest_checkpoint(directory: str | Path) -> Path | None:
     :func:`load_checkpoint`): a corrupt or truncated file — e.g. one
     damaged by a disk fault after the atomic write — is skipped with a
     :class:`UserWarning` naming it, and the next older checkpoint is
-    used instead.
+    used instead.  Returns that load's envelope, plus the file's ``path``.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -321,12 +323,18 @@ def latest_checkpoint(directory: str | Path) -> Path | None:
         candidates.append((int(match.group(1)), entry))
     for _, path in sorted(candidates, reverse=True):
         try:
-            load_checkpoint(path)
+            envelope = load_checkpoint(path)
         except RecoveryError as exc:
             warnings.warn(
                 f"skipping unusable checkpoint {path}: {exc}",
                 stacklevel=2,
             )
             continue
-        return path
+        return {**envelope, "path": path}
     return None
+
+
+def latest_checkpoint(directory: str | Path) -> Path | None:
+    """The path of :func:`load_latest_checkpoint`'s checkpoint, or ``None``."""
+    envelope = load_latest_checkpoint(directory)
+    return None if envelope is None else envelope["path"]

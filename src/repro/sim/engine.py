@@ -332,8 +332,9 @@ class SimulationEngine:
         """Prepare (or resume) a run and return the first slot to process.
 
         On a fresh run the scenario is prepared (tenant RNGs re-seeded)
-        and the run state built from scratch; with ``resume_from`` the
-        engine's entire state — including the mid-loop run state — is
+        and the run state built from scratch; with ``resume_from`` (a
+        checkpoint path, or the envelope :func:`load_checkpoint` returned)
+        the engine's entire state — including the mid-loop run state — is
         replaced by the checkpointed one and the first unprocessed slot
         is returned.  Callers then drive :meth:`step_slot` for every
         slot in ``range(start, slots)`` and finish with
@@ -354,7 +355,9 @@ class SimulationEngine:
                     "checkpoint_every requires a checkpoint_dir"
                 )
         if resume_from is not None:
-            envelope = load_checkpoint(resume_from)
+            envelope = (
+                resume_from if isinstance(resume_from, dict) else load_checkpoint(resume_from)
+            )
             if envelope["horizon"] != slots:
                 raise RecoveryError(
                     f"checkpoint was written for a {envelope['horizon']}-slot "
@@ -953,12 +956,12 @@ class SimulationEngine:
             checkpoint_every: Write a recovery checkpoint after every K
                 completed slots (requires ``checkpoint_dir``).
             checkpoint_dir: Directory for checkpoint files.
-            resume_from: Path to a checkpoint written by an earlier run
-                of the *same* scenario and horizon.  The engine's entire
-                state is replaced by the checkpointed one and the loop
-                restarts at the first unprocessed slot; the finished
-                result (and trace, when telemetry is on) is identical to
-                the uninterrupted run's.
+            resume_from: A checkpoint (path or loaded envelope) written
+                by an earlier run of the *same* scenario and horizon.
+                The engine's entire state is replaced by the checkpointed
+                one and the loop restarts at the first unprocessed slot;
+                the finished result (and trace, when telemetry is on) is
+                identical to the uninterrupted run's.
 
         Raises:
             RecoveryError: On a bad checkpoint, a horizon mismatch, or a
@@ -1109,7 +1112,7 @@ def run_simulation(
             completed slots (requires ``checkpoint_dir``); see
             :mod:`repro.recovery.checkpoint`.
         checkpoint_dir: Directory for checkpoint files.
-        resume_from: Resume a crashed run from this checkpoint path; the
+        resume_from: Resume a crashed run from this checkpoint or envelope; the
             scenario/allocator arguments still shape the engine that is
             *replaced* by the checkpointed state, so pass the same ones.
     """

@@ -30,7 +30,7 @@ from repro.core.bids import RackBid
 from repro.core.clearing import MarketClearing
 from repro.core.demand import FullBid, LinearBid, StepBid
 from repro.core.frame import BidFrame
-from repro.core.sharding import clear_per_pdu_sharded
+from repro.core.sharding import IncrementalFrameBuilder, clear_per_pdu_sharded
 from repro.experiments.fig07_prediction_and_scaling import make_synthetic_bids
 from repro.infrastructure.constraints import CapacityConstraint
 
@@ -332,3 +332,139 @@ def test_market_totals_match_one_market_reference(
     expected = oracle.demand_totals(frame, grid, groups)
     for a, b in zip(got, expected):
         assert a.tobytes() == b.tobytes()
+
+
+# -- kept demand totals across slots ------------------------------------
+#
+# A PDU whose block the incremental builder keeps keeps, in the block's
+# grid-cache entry, its demand totals over the grid and, once those are
+# reused, its grants at its last clearing price.  Each slot cleared over
+# the builder's frame must give the bits the same slot gives on a cold
+# frame and in the slice-at-a-time reference, whatever was kept before.
+
+
+def _clear_slot_sequence(slots, include_breakpoints):
+    builder = IncrementalFrameBuilder()
+    for bids, caps, ups, extra, reserve, cells in slots:
+        engine = MarketClearing(
+            params=MarketParameters(price_step=0.03, reserve_price=reserve),
+            include_breakpoints=include_breakpoints,
+        )
+        cold = BidFrame.from_bids(bids)
+        per_pdu = oracle.frame_clear_per_pdu(engine, cold, caps, ups, extra)
+        uniform = oracle.frame_clear(engine, cold, caps, ups, extra)
+        frame = builder.build(bids)
+        with mock.patch.object(clearing, "_CHUNK_CELLS", cells):
+            _assert_identical(engine.clear_per_pdu(cold, caps, ups, extra), per_pdu)
+            # The second clear of a slot takes every clean PDU's kept row.
+            for _ in range(2):
+                _assert_identical(engine.clear_per_pdu(frame, caps, ups, extra), per_pdu)
+            _assert_identical(
+                clear_per_pdu_sharded(engine, frame, caps, ups, extra, shards=3), per_pdu
+            )
+            _assert_identical(engine.clear(frame, caps, ups, extra), uniform)
+
+
+@st.composite
+def slot_sequences(draw):
+    """A fleet's slots: each keeps, dirties, adds or removes PDUs, may
+    squeeze one PDU's cap to 0 W (rejecting its rows with a floor, which
+    the next slot admits again), sets the reserve price and the packing
+    bound, and switches a phase and a cross-PDU zone constraint on or
+    off.  Bid objects persist from slot to slot, sampled ones included,
+    so unchanged PDUs keep their blocks."""
+    n_pdus = draw(st.integers(min_value=2, max_value=4))
+    bids = []
+    for p in range(n_pdus):
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            bids.append(_rack(len(bids), f"p{p}", draw(_demand()), draw(_watts(150.0))))
+    spot = {f"p{p}": draw(_watts(200.0)) for p in range(n_pdus + 1)}
+    phase_racks = [b.rack_id for b in bids if b.pdu_id == "p0"]
+    phase = CapacityConstraint(
+        "phase",
+        frozenset(draw(st.sets(st.sampled_from(phase_racks), min_size=1))),
+        draw(_watts(120.0)),
+    )
+    firsts = {b.pdu_id: b.rack_id for b in reversed(bids)}
+    zone = CapacityConstraint("zone", frozenset(firsts.values()), draw(_watts(200.0)))
+    slots = []
+    for _ in range(draw(st.integers(min_value=2, max_value=6))):
+        pdus = sorted({b.pdu_id for b in bids})
+        op = draw(st.sampled_from(["keep", "keep", "dirty", "add", "remove"]))
+        target = draw(st.sampled_from(pdus))
+        if op == "dirty":
+            i = draw(st.sampled_from([k for k, b in enumerate(bids) if b.pdu_id == target]))
+            bids = [*bids[:i], dataclasses.replace(bids[i], demand=draw(_demand())), *bids[i + 1:]]
+        elif op == "add":
+            pdu = draw(st.sampled_from(sorted(spot)))
+            bids = [*bids, _rack(100 + len(slots), pdu, draw(_demand()), draw(_watts(150.0)))]
+        elif op == "remove" and len(pdus) > 1:
+            bids = [b for b in bids if b.pdu_id != target]
+        caps = dict(spot)
+        if draw(st.booleans()):
+            caps[draw(st.sampled_from(pdus))] = 0.0
+        on = draw(st.tuples(st.booleans(), st.booleans()))
+        slots.append((
+            list(bids),
+            caps,
+            draw(st.one_of(_watts(400.0), st.just(1e6))),
+            tuple(c for c, keep in zip((phase, zone), on) if keep),
+            draw(st.sampled_from([0.0, 0.04])),
+            draw(st.sampled_from([24, 40, 64, 1 << 13])),
+        ))
+    return slots
+
+
+@given(slots=slot_sequences(), include_breakpoints=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_kept_totals_match_cold_frames(slots, include_breakpoints):
+    _clear_slot_sequence(slots, include_breakpoints)
+
+
+def test_kept_totals_across_rejection_reserve_and_constraints():
+    # p0 keeps its block throughout: its 30 W step is rejected at slot 1
+    # (cap 20 W) and admitted again at slot 2, a phase constraint covers
+    # it at slot 3, and a zone across every PDU at slot 4, where the
+    # reserve price moves (and moves back at slot 5).  p1 holds a
+    # sampled curve; p2 is dirtied at slot 4 and removed at slot 6.
+    bids = [
+        _rack(0, "p0", StepBid(30.0, 0.3), 100.0),
+        _rack(1, "p0", LinearBid(50.0, 0.05, 10.0, 0.4), 100.0),
+        _rack(2, "p1", FullBid([10.0, 30.0], [0.0004, 0.0002]), 100.0),
+        _rack(3, "p1", LinearBid(40.0, 0.1, 5.0, 0.35), 100.0),
+        _rack(4, "p2", StepBid(25.0, 0.2), 100.0),
+    ]
+    spot = {"p0": 70.0, "p1": 45.0, "p2": 30.0}
+    phase = CapacityConstraint("phase", frozenset({"r0", "r1"}), 60.0)
+    zone = CapacityConstraint("zone", frozenset({"r1", "r3", "r4"}), 80.0)
+    dirty = [*bids[:4], _rack(4, "p2", StepBid(26.0, 0.2), 100.0)]
+    slots = [
+        (bids, spot, 1e6, (), 0.0, 40),
+        (bids, {**spot, "p0": 20.0}, 1e6, (), 0.0, 1 << 13),
+        (bids, spot, 1e6, (), 0.0, 24),
+        (bids, spot, 1e6, (phase,), 0.0, 64),
+        (dirty, spot, 100.0, (zone,), 0.04, 40),
+        (dirty, spot, 100.0, (), 0.0, 24),
+        (dirty[:4], spot, 1e6, (phase, zone), 0.0, 64),
+        (dirty[:4], spot, 1e6, (), 0.0, 1 << 13),
+    ]
+    for include_breakpoints in (True, False):
+        _clear_slot_sequence(slots, include_breakpoints)
+
+
+def test_kept_grants_only_where_the_market_clears():
+    # At the 0.04 reserve, p1's grid is that one price.  Its two 30 W
+    # steps clear there under a 1 kW cap (the second slot keeps their
+    # grants); under 40 W both pass admission but no price is feasible,
+    # so p1 grants nothing, and under 1 kW again it clears at the kept
+    # price.
+    bids = [
+        _rack(0, "p0", LinearBid(50.0, 0.05, 10.0, 0.4), 100.0),
+        _rack(1, "p1", StepBid(30.0, 0.04), 100.0),
+        _rack(2, "p1", StepBid(30.0, 0.04), 100.0),
+    ]
+    slots = [
+        (bids, {"p0": 40.0, "p1": cap}, 1e6, (), 0.04, 1 << 13)
+        for cap in (1e3, 1e3, 40.0, 1e3, 1e3)
+    ]
+    _clear_slot_sequence(slots, include_breakpoints=True)

@@ -35,6 +35,7 @@ from repro.sim.engine import run_simulation
 from repro.sim.scenario import testbed_scenario as build_testbed
 from repro.telemetry import TelemetryConfig
 
+from tests import oracle
 from tests.oracle import frame_from_bids
 
 SLOTS = 12
@@ -409,6 +410,46 @@ class TestFrameCaches:
         for pdu_id, grid in third.items():
             alone = BidFrame.from_bids([b for b in changed if b.pdu_id == pdu_id])
             assert np.array_equal(grid, raised.candidate_prices(alone))
+
+    def test_block_totals_kept_across_slots(self):
+        # The grid-cache entry is (key, grid, totals[, price, grants]):
+        # a fresh totals row is stored alone, and grants join it once the
+        # row has been reused.
+        engine = MarketClearing(params=MarketParameters(price_step=0.01))
+        caps = dict.fromkeys(_PDUS, 1e3)
+        builder = IncrementalFrameBuilder()
+        frame = builder.build(_closed_population())
+        engine.clear_per_pdu(frame, caps, 1e6)
+        first = {b.pdu_id: b._grid_cache for b in frame.blocks}
+        assert {len(entry) for entry in first.values()} == {3}
+        # Only p2's bids change: the kept blocks keep their totals and
+        # now their grants; the rebuilt block stores a fresh row.
+        changed = _closed_population()
+        changed[5] = _bid("r5", "p2", "tC", LinearBid(61.0, 0.05, 10.0, 0.31))
+        frame = builder.build(changed)
+        engine.clear_per_pdu(frame, caps, 1e6)
+        second = {b.pdu_id: b._grid_cache for b in frame.blocks}
+        for pdu_id, entry in second.items():
+            kept = pdu_id != "p2"
+            assert (entry[2] is first[pdu_id][2]) == kept, pdu_id
+            assert len(entry) == (5 if kept else 3), pdu_id
+        # At a repeated price the kept grants serve as they are.
+        engine.clear_per_pdu(frame, caps, 1e6)
+        for block in frame.blocks:
+            kept = block.pdu_id != "p2"
+            assert (block._grid_cache is second[block.pdu_id]) == kept
+        # Each kept row holds the bits of a sweep of that PDU alone.
+        for (_, sub), block in zip(oracle.pdu_slices(frame), frame.blocks):
+            expected, _ = oracle.demand_totals(sub, block._grid_cache[1])
+            assert block._grid_cache[2].tobytes() == expected[0].tobytes()
+        # A moved reserve price is a new grid: no block keeps its totals.
+        raised = MarketClearing(
+            params=MarketParameters(price_step=0.01, reserve_price=0.02)
+        )
+        raised.clear_per_pdu(frame, caps, 1e6)
+        for block in frame.blocks:
+            assert block._grid_cache[2] is not second[block.pdu_id][2]
+            assert block._grid_cache[2].size == block._grid_cache[1].size
 
 
 @pytest.mark.usefixtures("vectorized")

@@ -312,6 +312,53 @@ class TestCheckpointResume:
             engine.run(4, checkpoint_every=0, checkpoint_dir="x")
 
 
+class TestResumeLoadsOnce:
+    """Finding the newest valid checkpoint loads it in full; the resume
+    adopts that envelope instead of loading the file a second time."""
+
+    @staticmethod
+    def _count_loads(monkeypatch):
+        loaded = []
+        real = checkpoint_module.load_checkpoint
+
+        def counting(path):
+            loaded.append(path)
+            return real(path)
+
+        monkeypatch.setattr(checkpoint_module, "load_checkpoint", counting)
+        monkeypatch.setattr(engine_module, "load_checkpoint", counting)
+        return loaded
+
+    def test_auto_resume_loads_the_checkpoint_once(self, tmp_path, monkeypatch):
+        from repro.cli import main
+
+        run = [
+            "simulate", "--seed", "3", "--slots", str(SLOTS),
+            "--checkpoint-every", "3", "--checkpoint-dir", str(tmp_path),
+        ]
+        assert main([*run, "--crash-at", "8"]) == 3
+        loaded = self._count_loads(monkeypatch)
+        assert main([*run, "--resume-from", "auto"]) == 0
+        assert loaded == [tmp_path / "checkpoint_000005.pkl"]
+
+    def test_daemon_resume_loads_the_checkpoint_once(self, tmp_path, monkeypatch):
+        from repro.daemon import MarketDaemon
+
+        first = MarketDaemon(build_testbed(seed=3), SLOTS, tmp_path)
+        try:
+            first.process_next_slot()
+            first.process_next_slot()
+        finally:
+            first.close()
+        loaded = self._count_loads(monkeypatch)
+        second = MarketDaemon(build_testbed(seed=3), SLOTS, tmp_path, resume=True)
+        try:
+            assert second.next_slot == 2
+            assert len(loaded) == 1
+        finally:
+            second.close()
+
+
 class TestCheckpointEnvelope:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(RecoveryError, match="not found"):
