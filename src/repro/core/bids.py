@@ -224,13 +224,16 @@ class BidTable:
 
     @classmethod
     def from_bids(cls, bids: Iterable[RackBid]) -> BidTable:
-        """Walk a flat list of rack bids (one bundle per rack)."""
+        """Walk a flat list of rack bids (one bundle per rack, so a rack
+        twice raises :class:`BidError` as in :func:`flatten_bids`)."""
         bids = list(bids)
         tenants = list(map(_TENANT, bids))
         unique = tuple(dict.fromkeys(tenants))
         index = dict(zip(unique, range(len(unique))))
         codes = array("q", map(index.__getitem__, tenants))
-        return cls._walk([], bids, range(1, len(bids) + 1), unique, codes)
+        table = cls._walk([], bids, range(1, len(bids) + 1), unique, codes)
+        flatten_bids(table)
+        return table
 
     @classmethod
     def _walk(cls, bundles, bids, ends, tenant_ids, tenant_code) -> BidTable:

@@ -37,12 +37,15 @@ Implementation notes:
   augments the grid with each bid's breakpoints (``q_min``/``q_max``) so
   coarse grids do not miss profit kinks; the grid is built overshoot-free
   and breakpoints within float epsilon of a grid point are deduplicated
-  with a tolerance.
+  with a tolerance.  The grid build (``_market_grid``) also records
+  where each row's ``q_min`` and ``q_max`` landed, so the totals read
+  those grid indices instead of searching the grid.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from collections.abc import Mapping, Sequence
 
@@ -51,7 +54,7 @@ import numpy as np
 from repro.config import MarketParameters
 from repro.core.allocation import AllocationResult
 from repro.core.bids import RackBid
-from repro.core.frame import BidFrame, PduBlock
+from repro.core.frame import KIND_CLOSED, BidFrame, PduBlock
 from repro.errors import ClearingError
 
 if typing.TYPE_CHECKING:
@@ -67,38 +70,10 @@ _TOL = 1e-9
 _CHUNK_CELLS = 1 << 13
 
 
-def _base_grid(lo: float, hi: float, step: float) -> np.ndarray:
-    """The fixed-step scan grid over ``[lo, hi]``, overshoot-free.
-
-    ``np.arange(lo, hi + step, step)`` can overshoot ``hi`` by a whole
-    extra element under float error; counting the steps explicitly keeps
-    the last grid point at ``hi`` (up to epsilon).
-    """
-    if hi < lo:
-        return np.array([lo])
-    n = int(np.floor((hi - lo) / step * (1.0 + 1e-12) + 1e-9)) + 1
-    return lo + step * np.arange(n)
-
-
-def _augment_grid(
-    grid: np.ndarray, points: np.ndarray, lo: float, hi: float, step: float
-) -> np.ndarray:
-    """Merge bid breakpoints into the grid, deduplicating with tolerance.
-
-    Breakpoints that land within float epsilon of an existing grid point
-    would otherwise survive ``np.unique`` as distinct candidates; merged
-    values within ``step * 1e-9`` collapse onto the *smaller* one, which
-    at a ``q_max`` kink is the breakpoint itself (keeping the kink's
-    revenue in the scan).
-    """
-    points = points[(points >= lo) & (points <= hi)]
-    if points.size == 0:
-        return grid
-    merged = np.unique(np.concatenate([grid, points]))
-    keep = np.empty(merged.size, dtype=bool)
-    keep[0] = True
-    np.greater(np.diff(merged), step * 1e-9, out=keep[1:])
-    return merged[keep]
+def _sampled_points(fn) -> list[float]:
+    """A sampled curve's grid-augmentation points: its public attributes."""
+    values = (getattr(fn, a, None) for a in ("q_min", "q_max", "price_cap"))
+    return [float(v) for v in values if v is not None]
 
 
 class _Outcome(typing.NamedTuple):
@@ -173,44 +148,93 @@ class MarketClearing:
     ) -> np.ndarray:
         """The ascending price grid a facility-wide scan will evaluate."""
         frame = bids if isinstance(bids, BidFrame) else BidFrame.from_bids(bids)
+        return self._grid(frame)[0]
+
+    def _grid(self, frame: BidFrame) -> tuple[np.ndarray, np.ndarray | None]:
+        """The facility-wide market's grid and row indices (see
+        :meth:`_market_grid`), cached on the frame."""
         top = frame.max_acceptable_price() if len(frame) else self.params.max_price
-        return self._grid(frame, top)
+        return self._market_grid(frame, frame, 0, len(frame), top)[1:3]
 
-    def _grid(self, owner: "BidFrame | PduBlock", top: float) -> np.ndarray:
-        """The ascending price grid of one market, cached on its rows.
-
-        ``owner`` holds the market's rows — the frame for a facility-wide
-        price, a :class:`PduBlock` for one PDU — and ``top`` is their
-        highest acceptable price: no bid demands anything above it, so
-        scanning beyond it only wastes work.  Frames and blocks are
-        immutable once built, so the grid of one (bounds, step,
-        breakpoints-mode) key stays valid for their lifetime, and the
-        incremental builder reuses unchanged blocks (and whole frames)
-        across slots: a repeat clear costs a key check.  The reserve
-        price is in the key because price events move it.
-        """
-        lo = self.params.reserve_price
-        hi = min(self.params.max_price, top)
-        key = (lo, hi, self.params.price_step, self.include_breakpoints)
-        cached = owner._grid_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        if hi < lo:
-            grid = np.array([lo])
-        else:
-            grid = _base_grid(lo, hi, self.params.price_step)
-            if self.include_breakpoints:
-                grid = _augment_grid(
-                    grid, owner.breakpoints, lo, hi, self.params.price_step
-                )
-        owner._grid_cache = (key, grid)
-        return grid
-
-    def _pdu_grids(self, frame: BidFrame) -> list[np.ndarray]:
-        """Each PDU market's grid, in PDU order (cached on its block)."""
+    def _pdu_grids(self, frame: BidFrame) -> tuple[list[np.ndarray], np.ndarray | None]:
+        """Each PDU market's grid, in PDU order (cached on its block), and
+        the frame-aligned ``(len(frame), 2)`` row indices of
+        :meth:`_market_grid` (``None`` without breakpoints)."""
         starts, _ = frame.segments()
         tops = np.maximum.reduceat(frame.q_max, starts).tolist()
-        return [self._grid(block, top) for block, top in zip(frame.blocks, tops)]
+        bounds = [*starts.tolist(), len(frame)]
+        entries = [
+            self._market_grid(frame, block, a, b, top)
+            for block, a, b, top in zip(frame.blocks, bounds, bounds[1:], tops)
+        ]
+        grids = [entry[1] for entry in entries]
+        if not self.include_breakpoints:
+            return grids, None
+        return grids, np.concatenate([entry[2] for entry in entries])
+
+    def _market_grid(
+        self, frame: BidFrame, owner: "BidFrame | PduBlock", first: int, end: int, top: float
+    ) -> tuple:
+        """The ``(key, grid, index)`` of the market of rows ``first:end``
+        of ``frame``, cached on ``owner`` (the frame for a facility-wide
+        price, a :class:`PduBlock` for one PDU).
+
+        ``top`` is the rows' highest acceptable price: no bid demands
+        anything above it, so the scan stops there.  The fixed-step grid
+        from the reserve ``lo`` counts its points so it cannot overshoot
+        by a step as ``np.arange`` can (``[lo]`` if ``hi < lo``).  With
+        breakpoints, the rows' points in ``[lo, hi]`` (closed rows'
+        ``q_min``/``q_max``, sampled curves' public ``q_min``/``q_max``/
+        ``price_cap``) are merged in so coarse grids keep the profit
+        kinks; sorted values within ``step * 1e-9`` of the one below
+        collapse onto it (exact duplicates among them), which at a
+        ``q_max`` kink is the breakpoint itself.  A zero enters as
+        ``+0.0``, so the zero kept does not depend on the sort.
+        ``index`` holds the grid index each closed row's ``q_min`` and
+        ``q_max`` landed on (``-1`` where not merged), read through the
+        sort's permutation.
+
+        Frames and blocks are immutable, so a key's grid stays valid for
+        their lifetime, and the incremental builder hands unchanged
+        blocks on across slots: a repeat clear costs a key check.  The
+        reserve price is in the key because price events move it.
+        """
+        lo, step = self.params.reserve_price, self.params.price_step
+        hi = min(self.params.max_price, top)
+        key = (lo, hi, step, self.include_breakpoints)
+        cached = owner._grid_cache
+        if cached is not None and cached[0] == key:
+            return cached
+        n = 0 if hi < lo else math.floor((hi - lo) / step * (1.0 + 1e-12) + 1e-9) + 1
+        grid = lo + step * np.arange(n) if n else np.array([lo])
+        index = None
+        if self.include_breakpoints:
+            closed = frame.kind[first:end] == KIND_CLOSED
+            points = np.array((frame.q_min[first:end], frame.q_max[first:end])).T
+            on = (points >= lo) & (points <= hi) & closed[:, None]
+            values = points[on] + 0.0
+            sampled = [
+                v + 0.0
+                for row in (~closed).nonzero()[0].tolist()
+                for v in _sampled_points(frame._demands[first + row])
+                if lo <= v <= hi
+            ]
+            index = np.full(points.shape, -1, dtype=np.intp)
+            if values.size or sampled:
+                merged = np.concatenate((grid, values, sampled))
+                order = merged.argsort()
+                merged = merged[order]
+                keep = np.empty(merged.size, dtype=bool)
+                keep[0] = True
+                np.greater(merged[1:] - merged[:-1], step * 1e-9, out=keep[1:])
+                grid = merged[keep]
+                # Each value's place in the merged grid: the kept values
+                # up to its sorted position, less one.
+                place = np.empty(merged.size, dtype=np.intp)
+                place[order] = np.cumsum(keep) - 1
+                index[on] = place[n:n + values.size]
+        owner._grid_cache = entry = (key, grid, index)
+        return entry
 
     # ------------------------------------------------------------------
     # Facility-wide uniform price
@@ -249,9 +273,11 @@ class MarketClearing:
         if not len(bids):
             return AllocationResult.empty()
         frame = bids if isinstance(bids, BidFrame) else BidFrame.from_bids(bids)
+        grid, index = self._grid(frame)
         outcome = self._sweep(
             frame,
-            [self.candidate_prices(frame)],
+            [grid],
+            index,
             np.zeros(len(frame.pdu_ids), dtype=np.intp),
             np.array([pdu_spot_w.get(p, 0.0) for p in frame.pdu_ids], dtype=float),
             np.array([ups_spot_w], dtype=float),
@@ -293,6 +319,7 @@ class MarketClearing:
         self,
         frame: BidFrame,
         grids: Sequence[np.ndarray],
+        index: np.ndarray | None,
         pdu_market: np.ndarray,
         pdu_caps: np.ndarray,
         market_caps: np.ndarray,
@@ -310,6 +337,9 @@ class MarketClearing:
         Args:
             frame: The bids; each PDU belongs to exactly one market.
             grids: Each market's ascending candidate price grid.
+            index: The grid indices of each row's ``q_min`` and ``q_max``
+                (``-1`` where not known), or ``None``: see
+                :meth:`_market_grid`.
             pdu_market: Market of each PDU (non-decreasing).
             pdu_caps: Spot capacity of each PDU (Eq. 3).
             market_caps: Spot capacity of each market as a whole (Eq. 4).
@@ -353,8 +383,11 @@ class MarketClearing:
         # A clean PDU (no row rejected, no constraint group in its market)
         # whose block's cache entry holds its market's grid object takes
         # the totals kept there or stores fresh ones: they depend on its
-        # rows and grid, not on caps.  Once its totals are reused, it also
-        # keeps its grants, which serve again at the same clearing price.
+        # rows and grid, not on caps.  A fresh row is kept as a view of
+        # this clear's totals, copied when first reused and dropped when
+        # its PDU is next passed over, so a PDU whose block never clears
+        # again costs no copy.  Once its totals are reused, it also keeps
+        # its grants, which serve again at the same clearing price.
         counts = np.diff(row_bounds)
         clean = ~np.logical_or.reduceat(rejected, starts)
         clean &= (group_bounds[:-1] == group_bounds[1:])[pdu_market]
@@ -364,10 +397,15 @@ class MarketClearing:
         kept_price = np.full(len(starts), np.nan)
         for p, (block, ok) in enumerate(zip(frame.blocks, clean.tolist())):
             entry = block._grid_cache
-            if ok and entry is not None and entry[1] is grids[markets[p]]:
+            if entry is None or entry[1] is not grids[markets[p]]:
+                continue
+            if ok:
                 entries[p] = entry
-                reused[p] = len(entry) > 2
-                kept_price[p] = entry[3] if len(entry) > 3 else np.nan
+                reused[p] = len(entry) > 3
+                kept_price[p] = entry[4] if len(entry) > 4 else np.nan
+            elif len(entry) > 3 and entry[3].base is not None:
+                # A row not yet copied would pin its whole sweep block.
+                block._grid_cache = entry[:3]
         counted = ~(rejected | np.repeat(reused, counts))
 
         aggregates = (pdu_bounds[1:] - first_pdu) + (group_bounds[1:] - group_bounds[:-1])
@@ -392,18 +430,20 @@ class MarketClearing:
             # grid (BidFrame.market_totals) for the rows of PDUs without
             # a kept totals row; constraint groups accumulate alongside
             # the per-PDU totals.
+            rows = counted[r0:r1].nonzero()[0] + r0
             pdu_demand, group_demand = frame.market_totals(
-                counted[r0:r1].nonzero()[0] + r0,
+                rows,
                 p0,
                 pdu_market[p0:p1] - m0,
                 prices,
                 local_sizes,
                 group_rows[here],
                 groups_of[here] - m0,
+                index,
             )
             for p in range(p0, p1):
                 if reused[p]:
-                    pdu_demand[p - p0, : entries[p][2].size] = entries[p][2]
+                    pdu_demand[p - p0, : entries[p][3].size] = entries[p][3]
             local_first = first_pdu[m0:m1] - p0
             if m1 - m0 == p1 - p0:
                 total = pdu_demand  # one PDU per market
@@ -452,7 +492,7 @@ class MarketClearing:
             if again.any():
                 again_rows = np.repeat(again, counts[p0:p1])
                 grant &= ~again_rows[admitted_here]
-                granted[again_rows] = np.concatenate([entries[p0 + k][4] for k in again.nonzero()[0]])
+                granted[again_rows] = np.concatenate([entries[p0 + k][5] for k in again.nonzero()[0]])
             if grant.any():
                 granted[admitted_here[grant]] = frame.demand_at_rows(
                     admitted_here[grant] + r0, best_price[admitted_market[grant]]
@@ -462,10 +502,14 @@ class MarketClearing:
                 if entry is None or same:
                     continue
                 if not reused[p]:
-                    entry = (*entry[:2], pdu_demand[p - p0, : entry[1].size].copy())
-                elif cleared[markets[p] - m0]:
-                    rows = slice(row_bounds_list[p] - r0, row_bounds_list[p + 1] - r0)
-                    entry = (*entry[:3], best_price[markets[p] - m0], granted[rows].copy())
+                    entry = (*entry[:3], pdu_demand[p - p0, : entry[1].size])
+                else:
+                    kept = entry[4:]
+                    if cleared[markets[p] - m0]:
+                        own = slice(row_bounds_list[p] - r0, row_bounds_list[p + 1] - r0)
+                        kept = (best_price[markets[p] - m0], granted[own].copy())
+                    totals = entry[3] if entry[3].base is None else entry[3].copy()
+                    entry = (*entry[:3], totals, *kept)
                 frame.blocks[p]._grid_cache = entry
             parts.append((
                 np.where(cleared, best_price, prices[local, local_sizes - 1] + step),
@@ -525,7 +569,8 @@ class MarketClearing:
         caps, constraints = self._pdu_markets(
             frame, pdu_spot_w, ups_spot_w, extra_constraints
         )
-        outcome = self._sweep_pdus(frame, self._pdu_grids(frame), caps, constraints)
+        grids, index = self._pdu_grids(frame)
+        outcome = self._sweep_pdus(frame, grids, caps, constraints, index)
         return self._combine(frame, outcome)
 
     def _pdu_markets(
@@ -584,12 +629,13 @@ class MarketClearing:
         grids: Sequence[np.ndarray],
         caps: Sequence[float],
         constraints: Sequence[tuple],
+        index: np.ndarray | None = None,
     ) -> _Outcome:
         """The sweep with one market per PDU, each capped at its
         apportioned cap (its PDU and market bound at once)."""
         caps = np.asarray(caps, dtype=float)
         return self._sweep(
-            frame, grids, np.arange(caps.size), caps, caps, constraints
+            frame, grids, index, np.arange(caps.size), caps, caps, constraints
         )
 
     def _combine(self, frame: BidFrame, outcome: _Outcome) -> AllocationResult:

@@ -22,12 +22,13 @@ Design points:
   over the previous frame, whose unchanged PDUs keep their rows and
   :class:`PduBlock`.  The frame keeps its blocks
   (:attr:`BidFrame.blocks`); each block caches its PDU market's price
-  grid, and the demand totals and grants over it, across slots.
+  grid, its rows' indices on it, and the demand totals and grants over
+  it, across slots.
 * **Many markets, one sweep**: :meth:`BidFrame.market_totals` totals
   the demand of every market of a slot — one per PDU under locational
   pricing, one for the facility under a uniform price — each over its
-  own grid, with one fixed set of numpy calls for all of them plus one
-  ``searchsorted`` per market and side.
+  own grid, with one fixed set of numpy calls for all of them; each
+  row's breakpoint indices come from its market's grid build.
 * **The object API stays**: :meth:`BidFrame.from_bids` /
   :meth:`BidFrame.to_bids` form a thin adapter, so tenants, enforcement,
   faults, and settlement keep speaking :class:`RackBid`.
@@ -40,11 +41,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import accumulate, chain, repeat
-from operator import itemgetter, or_
+from operator import itemgetter
 
 import numpy as np
 
-from repro.core.bids import CURVE_LINEAR, CURVE_SAMPLED, CURVE_STEP, BidTable, RackBid
+from repro.core.bids import CURVE_SAMPLED, BidTable, RackBid
 from repro.core.demand import DemandFunction, demand_matrix
 
 __all__ = ["BidFrame", "PduBlock"]
@@ -57,27 +58,22 @@ KIND_SAMPLED = 1
 
 
 class PduBlock:
-    """One PDU's rows of a frame: its bids, breakpoints and price grid.
+    """One PDU's rows of a frame: its bids and its market's price grid.
 
     A block outlives its slot: a frame built over a previous one hands
     each unchanged PDU's block on, so its bid objects and its cached
-    price grid, demand totals and grants (``MarketClearing._sweep``)
-    carry over.
-    ``breakpoints`` are the grid-augmentation points of the block's
-    rows, in row order.
+    price grid, the grid indices of its rows' ``q_min``/``q_max``, and
+    its demand totals and grants (``MarketClearing._sweep``) carry over.
     """
 
-    __slots__ = ("pdu_id", "bids", "breakpoints", "_grid_cache")
+    __slots__ = ("pdu_id", "bids", "_grid_cache")
 
-    def __init__(
-        self, pdu_id: str, bids: tuple[RackBid, ...], breakpoints: np.ndarray
-    ) -> None:
+    def __init__(self, pdu_id: str, bids: tuple[RackBid, ...]) -> None:
         self.pdu_id = pdu_id
         self.bids = bids
-        self.breakpoints = breakpoints
-        # ``(key, grid)`` of the last price grid cleared over this PDU's
-        # market, then its totals, price and grants there (see
-        # MarketClearing._sweep).
+        # ``(key, grid, index)`` of the last price grid cleared over this
+        # PDU's market, then its totals, price and grants there (see
+        # MarketClearing._pdu_grids and MarketClearing._sweep).
         self._grid_cache: tuple | None = None
 
     def __len__(self) -> int:
@@ -203,47 +199,15 @@ def _few_unchanged(previous, table, order, pdu_ids, counts, rack_ids, bids):
     return kept, rows, was
 
 
-def _envelopes(columns, curve, pdu_code, kept, bids) -> tuple[list[int], dict]:
+def _envelopes(columns, curve, pdu_code, kept, bids) -> tuple[list[int], list[int]]:
     """Read the envelope of each sampled row of a changed PDU into
-    ``columns``; return the sampled rows and those rows' breakpoints."""
+    ``columns``; return the sampled rows and the rows read."""
     sampled = (curve == CURVE_SAMPLED).nonzero()[0].tolist()
-    points: dict[int, list[float]] = {}
-    for r in sampled:
-        if not kept[pdu_code[r]]:
-            fn = bids[r].demand
-            columns[1:6, r] = 0.0, 0.0, 0.0, fn.max_price, fn.max_demand_w
-            points[r] = _sampled_points(fn)
-    return sampled, points
-
-
-def _sampled_points(fn) -> list[float]:
-    """A sampled curve's grid-augmentation points: its public attributes."""
-    return [
-        float(v)
-        for v in (getattr(fn, a, None) for a in ("q_min", "q_max", "price_cap"))
-        if v is not None
-    ]
-
-
-def _breakpoints(columns, curve, points):
-    """Each row's breakpoints, in row order: ``(q_min, q_max)`` where the
-    curve code is below ``(1, 2)`` — both for a LinearBid, the price cap
-    for a StepBid — and a sampled row's ``points``.  Returns a function
-    of a row range that copies out its breakpoints."""
-    take = curve[:, None] < (CURVE_STEP, CURVE_SAMPLED)
-    flat = columns[2:5:2].T[take]
-    size = take.sum(axis=1)
-    if points:
-        before = size.cumsum().tolist()
-        flat = np.insert(
-            flat,
-            [before[r] for r, p in points.items() for _ in p],
-            [v for p in points.values() for v in p],
-        )
-        for r, p in points.items():
-            size[r] = len(p)
-    ends = [0, *size.cumsum().tolist()]
-    return lambda a, b: flat[ends[a]:ends[b]].copy()
+    read = [r for r in sampled if not kept[pdu_code[r]]]
+    for r in read:
+        fn = bids[r].demand
+        columns[1:6, r] = 0.0, 0.0, 0.0, fn.max_price, fn.max_demand_w
+    return sampled, read
 
 
 def _few_rows(table, order, counts, previous, kept_rows, bids):
@@ -257,7 +221,6 @@ def _few_rows(table, order, counts, previous, kept_rows, bids):
     pdu_code = [j for j, count in enumerate(counts) for _ in range(count)]
     curve = [table.curve[i] for i in order]
     cells: list[list[float]] = []
-    per_row: list[list[float]] = []
     sampled = []
     for r, i in enumerate(order):
         if curve[r] == CURVE_SAMPLED:
@@ -271,7 +234,6 @@ def _few_rows(table, order, counts, previous, kept_rows, bids):
                     previous.q_max, previous.max_demand_w, previous.floor_w,
                 )
             ])
-            per_row.append([])
             continue
         cap, d_max, q_min, d_min, q_max = table.row(i)
         top = d_max
@@ -280,10 +242,8 @@ def _few_rows(table, order, counts, previous, kept_rows, bids):
             d_max = q_min = d_min = 0.0
             q_max, top = float(fn.max_price), float(fn.max_demand_w)
             floor = float(fn.demand_at(fn.max_price))
-            per_row.append(_sampled_points(fn))
         else:
             floor = d_max if q_max <= q_min else d_max + (d_min - d_max)
-            per_row.append([q_min, q_max] if curve[r] == CURVE_LINEAR else [q_max])
         # As np.minimum(floor, cap): a tie gives the cap, a NaN on
         # either side gives NaN.
         floor = floor if floor < cap or floor != floor else cap
@@ -296,7 +256,6 @@ def _few_rows(table, order, counts, previous, kept_rows, bids):
         np.array(pdu_code, dtype=np.intp),
         np.array(curve, dtype=np.uint8),
         columns,
-        lambda a, b: np.array([v for p in per_row[a:b] for v in p], dtype=float),
         sampled,
         seen,
         np.array([renumber[t] for t in tenants], dtype=np.intp),
@@ -346,7 +305,6 @@ class BidFrame:
         "rack_cap_w",
         "max_demand_w",
         "floor_w",
-        "breakpoints",
         "blocks",
         "_demands",
         "_bids",
@@ -372,7 +330,6 @@ class BidFrame:
         rack_cap_w: np.ndarray,
         max_demand_w: np.ndarray,
         floor_w: np.ndarray,
-        breakpoints: np.ndarray,
         demands: tuple[DemandFunction | None, ...],
         bids: tuple[RackBid, ...] | None,
         blocks: tuple[PduBlock, ...],
@@ -391,7 +348,6 @@ class BidFrame:
         self.rack_cap_w = rack_cap_w
         self.max_demand_w = max_demand_w
         self.floor_w = floor_w
-        self.breakpoints = breakpoints
         self.blocks = blocks
         self._demands = demands
         # ``None`` reads the bids from the blocks when first asked.
@@ -403,7 +359,7 @@ class BidFrame:
         self._row_of: dict[str, int] | None = None
         self._segments: tuple[np.ndarray, np.ndarray] | None = None
         self._sampled_rows: np.ndarray | None = None
-        # ``(key, grid)`` of the last facility-wide price grid.
+        # ``(key, grid, index)`` of the last facility-wide price grid.
         self._grid_cache: tuple | None = None
 
     # ------------------------------------------------------------------
@@ -412,7 +368,8 @@ class BidFrame:
 
     @classmethod
     def from_bids(cls, bids: Sequence[RackBid]) -> "BidFrame":
-        """Build the columnar frame from object bids (the slot adapter)."""
+        """Build the columnar frame from object bids (the slot adapter);
+        a rack in two bids raises :class:`~repro.errors.BidError`."""
         return cls.from_table(BidTable.from_bids(bids))
 
     @classmethod
@@ -427,9 +384,8 @@ class BidFrame:
         its previous rows, and when every PDU is unchanged and none left,
         ``previous`` itself is returned.  Other PDUs get new blocks, built
         from slices of the sorted columns; only there is a sampled
-        curve's envelope read (``max_price``, ``max_demand_w``,
-        ``demand_at(max_price)`` and any public ``q_min``/``q_max``/
-        ``price_cap`` breakpoints).  Below :data:`_ROWS_FROM` rows the
+        curve's envelope read (``max_price``, ``max_demand_w`` and
+        ``demand_at(max_price)``).  Below :data:`_ROWS_FROM` rows the
         same comparison and columns are done row by row in Python.
         """
         n = len(table.bids)
@@ -462,10 +418,10 @@ class BidFrame:
             curve = code.astype(np.uint8)
             return cls(
                 (), (), code, (), code, curve, none, none, none, none, none, none,
-                none, none, (), (), (), curve=curve,
+                none, (), (), (), curve=curve,
             )
         if few:
-            pdu_code, curve, columns, points, sampled, seen, tenant_code = _few_rows(
+            pdu_code, curve, columns, sampled, seen, tenant_code = _few_rows(
                 table, order, counts, previous, dict(zip(rows, was)), bids
             )
         else:
@@ -476,10 +432,10 @@ class BidFrame:
             for k, column in enumerate(table.values):
                 np.take(column, order, out=columns[k])
             columns[5] = columns[1]
-            sampled, points = _envelopes(columns, curve, pdu_code, kept, bids)
+            sampled, read = _envelopes(columns, curve, pdu_code, kept, bids)
             cap, d_max, q_min, d_min, q_max, _, floor = columns
             floor[:] = np.where(q_max <= q_min, d_max, d_max + (d_min - d_max))
-            for r in points:
+            for r in read:
                 fn = bids[r].demand
                 floor[r] = fn.demand_at(fn.max_price)
             np.minimum(floor, cap, out=floor)
@@ -489,7 +445,6 @@ class BidFrame:
                     previous.q_max, previous.max_demand_w, previous.floor_w,
                 )):
                     columns[k, rows] = column[was]
-            points = _breakpoints(columns, curve, points)
             # Tenants in first-appearance order over the sorted rows.
             tenant = np.frombuffer(table.tenant_code, dtype=np.intp)[order]
             seen = list(dict.fromkeys(tenant.tolist()))
@@ -501,11 +456,7 @@ class BidFrame:
         start = 0
         for pdu_id, count, reuse in zip(pdu_ids, counts, kept):
             end = start + count
-            blocks.append(
-                old_blocks[pdu_id]
-                if reuse
-                else PduBlock(pdu_id, bids[start:end], points(start, end))
-            )
+            blocks.append(old_blocks[pdu_id] if reuse else PduBlock(pdu_id, bids[start:end]))
             start = end
         demands: list = [None] * n
         for r in sampled:
@@ -524,7 +475,6 @@ class BidFrame:
             rack_cap_w=columns[0],
             max_demand_w=columns[5],
             floor_w=columns[6],
-            breakpoints=np.concatenate([b.breakpoints for b in blocks]),
             demands=tuple(demands),
             bids=None,
             blocks=tuple(blocks),
@@ -686,6 +636,7 @@ class BidFrame:
         sizes: np.ndarray,
         group_rows: "Sequence[np.ndarray]" = (),
         group_market: "Sequence[int]" = (),
+        index: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Aggregate rack-clipped demand of several markets, each over its
         own ascending price grid.
@@ -703,13 +654,14 @@ class BidFrame:
         and integrated with one ``cumsum`` per aggregate.
 
         All markets share one right-padded ``(cells, width + 1)`` block,
-        so the whole call costs a fixed set of numpy calls plus one
-        ``searchsorted`` per market and side (on that market's own
-        grid: shifting values onto one shared grid would round).  Rows
-        add into their cells in row order, phase by phase, so each
-        market's cells get the same additions in the same order as a
-        clear of that market alone — the totals do not depend on which
-        other markets share the call.
+        so the whole call costs a fixed set of numpy calls: a row's
+        breakpoint indices come from ``index``, and only the rows without
+        them are searched, one ``searchsorted`` per market and side.  Rows
+        add into their cells in row order, phase by phase (one
+        ``bincount`` per difference array), so each market's cells get
+        the same additions in the same order as a clear of that market
+        alone — the totals do not depend on which other markets share
+        the call.
 
         An exact integer count of active rows per grid cell pins totals
         to exactly 0.0 where no row demands anything — float cancellation
@@ -729,6 +681,10 @@ class BidFrame:
             group_rows: For each extra constraint group, the ascending
                 frame rows of its member racks.
             group_market: Market of each group.
+            index: Frame-aligned ``(rows, 2)`` grid indices of each row's
+                ``q_min`` and ``q_max`` (``-1`` where not on the grid; see
+                ``MarketClearing._market_grid``), or ``None`` to search
+                them all.
 
         Returns:
             ``(pdu_demand, group_demand)`` with shapes
@@ -770,33 +726,37 @@ class BidFrame:
                     (cap - intercept) / safe_slope,
                     q_lo,
                 )
-            # Row k of `right` is searched from the right, `q_hi` also
-            # from the left; rows are market-contiguous.
-            right = np.empty((2, closed.size))
-            right[0] = q_hi
-            np.maximum(q_lo, crossing, out=right[1])
-            j_right = np.empty(right.shape, dtype=np.intp)
-            j_left = np.empty(closed.size, dtype=np.intp)
-            bounds = market.searchsorted(np.arange(n_markets + 1)).tolist()
-            for m, size in enumerate(sizes.tolist()):
-                a, b = bounds[m], bounds[m + 1]
-                if a < b:
-                    grid = prices[m, :size]
-                    j_right[:, a:b] = grid.searchsorted(right[:, a:b], side="right")
-                    j_left[a:b] = grid.searchsorted(q_hi[a:b], side="left")
-            # Demand is zero strictly above q_max: first grid index past it.
-            j_end = j_right[0]
-            j_start = np.minimum(j_right[1], j_end)
+            # Demand is zero strictly above q_max: j_end is the first grid
+            # index past it, j_start the first past the segment's start,
+            # j_left q_max's first index from the left.  A point that
+            # landed on grid index i (MarketClearing._market_grid) is at
+            # i + 1 from the right, and at i, or i + 1 when grid[i] < q,
+            # from the left.  Rows without both indices, and cap-clipped rows
+            # (whose segment starts at the crossing), are searched on
+            # their market's own grid: one shared grid would round.
+            flat_prices = prices.ravel()
+            offset = market * width
+            clipped = sloped & (cap < d_max)
+            i_lo, i_hi = np.full((2, closed.size), -1) if index is None else index[closed].T
+            j_start, j_end = i_lo + 1, i_hi + 1
+            j_left = i_hi + (flat_prices[offset + i_hi] < q_hi)
+            searched = (clipped | (i_lo < 0) | (i_hi < 0)).nonzero()[0]
+            if searched.size:
+                ends = np.bincount(market[searched], minlength=n_markets).cumsum().tolist()
+                for m, (a, b) in enumerate(zip([0, *ends], ends)):
+                    if a < b:
+                        grid, rows_m = prices[m, : sizes[m]], searched[a:b]
+                        keys = np.stack((q_hi[rows_m], np.maximum(q_lo[rows_m], crossing[rows_m])))
+                        j_end[rows_m], j_start[rows_m] = grid.searchsorted(keys, side="right")
+                        j_left[rows_m] = grid.searchsorted(keys[0], side="left")
+            j_start = np.minimum(j_start, j_end)
             # For cap-clipped rows the division can land the crossing a
             # float-ulp on the wrong side of a grid point; classify the
             # boundary point by value (j_start must be the first index
             # where the line is below the cap) so flat cells are exactly
             # `cap`, matching the object path's min() bit for bit.
-            # Unclipped rows break at q_lo, which searchsorted gets exact.
-            flat_prices = prices.ravel()
-            offset = market * width
+            # Unclipped rows break at q_lo, which the search gets exact.
             last = sizes[market] - 1
-            clipped = sloped & (cap < d_max)
             at_prev = intercept + slope * flat_prices[offset + np.maximum(j_start - 1, 0)]
             j_start = np.where(
                 clipped & (j_start > 0) & (at_prev < cap),
@@ -825,34 +785,39 @@ class BidFrame:
             )
 
             def scatter(codes, n_cells, cell_prices, take=None):
-                """Difference arrays for one aggregation (PDUs or groups)."""
+                """Difference arrays for one aggregation (PDUs or groups),
+                one ``bincount`` each: contributions go in phase by phase
+                and row by row, as one ``np.add.at`` per phase adds them."""
                 f, js, je, ic, sl, sp, cn, jc = (
                     columns if take is None else (a[take] for a in columns)
                 )
-                d_const = np.zeros((n_cells, width + 1))
-                d_slope = np.zeros((n_cells, width + 1))
-                d_count = np.zeros((n_cells, width + 1), dtype=np.int64)
-                base = np.zeros(n_cells)
-                np.add.at(base, codes, f)
-                d_const[:, 0] += base
-                np.add.at(d_const, (codes, js), -f)
-                cnt = cn.nonzero()[0]
-                counts = np.zeros(n_cells, dtype=np.int64)
-                np.add.at(counts, codes[cnt], 1)
-                d_count[:, 0] += counts
-                np.add.at(d_count, (codes[cnt], jc[cnt]), -1)
+                stride = width + 1
+                n_flat = n_cells * stride
+                first = codes * stride
                 lin = sp.nonzero()[0]
-                if lin.size:
-                    np.add.at(d_const, (codes[lin], js[lin]), ic[lin])
-                    np.add.at(d_const, (codes[lin], je[lin]), -ic[lin])
-                    np.add.at(d_slope, (codes[lin], js[lin]), sl[lin])
-                    np.add.at(d_slope, (codes[lin], je[lin]), -sl[lin])
+                starts = first[lin] + js[lin]
+                ends = first[lin] + je[lin]
+                d_const = np.bincount(
+                    np.concatenate((first, first + js, starts, ends)),
+                    np.concatenate((f, -f, ic[lin], -ic[lin])),
+                    n_flat,
+                ).reshape(n_cells, stride)
+                d_slope = np.bincount(
+                    np.concatenate((starts, ends)),
+                    np.concatenate((sl[lin], -sl[lin])),
+                    n_flat,
+                ).reshape(n_cells, stride)
+                cnt = first[cn]
+                d_count = np.bincount(cnt, minlength=n_flat) - np.bincount(
+                    cnt + jc[cn], minlength=n_flat
+                )
                 total = (
                     np.cumsum(d_const[:, :width], axis=1)
                     + np.cumsum(d_slope[:, :width], axis=1) * cell_prices
                 )
                 np.maximum(total, 0.0, out=total)
-                total[np.cumsum(d_count[:, :width], axis=1) == 0] = 0.0
+                active = np.cumsum(d_count.reshape(n_cells, stride)[:, :width], axis=1)
+                total[active == 0] = 0.0
                 return total
 
             # One PDU per market: the cells' prices are the grids as laid out.

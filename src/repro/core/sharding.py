@@ -12,8 +12,8 @@ ROADMAP's million-rack north star, and this module removes both:
    (:class:`~repro.core.frame.PduBlock`), only the PDUs whose bids
    actually changed since the previous slot are rebuilt, and an
    unchanged slot returns the previous frame *object*.  Each block
-   caches its PDU market's price grid, demand totals and grants, so a
-   reused block is not swept again downstream either.
+   caches its PDU market's price grid and grid indices, demand totals
+   and grants, so a reused block is not swept again downstream either.
 
 2. **One process clears everything.**  The market's physical hierarchy
    (UPS → PDU → rack, paper Eqs. 2-4) makes each PDU subtree an
@@ -129,7 +129,8 @@ class IncrementalFrameBuilder:
     def build(self, bids: BidTable | Sequence[RackBid]) -> BidFrame:
         """The slot's frame, value-identical to ``BidFrame.from_bids``.
 
-        Takes the slot's admitted :class:`BidTable` (or its rack bids).
+        Takes the slot's admitted :class:`BidTable` (or its rack bids,
+        which, as there, may not name a rack twice).
         """
         self.builds += 1
         previous = self._frame
@@ -209,7 +210,6 @@ def _shard_frame(frame: BidFrame, lo: int, hi: int) -> BidFrame:
         rack_cap_w=frame.rack_cap_w[rows],
         max_demand_w=frame.max_demand_w[rows],
         floor_w=frame.floor_w[rows],
-        breakpoints=np.concatenate([b.breakpoints for b in frame.blocks[lo:hi]]),
         demands=frame._demands[rows],
         bids=None,
         blocks=(),
@@ -265,7 +265,7 @@ def clear_per_pdu_sharded(
     caps, constraints = engine._pdu_markets(
         frame, pdu_spot_w, ups_spot_w, extra_constraints
     )
-    grids = engine._pdu_grids(frame)
+    grids, _ = engine._pdu_grids(frame)
     bounds = np.append(frame.segments()[0], len(frame)).tolist()
     tasks = [
         (pdu, range(lo, hi)) for pdu, (lo, hi) in enumerate(zip(bounds, bounds[1:]))

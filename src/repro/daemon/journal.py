@@ -136,12 +136,6 @@ class BidLog(_AppendLog):
 class MarketJournal(_AppendLog):
     """The per-slot market journal (``market.jsonl``)."""
 
-    def slot_records(self) -> dict[int, dict]:
-        """Cleared-slot records currently journalled, by slot."""
-        return {
-            r["slot"]: r for r in self.read() if r.get("kind") == "slot"
-        }
-
     def invoices_record(self) -> dict | None:
         """The final invoices record, if the run completed."""
         for record in self.read():

@@ -269,11 +269,6 @@ class ShockAbsorber:
             self._price_active = False
 
     @property
-    def compliance_lags(self) -> tuple[int, ...]:
-        """Closed compliance windows' onset→compliance lags, in slots."""
-        return tuple(self._compliance_lags)
-
-    @property
     def violations(self) -> tuple[tuple[int, str], ...]:
         """(onset slot, unit) pairs that missed the K-slot deadline."""
         return tuple(self._violations)

@@ -303,11 +303,6 @@ class EventSchedule:
             return None
         return max(demands)
 
-    @property
-    def max_end_slot(self) -> int:
-        """First slot after the last event window (0 when empty)."""
-        return max((e.end_slot for e in self.events), default=0)
-
 
 def wholesale_trace_from_file(path: str | pathlib.Path) -> tuple[float, ...]:
     """Load a wholesale price trace ($/kWh per slot) from a file.

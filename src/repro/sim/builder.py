@@ -30,8 +30,6 @@ from repro.config import (
     SLO_LATENCY_MS,
 )
 from repro.errors import ConfigurationError
-from repro.events.profile import EventProfile
-from repro.forecast.profile import PredictionProfile
 from repro.resilience.profile import FaultProfile
 from repro.scenarios.schema import SPEC_VERSION
 from repro.scenarios.spec import component_block, normalize_spec, spec_pdu_ids
@@ -127,61 +125,6 @@ class ScenarioBuilder:
         self._spec["telemetry"] = (
             None if config is None else component_block(TelemetryConfig, config)
         )
-        return self
-
-    def with_prediction(self, profile) -> "ScenarioBuilder":
-        """Attach a :class:`repro.forecast.PredictionProfile` to the run.
-
-        Every engine built from the resulting scenario forecasts spot
-        capacity with the profile's signal and releases it at the
-        profile's risk quantile.  ``None`` (the default) keeps the
-        paper's rule — byte-identical traces to the pre-forecast engine.
-        """
-        self._spec["prediction"] = (
-            None if profile is None else component_block(PredictionProfile, profile)
-        )
-        return self
-
-    def with_events(self, profile) -> "ScenarioBuilder":
-        """Attach a :class:`repro.events.EventProfile` to the run.
-
-        Every engine built from the resulting scenario resolves the
-        profile's grid events — EDR capacity shocks, wholesale price
-        coupling, derating cascades — through the shock-absorption
-        ladder.  ``None`` (the default) keeps capacity and reserve price
-        static — byte-identical traces to the pre-events engine.
-        """
-        self._spec["events"] = (
-            None if profile is None else component_block(EventProfile, profile)
-        )
-        return self
-
-    def with_clearing_deadline(
-        self, budget_s: "float | bool" = True
-    ) -> "ScenarioBuilder":
-        """Arm the wall-clock deadline guard on the clear phase.
-
-        ``True`` derives the budget from the slot length
-        (:func:`repro.recovery.deadline.default_budget_s`); a float sets
-        it in seconds (validated when the scenario is built).  An
-        over-deadline clear falls back down the always-safe ladder
-        (reuse last price, else no spot) instead of stalling the slot
-        loop.  Leave off for runs that pin byte-identical traces: wall
-        time is nondeterministic.
-        """
-        self._spec["recovery"] = {"clearing_deadline_s": budget_s}
-        return self
-
-    def with_market_shards(self, shards: int) -> "ScenarioBuilder":
-        """Partition per-PDU clearing into ``shards`` contiguous groups.
-
-        Sharding never changes a number: traces and invoices stay
-        byte-identical at any shard count (see
-        :mod:`repro.core.sharding`); the knob only controls how the
-        clearing work is decomposed and, with worker processes, where
-        it runs.  The count is validated when the scenario is built.
-        """
-        self._spec["market"] = {"shards": shards}
         return self
 
     # ------------------------------------------------------------------

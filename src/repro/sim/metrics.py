@@ -169,10 +169,6 @@ class MetricsCollector:
         """Facility draw per slot, watts."""
         return np.asarray(self._ups_power)
 
-    def pdu_power_array(self, pdu_id: str) -> np.ndarray:
-        """One PDU's draw per slot, watts."""
-        return np.asarray(self._pdu_power[pdu_id])
-
     def pdu_price_array(self, pdu_id: str) -> np.ndarray:
         """One PDU's clearing price per slot, $/kW/h."""
         return np.asarray(self._pdu_price[pdu_id])

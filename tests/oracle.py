@@ -12,7 +12,9 @@ computation:
   validation, empty market);
 * :func:`frame_clear` / :func:`frame_clear_per_pdu` — the columnar
   clear one market at a time (per-PDU: one sub-frame per PDU), whose
-  arithmetic the sweep must reproduce bit for bit;
+  arithmetic the sweep must reproduce bit for bit, each market's price
+  grid built from its rows' breakpoints (:func:`frame_grid`) as the
+  grid build must reproduce it;
 * :func:`payments` — per-tenant billing walked grant by grant;
 * :func:`frame_from_bids` — the row-at-a-time frame build;
 * :func:`from_bids` / :class:`IncrementalFrameBuilder` — the frame
@@ -43,13 +45,7 @@ import numpy as np
 
 from repro.core.allocation import AllocationResult
 from repro.core.bids import RackBid, TenantBid
-from repro.core.clearing import (
-    _TOL,
-    MarketClearing,
-    _augment_grid,
-    _base_grid,
-    _localize_constraints,
-)
+from repro.core.clearing import _TOL, MarketClearing, _localize_constraints
 from repro.core.demand import DemandFunction, LinearBid, StepBid
 from repro.core.frame import KIND_CLOSED, KIND_SAMPLED, BidFrame
 from repro.economics.cost import OpportunisticCostModel, SprintingCostModel
@@ -118,6 +114,47 @@ def clear_per_pdu(
     return clear_per_pdu_objects(
         engine, bids, pdu_spot_w, ups_spot_w, extra_constraints
     )
+
+
+# ----------------------------------------------------------------------
+# Price grids, one market at a time
+# ----------------------------------------------------------------------
+
+
+def _base_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """The fixed-step scan grid over ``[lo, hi]``, overshoot-free.
+
+    ``np.arange(lo, hi + step, step)`` can overshoot ``hi`` by a whole
+    extra element under float error; counting the steps explicitly keeps
+    the last grid point at ``hi`` (up to epsilon).
+    """
+    if hi < lo:
+        return np.array([lo])
+    n = int(np.floor((hi - lo) / step * (1.0 + 1e-12) + 1e-9)) + 1
+    return lo + step * np.arange(n)
+
+
+def _augment_grid(
+    grid: np.ndarray, points: np.ndarray, lo: float, hi: float, step: float
+) -> np.ndarray:
+    """Merge bid breakpoints into the grid, deduplicating with tolerance.
+
+    Breakpoints that land within float epsilon of an existing grid point
+    would otherwise survive ``np.unique`` as distinct candidates; merged
+    values within ``step * 1e-9`` collapse onto the *smaller* one, which
+    at a ``q_max`` kink is the breakpoint itself (keeping the kink's
+    revenue in the scan).  A zero breakpoint enters as ``+0.0``:
+    ``np.unique``'s sort does not keep signed zeros apart, so a ``-0.0``
+    would make the sign of a zero grid point depend on the sort.
+    """
+    points = points[(points >= lo) & (points <= hi)] + 0.0
+    if points.size == 0:
+        return grid
+    merged = np.unique(np.concatenate([grid, points]))
+    keep = np.empty(merged.size, dtype=bool)
+    keep[0] = True
+    np.greater(np.diff(merged), step * 1e-9, out=keep[1:])
+    return merged[keep]
 
 
 # ----------------------------------------------------------------------
@@ -430,7 +467,9 @@ def frame_clear_per_pdu(
 
 
 def frame_grid(engine: MarketClearing, frame: BidFrame) -> np.ndarray:
-    """The ascending price grid of one frame (uncached)."""
+    """The ascending price grid of one frame (uncached), from its own
+    breakpoints alone: one market's reference for
+    ``MarketClearing._market_grid``."""
     lo = engine.params.reserve_price
     hi = engine.params.max_price
     if len(frame):
@@ -438,10 +477,9 @@ def frame_grid(engine: MarketClearing, frame: BidFrame) -> np.ndarray:
     if hi < lo:
         return np.array([lo])
     grid = _base_grid(lo, hi, engine.params.price_step)
-    if engine.include_breakpoints and len(frame):
-        grid = _augment_grid(
-            grid, frame.breakpoints, lo, hi, engine.params.price_step
-        )
+    if engine.include_breakpoints:
+        points = select_breakpoints(frame, np.arange(len(frame)))
+        grid = _augment_grid(grid, points, lo, hi, engine.params.price_step)
     return grid
 
 
@@ -610,7 +648,6 @@ def select(frame: BidFrame, rows: np.ndarray) -> BidFrame:
         rack_cap_w=frame.rack_cap_w[rows],
         max_demand_w=frame.max_demand_w[rows],
         floor_w=frame.floor_w[rows],
-        breakpoints=select_breakpoints(frame, rows),
         demands=tuple(frame._demands[int(i)] for i in rows),
         bids=None,
         blocks=(),
@@ -656,7 +693,6 @@ def pdu_slices(frame: BidFrame) -> list[tuple[str, BidFrame]]:
             rack_cap_w=frame.rack_cap_w[rows],
             max_demand_w=frame.max_demand_w[rows],
             floor_w=frame.floor_w[rows],
-            breakpoints=select_breakpoints(frame, np.arange(lo, hi)),
             demands=frame._demands[rows],
             bids=None,
             blocks=(),
@@ -978,7 +1014,6 @@ def frame_from_bids(bids: Sequence[RackBid]) -> BidFrame:
     max_demand = np.empty(n)
     floor = np.empty(n)
     demands: list[DemandFunction | None] = []
-    points: list[float] = []
     for i, b in enumerate(ordered):
         fn = b.demand
         caps[i] = b.rack_cap_w
@@ -1008,12 +1043,6 @@ def frame_from_bids(bids: Sequence[RackBid]) -> BidFrame:
             q_max[i] = fn.max_price
             max_demand[i] = fn.max_demand_w
             demands.append(fn)
-        # Grid augmentation points, collected exactly as the object
-        # path does (public curve attributes only).
-        for attr in ("q_min", "q_max", "price_cap"):
-            value = getattr(fn, attr, None)
-            if value is not None:
-                points.append(float(value))
     # Rack-clipped demand at each row's own max acceptable price,
     # with the same float arithmetic as demand_at(max_price).
     for i, b in enumerate(ordered):
@@ -1046,7 +1075,6 @@ def frame_from_bids(bids: Sequence[RackBid]) -> BidFrame:
         rack_cap_w=caps,
         max_demand_w=max_demand,
         floor_w=floor,
-        breakpoints=np.asarray(points, dtype=float),
         demands=tuple(demands),
         bids=tuple(ordered),
         # The per-PDU blocks only carry the PDU markets' grid caches.
@@ -1082,8 +1110,7 @@ class PduBlock:
     :meth:`BidFrame.from_blocks` concatenates blocks into a frame.  The
     tenant table is *local* (first appearance within this PDU's rows);
     ``from_blocks`` merges the local tables in block order, which
-    preserves global first-appearance order.  ``breakpoints`` are the
-    grid-augmentation points of the block's rows, in row order.
+    preserves global first-appearance order.
     """
 
     __slots__ = (
@@ -1100,7 +1127,6 @@ class PduBlock:
         "rack_cap_w",
         "max_demand_w",
         "floor_w",
-        "breakpoints",
         "demands",
         "_grid_cache",
     )
@@ -1108,11 +1134,8 @@ class PduBlock:
     def __init__(self, pdu_id: str, bids: tuple[RackBid, ...]) -> None:
         tenant_index: dict[str, int] = {}
         tenant_code: list[int] = []
-        # One row of (cap, d_max, q_min, d_min, q_max, max_demand) per
-        # bid, plus the grid-augmentation points of its public curve
-        # attributes (q_min / q_max / price_cap), in row order.
+        # One row of (cap, d_max, q_min, d_min, q_max, max_demand) per bid.
         rows: list[tuple] = []
-        points: list[float] = []
         sampled: list[int] = []
         for i, b in enumerate(bids):
             tenant_code.append(
@@ -1126,14 +1149,12 @@ class PduBlock:
                     (b.rack_cap_w, fn.d_max_w, fn.q_min, fn.d_min_w,
                      fn.q_max, fn.d_max_w)
                 )
-                points += (fn.q_min, fn.q_max)
             elif type(fn) is StepBid:
                 # The degenerate q_min == q_max curve.
                 rows.append(
                     (b.rack_cap_w, fn.demand_w, fn.price_cap, fn.demand_w,
                      fn.price_cap, fn.demand_w)
                 )
-                points.append(fn.price_cap)
             else:
                 # Sampled: only q_max (the max acceptable price) and the
                 # zero-price demand are meaningful columns.
@@ -1141,10 +1162,6 @@ class PduBlock:
                     (b.rack_cap_w, 0.0, 0.0, 0.0, fn.max_price, fn.max_demand_w)
                 )
                 sampled.append(i)
-                for attr in ("q_min", "q_max", "price_cap"):
-                    value = getattr(fn, attr, None)
-                    if value is not None:
-                        points.append(float(value))
         n = len(bids)
         # One contiguous array per column: strided views of the row
         # array would pickle larger and slower in every checkpoint.
@@ -1176,7 +1193,6 @@ class PduBlock:
         self.rack_cap_w = caps
         self.max_demand_w = max_demand
         self.floor_w = floor
-        self.breakpoints = np.asarray(points, dtype=float)
         self.demands = tuple(demands)
         # ``(key, grid)`` of the last price grid cleared over this PDU's
         # market (see MarketClearing._grid).
@@ -1215,7 +1231,6 @@ def frame_from_blocks(blocks: Sequence[PduBlock]) -> BidFrame:
             rack_cap_w=none,
             max_demand_w=none,
             floor_w=none,
-            breakpoints=none,
             demands=(),
             bids=(),
             blocks=(),
@@ -1248,7 +1263,6 @@ def frame_from_blocks(blocks: Sequence[PduBlock]) -> BidFrame:
         rack_cap_w=np.concatenate([b.rack_cap_w for b in blocks]),
         max_demand_w=np.concatenate([b.max_demand_w for b in blocks]),
         floor_w=np.concatenate([b.floor_w for b in blocks]),
-        breakpoints=np.concatenate([b.breakpoints for b in blocks]),
         demands=tuple(d for b in blocks for d in b.demands),
         bids=tuple(bid for b in blocks for bid in b.bids),
         blocks=tuple(blocks),

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.config import MarketParameters
 from repro.core import frame as frame_module
 from repro.core.bids import BidTable, RackBid, TenantBid, flatten_bids
+from repro.core.clearing import MarketClearing
 from repro.core.demand import FullBid, LinearBid, StepBid
 from repro.core.frame import BidFrame
 from repro.core.market import SpotDCAllocator
@@ -218,8 +219,16 @@ def _outcome(run):
 
 _COLUMNS = (
     "pdu_code", "tenant_code", "kind", "d_max_w", "q_min", "d_min_w", "q_max",
-    "rack_cap_w", "max_demand_w", "floor_w", "breakpoints",
+    "rack_cap_w", "max_demand_w", "floor_w",
 )
+
+
+def _grids(frame: BidFrame) -> tuple[list[bytes], bytes]:
+    """The frame's PDU price grids and its rows' grid indices, bit for
+    bit: cached on each block once built (a kept block's come from an
+    earlier slot's clear), built afresh for the others."""
+    grids, index = MarketClearing()._pdu_grids(frame)
+    return [grid.tobytes() for grid in grids], index.tobytes()
 
 
 def assert_same_frame(got: BidFrame, want: BidFrame) -> None:
@@ -232,9 +241,8 @@ def assert_same_frame(got: BidFrame, want: BidFrame) -> None:
         assert a.dtype == b.dtype, name
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
     assert [b.pdu_id for b in got.blocks] == [b.pdu_id for b in want.blocks]
-    assert [b.breakpoints.tobytes() for b in got.blocks] == [
-        b.breakpoints.tobytes() for b in want.blocks
-    ]
+    if len(want):
+        assert _grids(got) == _grids(want)
     assert [id(d) for d in got._demands] == [id(d) for d in want._demands]
     assert [id(b) for b in got.to_bids()] == [id(b) for b in want.to_bids()]
 

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.core.bids import RackBid, TenantBid, bundle_linear_bid, flatten_bids
+from repro.core.clearing import clear_market
 from repro.core.demand import LinearBid
+from repro.core.frame import BidFrame
+from repro.core.sharding import IncrementalFrameBuilder
 from repro.errors import BidError
 
 
@@ -92,3 +95,22 @@ class TestFlattenBids:
 
     def test_empty_input(self):
         assert flatten_bids([]) == []
+
+    def test_repeated_rack_rejected_at_the_frame(self):
+        # r104 bids on p0 and on p2.  The frame adapter, the one-shot
+        # clear and the incremental builder's list path refuse the bids
+        # as flatten_bids refuses the bundles, instead of collapsing the
+        # two rows into one grants_w entry.
+        bids = [
+            rack_bid(f"r10{i}", tenant=f"t{i}", pdu=f"p{i % 3}") for i in range(5)
+        ] + [rack_bid("r104", tenant="t9", pdu="p0")]
+        message = "rack r104 appears in multiple bundles"
+        with pytest.raises(BidError, match=message):
+            BidFrame.from_bids(bids)
+        for per_pdu in (True, False):
+            with pytest.raises(BidError, match=message):
+                clear_market(bids, {"p0": 60.0, "p1": 60.0, "p2": 60.0}, 150.0, per_pdu=per_pdu)
+        builder = IncrementalFrameBuilder()
+        builder.build(bids[:5])
+        with pytest.raises(BidError, match=message):
+            builder.build(bids)

@@ -21,7 +21,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import MarketParameters
@@ -29,7 +29,7 @@ from repro.core import clearing
 from repro.core.bids import RackBid
 from repro.core.clearing import MarketClearing
 from repro.core.demand import FullBid, LinearBid, StepBid
-from repro.core.frame import BidFrame
+from repro.core.frame import KIND_CLOSED, BidFrame
 from repro.core.sharding import IncrementalFrameBuilder, clear_per_pdu_sharded
 from repro.experiments.fig07_prediction_and_scaling import make_synthetic_bids
 from repro.infrastructure.constraints import CapacityConstraint
@@ -37,7 +37,7 @@ from repro.infrastructure.constraints import CapacityConstraint
 from tests import oracle
 
 
-def _one_market_totals(frame, prices, group_rows=()):
+def _one_market_totals(frame, prices, group_rows=(), index=None):
     """``frame.market_totals`` with one market: every row, every PDU, one
     ascending price grid."""
     prices = np.asarray(prices, dtype=float)
@@ -49,6 +49,7 @@ def _one_market_totals(frame, prices, group_rows=()):
         np.array([prices.size]),
         group_rows,
         np.zeros(len(group_rows), dtype=np.intp),
+        index,
     )
 
 
@@ -200,7 +201,7 @@ class TestEdgeMarkets:
         _assert_identical(
             result, oracle.frame_clear_per_pdu(engine, frame, pdu_spot, 1e6)
         )
-        grids = dict(zip(frame.pdu_ids, engine._pdu_grids(frame)))
+        grids = dict(zip(frame.pdu_ids, engine._pdu_grids(frame)[0]))
         # Every bid rejected: priced one step past the grid, zero grants.
         assert result.pdu_prices["x-rejected"] == grids["x-rejected"][-1] + 0.01
         assert result.grants_w["r0"] == result.grants_w["r1"] == 0.0
@@ -315,7 +316,7 @@ def test_market_totals_match_one_market_reference(
         params=MarketParameters(price_step=0.003),
         include_breakpoints=include_breakpoints,
     )
-    grids = engine._pdu_grids(frame)
+    grids, _ = engine._pdu_grids(frame)
     sizes = np.array([grid.size for grid in grids])
     prices = np.zeros((len(grids), sizes.max()))
     prices[np.arange(sizes.max()) < sizes[:, None]] = np.concatenate(grids)
@@ -468,3 +469,199 @@ def test_kept_grants_only_where_the_market_clears():
         for cap in (1e3, 1e3, 40.0, 1e3, 1e3)
     ]
     _clear_slot_sequence(slots, include_breakpoints=True)
+
+
+# -- the grid build and its indices ------------------------------------
+#
+# MarketClearing._market_grid builds a market's grid and records the
+# grid index at which each closed-form row's q_min and q_max landed;
+# BidFrame.market_totals reads those indices instead of searching.
+# Every grid must be the reference's (tests/oracle.py) bit for bit,
+# every index what np.searchsorted gives on that grid from either side,
+# and the demand totals and the clears what a search gives.
+
+
+@st.composite
+def _grid_price(draw, step):
+    """A price on a step of the grid, within step * 1e-9 of one (which
+    collapses onto it), 2e-9 steps off it (which does not), between two,
+    or a signed zero."""
+    k = draw(st.integers(min_value=0, max_value=14))
+    offset = draw(st.sampled_from([0.0, 0.0, 3e-10, -3e-10, 8e-10, 2e-9, -2e-9, 0.5]))
+    price = max(k * step + offset * step, 0.0)
+    return -0.0 if price == 0.0 and draw(st.booleans()) else price
+
+
+@st.composite
+def _grid_racks(draw, step):
+    """One PDU's racks: linear rows (q_min == q_max and d_min == 0
+    among them), steps and sampled curves, some capped between d_min
+    and d_max."""
+    racks = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        q_lo = draw(_grid_price(step))
+        q_hi = max(q_lo, draw(st.one_of(st.just(q_lo), _grid_price(step))))
+        # Watts off the binary grid, so the order cells add in shows.
+        d_min = draw(st.one_of(st.just(0.0), st.floats(min_value=0.3, max_value=30.0)))
+        d_max = d_min + draw(st.one_of(st.just(0.0), st.floats(min_value=0.3, max_value=60.0)))
+        kind = draw(st.sampled_from(["linear", "linear", "step", "full"]))
+        if kind == "full":
+            cap = draw(st.one_of(st.none(), _grid_price(step)))
+            demand = FullBid([d_max + 1.0, d_max + 30.0], [q_hi / 1000, q_lo / 1000], price_cap=cap)
+        else:
+            demand = StepBid(d_max, q_hi) if kind == "step" else LinearBid(d_max, q_lo, d_min, q_hi)
+        cap = draw(st.sampled_from([d_max, d_max + 10.0, (d_min + d_max) / 2, 100.0, 0.0]))
+        racks.append((demand, cap))
+    return racks
+
+
+@st.composite
+def grid_fleets(draw):
+    step = draw(st.sampled_from([0.02, 0.03, 0.05, 0.1]))
+    bids = []
+    for p in range(draw(st.integers(min_value=1, max_value=5))):
+        for demand, cap in draw(_grid_racks(step)):
+            bids.append(_rack(len(bids), f"p{p}", demand, cap))
+    params = MarketParameters(
+        price_step=step,
+        reserve_price=draw(st.sampled_from([0.0, 0.0, 0.05, 0.15])),
+        max_price=draw(st.sampled_from([1.0, 0.22])),
+    )
+    return bids, params
+
+
+def _check_grid(engine, grid, index, frame, rows, top):
+    """``grid`` is the reference grid of ``rows`` bit for bit, and each
+    of their merged points' index is what np.searchsorted gives."""
+    sub = oracle.select(frame, rows)
+    assert grid.tobytes() == oracle.frame_grid(engine, sub).tobytes()
+    if not engine.include_breakpoints:
+        assert index is None
+        return
+    lo = engine.params.reserve_price
+    hi = min(engine.params.max_price, top)
+    for side, points in enumerate((frame.q_min[rows], frame.q_max[rows])):
+        merged = (frame.kind[rows] == KIND_CLOSED) & (points >= lo) & (points <= hi)
+        landed = index[rows, side]
+        assert ((landed >= 0) == merged).all()
+        at, q = landed[merged], points[merged]
+        assert (np.searchsorted(grid, q, side="right") == at + 1).all()
+        assert (np.searchsorted(grid, q, side="left") == at + (grid[at] < q)).all()
+
+
+# A q_max 1.5e-11 above the 0.1 step collapses onto it, so the grid
+# point below q_max is 0.1 < q_max: with d_min == 0 the row is still
+# active there, by the left-side index i + 1.
+_KINK = [
+    _rack(0, "p0", LinearBid(20.0, 0.05, 0.0, 0.1 + 3e-10 * 0.05), 100.0),
+    _rack(1, "p1", LinearBid(20.0, 0.0, 0.0, 0.2), 100.0),
+]
+# Two segments start where a third, steeper one ends, with intercepts
+# and slopes off the binary grid: each cell's sum shows the order it was
+# added in, and the steep end keeps the slope cell's rounding in the
+# running sum.
+_SHARED = [
+    _rack(k, "p0", LinearBid(d_max, q_lo, d_min, q_hi), 1000.0)
+    for k, (d_max, q_lo, d_min, q_hi) in enumerate([
+        (50.8, 0.05, 6.0, 0.15), (115.7, 0.0, 27.2, 0.05), (49.6, 0.05, 19.2, 0.2),
+    ])
+]
+# The rack cap cuts the segment five steps above q_min: only the search
+# finds where it starts.
+_CLIPPED = [_rack(0, "p0", LinearBid(60.0, 0.0, 10.0, 0.5), 35.0)]
+
+
+@given(
+    fleet=grid_fleets(),
+    include_breakpoints=st.booleans(),
+    chunk_cells=st.sampled_from([24, 64, 1 << 13]),
+    caps=st.sampled_from([30.0, 1e4]),
+)
+@example(
+    fleet=(_KINK, MarketParameters(price_step=0.05)),
+    include_breakpoints=True,
+    chunk_cells=1 << 13,
+    caps=1e4,
+).via("a q_max collapsed onto the step below it")
+@example(
+    fleet=(_SHARED, MarketParameters(price_step=0.05)),
+    include_breakpoints=True,
+    chunk_cells=1 << 13,
+    caps=1e4,
+).via("segments starting and ending in one cell")
+@example(
+    fleet=(_CLIPPED, MarketParameters(price_step=0.05)),
+    include_breakpoints=True,
+    chunk_cells=1 << 13,
+    caps=1e4,
+).via("a cap-clipped segment")
+@settings(max_examples=200, deadline=None)
+def test_grid_indices_match_per_market_reference(
+    fleet, include_breakpoints, chunk_cells, caps
+):
+    bids, params = fleet
+    engine = MarketClearing(params=params, include_breakpoints=include_breakpoints)
+    pdu_spot = dict.fromkeys({b.pdu_id for b in bids}, caps)
+    # The second slot redraws p0's first rack: p0 is gridded again while
+    # the other PDUs keep their blocks and grids.
+    moved = dataclasses.replace(bids[0], demand=LinearBid(25.0, 0.0, 0.0, params.price_step * 3))
+    slots = [bids, [moved, *bids[1:]]]
+    builder = IncrementalFrameBuilder()
+    with mock.patch.object(clearing, "_CHUNK_CELLS", chunk_cells):
+        for slot in slots:
+            frame = builder.build(slot)
+            starts, _ = frame.segments()
+            bounds = [*starts.tolist(), len(frame)]
+            grids, index = engine._pdu_grids(frame)
+            for grid, a, b in zip(grids, bounds, bounds[1:]):
+                rows = np.arange(a, b)
+                _check_grid(engine, grid, index, frame, rows, frame.q_max[rows].max())
+            grid, whole = engine._grid(frame)
+            _check_grid(engine, grid, whole, frame, np.arange(len(frame)), frame.q_max.max())
+
+            # The totals the indices give are the searched ones.
+            sizes = np.array([g.size for g in grids])
+            prices = np.zeros((len(grids), sizes.max()))
+            prices[np.arange(sizes.max()) < sizes[:, None]] = np.concatenate(grids)
+            totals, _ = frame.market_totals(
+                np.arange(len(frame)), 0, np.arange(len(grids)), prices, sizes, index=index
+            )
+            for k, (_, sub) in enumerate(oracle.pdu_slices(frame)):
+                expected, _ = oracle.demand_totals(sub, grids[k])
+                assert totals[k, : sizes[k]].tobytes() == expected[0].tobytes()
+            groups = [frame.rows_for(b.rack_id for b in slot[k::3]) for k in range(2)]
+            got = _one_market_totals(frame, grid, groups, whole)
+            for a, b in zip(got, oracle.demand_totals(frame, grid, groups)):
+                assert a.tobytes() == b.tobytes()
+
+            # And so are the clears, on kept blocks and on a cold frame.
+            cold = BidFrame.from_bids(slot)
+            per_pdu = oracle.frame_clear_per_pdu(engine, cold, pdu_spot, 1e6)
+            _assert_identical(engine.clear_per_pdu(frame, pdu_spot, 1e6), per_pdu)
+            _assert_identical(engine.clear_per_pdu(cold, pdu_spot, 1e6), per_pdu)
+            _assert_identical(
+                clear_per_pdu_sharded(engine, frame, pdu_spot, 1e6, shards=3), per_pdu
+            )
+            _assert_identical(
+                engine.clear(frame, pdu_spot, 1e6),
+                oracle.frame_clear(engine, cold, pdu_spot, 1e6),
+            )
+
+
+def test_signed_zero_breakpoint_enters_as_positive_zero():
+    # A q_min of -0.0 lands on a +0.0 grid point, as in the reference:
+    # the fixed-step zero when the grid has one, the breakpoint itself
+    # when a negative reserve puts no step on zero.  Otherwise the zero
+    # first in the sort would decide the sign.
+    bids = [
+        _rack(0, "p0", LinearBid(30.0, -0.0, 0.0, 0.06), 100.0),
+        _rack(1, "p0", StepBid(20.0, -0.0), 100.0),
+        *(_rack(2 + k, "p0", LinearBid(10.0, 0.005 * k, 5.0, 0.09), 100.0) for k in range(16)),
+    ]
+    for reserve in (0.0, -0.03):
+        engine = MarketClearing(params=MarketParameters(price_step=0.02, reserve_price=reserve))
+        frame = BidFrame.from_bids(bids)
+        (grid,), index = engine._pdu_grids(frame)
+        assert grid.tobytes() == oracle.frame_grid(engine, frame).tobytes()
+        zero = index[0, 0]
+        assert grid[zero] == 0.0 and not np.signbit(grid[zero]) and index[1, 0] == zero

@@ -51,7 +51,6 @@ _ARRAY_COLUMNS = (
     "rack_cap_w",
     "max_demand_w",
     "floor_w",
-    "breakpoints",
 )
 
 
@@ -94,6 +93,13 @@ def _assert_frames_identical(a: BidFrame, b: BidFrame, bitwise: bool = False):
     assert len(a._demands) == len(b._demands)
     for da, db in zip(a._demands, b._demands):
         assert da is None if db is None else _same_demand(da, db)
+    if len(b):
+        # Each PDU market's price grid and the rows' grid indices, bit
+        # for bit: a kept block's are cached from an earlier slot.
+        engine = MarketClearing()
+        (grids_a, index_a), (grids_b, index_b) = map(engine._pdu_grids, (a, b))
+        assert [g.tobytes() for g in grids_a] == [g.tobytes() for g in grids_b]
+        assert index_a.tobytes() == index_b.tobytes()
 
 
 def _bid(rack, pdu, tenant, demand=None, cap=100.0):
@@ -386,14 +392,14 @@ class TestFrameCaches:
         engine = MarketClearing(params=MarketParameters(price_step=0.01))
         builder = IncrementalFrameBuilder()
         frame = builder.build(_closed_population())
-        first = dict(zip(frame.pdu_ids, engine._pdu_grids(frame)))
+        first = dict(zip(frame.pdu_ids, engine._pdu_grids(frame)[0]))
         # Only p2's bids change: the reused blocks keep their grid
         # objects into the next slot, the rebuilt block gets a new one.
         changed = _closed_population()
         changed[5] = _bid("r5", "p2", "tC", LinearBid(61.0, 0.05, 10.0, 0.31))
         frame = builder.build(changed)
         assert builder.last_dirty == ("p2",)
-        second = dict(zip(frame.pdu_ids, engine._pdu_grids(frame)))
+        second = dict(zip(frame.pdu_ids, engine._pdu_grids(frame)[0]))
         for pdu_id, grid in second.items():
             assert (grid is first[pdu_id]) == (pdu_id != "p2"), pdu_id
         assert 0.31 in second["p2"] and 0.31 not in first["p2"]
@@ -402,7 +408,7 @@ class TestFrameCaches:
         raised = MarketClearing(
             params=MarketParameters(price_step=0.01, reserve_price=0.02)
         )
-        third = dict(zip(frame.pdu_ids, raised._pdu_grids(frame)))
+        third = dict(zip(frame.pdu_ids, raised._pdu_grids(frame)[0]))
         for pdu_id, grid in third.items():
             assert grid is not second[pdu_id]
             assert grid[0] == 0.02
@@ -412,18 +418,21 @@ class TestFrameCaches:
             assert np.array_equal(grid, raised.candidate_prices(alone))
 
     def test_block_totals_kept_across_slots(self):
-        # The grid-cache entry is (key, grid, totals[, price, grants]):
-        # a fresh totals row is stored alone, and grants join it once the
-        # row has been reused.
+        # The grid-cache entry is (key, grid, index, totals[, price,
+        # grants]): a fresh totals row is stored alone, as a view of the
+        # clear's totals, which becomes a copy when the row is first
+        # reused, and grants join it then.
         engine = MarketClearing(params=MarketParameters(price_step=0.01))
         caps = dict.fromkeys(_PDUS, 1e3)
         builder = IncrementalFrameBuilder()
         frame = builder.build(_closed_population())
         engine.clear_per_pdu(frame, caps, 1e6)
         first = {b.pdu_id: b._grid_cache for b in frame.blocks}
-        assert {len(entry) for entry in first.values()} == {3}
-        # Only p2's bids change: the kept blocks keep their totals and
-        # now their grants; the rebuilt block stores a fresh row.
+        assert {len(entry) for entry in first.values()} == {4}
+        assert all(entry[3].base is not None for entry in first.values())
+        # Only p2's bids change: the kept blocks keep their totals (now
+        # copied) and gain their grants; the rebuilt block stores a
+        # fresh row.
         changed = _closed_population()
         changed[5] = _bid("r5", "p2", "tC", LinearBid(61.0, 0.05, 10.0, 0.31))
         frame = builder.build(changed)
@@ -431,8 +440,12 @@ class TestFrameCaches:
         second = {b.pdu_id: b._grid_cache for b in frame.blocks}
         for pdu_id, entry in second.items():
             kept = pdu_id != "p2"
+            assert (entry[1] is first[pdu_id][1]) == kept, pdu_id
             assert (entry[2] is first[pdu_id][2]) == kept, pdu_id
-            assert len(entry) == (5 if kept else 3), pdu_id
+            assert (entry[3].base is None) == kept, pdu_id
+            if kept:
+                assert entry[3].tobytes() == first[pdu_id][3].tobytes(), pdu_id
+            assert len(entry) == (6 if kept else 4), pdu_id
         # At a repeated price the kept grants serve as they are.
         engine.clear_per_pdu(frame, caps, 1e6)
         for block in frame.blocks:
@@ -441,15 +454,33 @@ class TestFrameCaches:
         # Each kept row holds the bits of a sweep of that PDU alone.
         for (_, sub), block in zip(oracle.pdu_slices(frame), frame.blocks):
             expected, _ = oracle.demand_totals(sub, block._grid_cache[1])
-            assert block._grid_cache[2].tobytes() == expected[0].tobytes()
+            assert block._grid_cache[3].tobytes() == expected[0].tobytes()
         # A moved reserve price is a new grid: no block keeps its totals.
         raised = MarketClearing(
             params=MarketParameters(price_step=0.01, reserve_price=0.02)
         )
         raised.clear_per_pdu(frame, caps, 1e6)
         for block in frame.blocks:
-            assert block._grid_cache[2] is not second[block.pdu_id][2]
-            assert block._grid_cache[2].size == block._grid_cache[1].size
+            assert block._grid_cache[3] is not second[block.pdu_id][3]
+            assert block._grid_cache[3].size == block._grid_cache[1].size
+
+    def test_passed_over_totals_drop_their_view(self):
+        # A fresh totals row is a view of its clear's totals.  When its
+        # PDU is next passed over (p0's cap squeezed to 0 W rejects its
+        # rows), the row is dropped rather than left pinning that clear's
+        # whole sweep block; the reused rows become copies.
+        engine = MarketClearing(params=MarketParameters(price_step=0.01))
+        frame = IncrementalFrameBuilder().build(_closed_population())
+        caps = dict.fromkeys(_PDUS, 1e3)
+        engine.clear_per_pdu(frame, caps, 1e6)
+        assert all(block._grid_cache[3].base is not None for block in frame.blocks)
+        engine.clear_per_pdu(frame, {**caps, "p0": 0.0}, 1e6)
+        for block in frame.blocks:
+            entry = block._grid_cache
+            if block.pdu_id == "p0":
+                assert len(entry) == 3
+            else:
+                assert entry[3].base is None, block.pdu_id
 
 
 @pytest.mark.usefixtures("vectorized")
