@@ -253,7 +253,7 @@ def _reports_bad_flags(command):
     """Make a bad scenario flag exit 2 with one line, not a traceback.
 
     A :class:`ConfigurationError` raised anywhere in ``command`` —
-    building the scenario from the flags (``--shards 0``,
+    building the scenario from the flags (``--clearing-deadline 0``,
     ``--fault-intensity 2``, an invalid ``--event-schedule`` file) or
     the engine from the scenario (``--crash-at -1``) — is printed as
     one line on stderr.
@@ -291,7 +291,6 @@ def _scenario_from_args(args: argparse.Namespace, **changes):
     from repro.scenarios import event_profile_from_file
     from repro.sim.scenario import testbed_scenario
 
-    changes["shards"] = args.shards
     changes["fault_profile"] = _fault_profile_from_args(args, args.crash_at)
     if args.predictor is not None or args.risk_quantile is not None:
         signal = {} if args.predictor is None else {"signal": args.predictor}
@@ -339,18 +338,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(
         args, clearing_deadline_s=args.clearing_deadline
     )
-    allocator = None
-    if args.profile:
-        # Profiling reads wall-clock durations off in-memory telemetry
-        # spans; shard spans are opted in so the shard split shows up.
-        from repro.config import MarketParameters
-        from repro.core.market import SpotDCAllocator
-
-        allocator = SpotDCAllocator(
-            params=MarketParameters(slot_seconds=scenario.slot_seconds),
-            shards=scenario.shards,
-            shard_spans=True,
-        )
+    # Profiling reads wall-clock durations off in-memory telemetry spans.
     with _default_telemetry(
         args.telemetry or args.profile,
         args.telemetry_dir if args.telemetry else None,
@@ -359,7 +347,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             result = run_simulation(
                 scenario,
                 slots=args.slots,
-                allocator=allocator,
                 checkpoint_every=args.checkpoint_every,
                 checkpoint_dir=args.checkpoint_dir,
                 resume_from=resume_from,
@@ -403,7 +390,7 @@ def _print_profile(trace) -> None:
         return
     print()
     print(f"{'phase':<16}{'count':>7}{'total ms':>12}{'mean ms':>10}{'max ms':>10}")
-    for name in PHASES + ("clearing.shard", "slot"):
+    for name in PHASES + ("slot",):
         spans = trace.spans_named(name)
         if not spans:
             continue
@@ -850,11 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--wholesale-trace", default=None, metavar="FILE",
         help="wholesale price trace (JSON array or one price per line) "
         "that the reserve price tracks during price events",
-    )
-    scenario_flags.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="partition per-PDU clearing into N contiguous shards "
-        "(byte-identical results at any N; see docs/sharding.md)",
     )
 
     run = sub.add_parser(

@@ -17,7 +17,7 @@ from repro.core.bids import RackBid
 from repro.core.frame import BidFrame
 from repro.errors import CapacityError
 
-__all__ = ["AllocationResult", "capacity_excess", "verify_allocation"]
+__all__ = ["AllocationResult", "verify_allocation"]
 
 #: From this many granted racks up, :func:`verify_allocation` evaluates
 #: demand with the frame's kernel; below it, with each bid's own curve.
@@ -79,44 +79,6 @@ class AllocationResult:
         return cls(price=price, grants_w={}, revenue_rate=0.0)
 
 
-def capacity_excess(
-    frame: BidFrame,
-    grants: np.ndarray,
-    listed: np.ndarray,
-    pdu_spot_w: Mapping[str, float],
-    ups_spot_w: float,
-    tolerance_w: float = 1e-6,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, bool]:
-    """Eqs. (3)-(4) over frame-aligned grants (:meth:`BidFrame.grant_rows`).
-
-    Returns ``(pdu_totals, pdu_caps, over, total, over_ups)``: each
-    PDU's granted total (a segment sum over its row run, in
-    :attr:`BidFrame.pdu_ids` order) and spot capacity (0 W when
-    ``pdu_spot_w`` lacks it), the ascending indices of the PDUs that
-    hold a listed rack and exceed their capacity, the facility total,
-    and whether that exceeds ``ups_spot_w``.  Both tests are written
-    ``not total <= cap + tol`` so that a NaN fails them.
-    :func:`verify_allocation` raises on an excess;
-    :func:`repro.core.sharding.reconcile_allocation` scales it away.
-    """
-    over = np.zeros(0, dtype=np.intp)
-    if len(frame):
-        starts, _ = frame.segments()
-        totals = np.add.reduceat(grants, starts)
-        caps = np.fromiter(
-            map(pdu_spot_w.get, frame.pdu_ids, repeat(0.0)),
-            dtype=float,
-            count=len(frame.pdu_ids),
-        )
-        within = totals <= caps + tolerance_w
-        if not np.logical_and.reduce(within):
-            over = (~within & np.logical_or.reduceat(listed, starts)).nonzero()[0]
-    else:
-        totals = caps = np.zeros(0)
-    total = float(np.add.reduce(grants))
-    return totals, caps, over, total, not total <= ups_spot_w + tolerance_w
-
-
 def verify_allocation(
     result: AllocationResult,
     bids: Sequence[RackBid] | BidFrame,
@@ -153,15 +115,25 @@ def verify_allocation(
     if grants_w:
         grants, listed = frame.grant_rows(grants_w)
         _check_racks(result, frame, grants, listed, tol)
-        totals, caps, over, total, _ = capacity_excess(
-            frame, grants, listed, pdu_spot_w, ups_spot_w, tol
+        # Past the rack check every grant has a row, so the frame has PDUs.
+        starts, _ = frame.segments()
+        totals = np.add.reduceat(grants, starts)
+        caps = np.fromiter(
+            map(pdu_spot_w.get, frame.pdu_ids, repeat(0.0)),
+            dtype=float,
+            count=len(frame.pdu_ids),
         )
-        if over.size:
-            pdu = int(over[0])
-            raise CapacityError(
-                f"PDU {frame.pdu_ids[pdu]}: granted {totals[pdu]:.3f} W exceeds "
-                f"spot capacity {caps[pdu]:.3f} W (Eq. 3)"
-            )
+        within = totals <= caps + tol
+        if not np.logical_and.reduce(within):
+            # Only a PDU holding a listed rack is checked.
+            over = (~within & np.logical_or.reduceat(listed, starts)).nonzero()[0]
+            if over.size:
+                pdu = int(over[0])
+                raise CapacityError(
+                    f"PDU {frame.pdu_ids[pdu]}: granted {totals[pdu]:.3f} W "
+                    f"exceeds spot capacity {caps[pdu]:.3f} W (Eq. 3)"
+                )
+        total = float(np.add.reduce(grants))
     if not total <= ups_spot_w + tol:
         raise CapacityError(
             f"UPS: granted {total:.3f} W exceeds spot capacity "

@@ -8,7 +8,11 @@ price, the feasible price set is upward-closed: once a price satisfies
 every constraint, all higher prices do too.  The scan therefore walks the
 grid once, records the profit at each feasible price, and returns the
 *lowest* price attaining the maximum profit (ties break in tenants'
-favour).
+favour).  Profits are float sums, so that holds only up to float
+rounding: two prices whose exact profits tie can differ by an ulp once
+demand is summed, and the scan then takes the larger, whichever price
+it belongs to; a clear that sums the same demand in another order may
+pick the other one.
 
 Implementation notes:
 
@@ -570,7 +574,10 @@ class MarketClearing:
             frame, pdu_spot_w, ups_spot_w, extra_constraints
         )
         grids, index = self._pdu_grids(frame)
-        outcome = self._sweep_pdus(frame, grids, caps, constraints, index)
+        caps = np.asarray(caps, dtype=float)
+        outcome = self._sweep(
+            frame, grids, index, np.arange(caps.size), caps, caps, constraints
+        )
         return self._combine(frame, outcome)
 
     def _pdu_markets(
@@ -584,11 +591,8 @@ class MarketClearing:
 
         Apportioning the UPS headroom by servable interest guarantees
         the caps sum to at most ``ups_spot_w`` whenever total interest
-        exceeds it (Eq. 4 by construction) — the property the sharded
-        path's reconciliation pass relies on.  Extra constraints are
-        localized by :func:`_localize_constraints`; the serial and
-        sharded clears both come through here, so their caps are
-        bit-identical.
+        exceeds it (Eq. 4 by construction).  Extra constraints are
+        localized by :func:`_localize_constraints`.
         """
         servable = np.minimum(frame.max_demand_w, frame.rack_cap_w)
         starts, seg_codes = frame.segments()
@@ -623,29 +627,9 @@ class MarketClearing:
         ]
         return caps, constraints
 
-    def _sweep_pdus(
-        self,
-        frame: BidFrame,
-        grids: Sequence[np.ndarray],
-        caps: Sequence[float],
-        constraints: Sequence[tuple],
-        index: np.ndarray | None = None,
-    ) -> _Outcome:
-        """The sweep with one market per PDU, each capped at its
-        apportioned cap (its PDU and market bound at once)."""
-        caps = np.asarray(caps, dtype=float)
-        return self._sweep(
-            frame, grids, index, np.arange(caps.size), caps, caps, constraints
-        )
-
     def _combine(self, frame: BidFrame, outcome: _Outcome) -> AllocationResult:
-        """The slot result of a per-PDU sweep of ``frame``.
-
-        Revenue accumulates sequentially in PDU order, and the sharded
-        path concatenates its shard outcomes back into PDU order before
-        calling this, so serial and sharded clears sum the same floats
-        in the same order (byte-identical results).
-        """
+        """The slot result of a per-PDU sweep of ``frame``; revenue
+        accumulates sequentially in PDU order."""
         revenue_rate = 0.0
         for local in outcome.revenue.tolist():
             revenue_rate += local
@@ -676,10 +660,7 @@ def _localize_constraints(
     Phase-balance constraints live within a single PDU, so they localize
     exactly.  A heat zone spanning several PDUs is apportioned by local
     maximum-demand share — a conservative decomposition (the per-PDU
-    shares always sum to at most the zone cap).  The serial and sharded
-    per-PDU clears both reach this through
-    :meth:`MarketClearing._pdu_markets`, so their apportioned caps are
-    bit-identical.
+    shares always sum to at most the zone cap).
     """
     from repro.infrastructure.constraints import CapacityConstraint
 

@@ -286,9 +286,9 @@ class BidFrame:
             price — the least capacity the bid must receive at *any*
             acceptable price (drives admission).
         blocks: The :class:`PduBlock` of each PDU, in ``pdu_ids`` order
-            (empty on the stripped copies the sharded clear ships to
-            worker processes).  Every PDU of the table owns at least one
-            row, so a row's ``pdu_code`` is also its segment index.
+            (empty only on the reference sub-frames of ``tests/oracle.py``).
+            Every PDU of the table owns at least one row, so a row's
+            ``pdu_code`` is also its segment index.
     """
 
     __slots__ = (

@@ -21,7 +21,7 @@ from repro.core.allocation import AllocationResult, verify_allocation
 from repro.core.bids import BidTable, RackBid, TenantBid, flatten_bids
 from repro.core.clearing import MarketClearing
 from repro.core.frame import BidFrame
-from repro.core.sharding import IncrementalFrameBuilder, clear_per_pdu_sharded
+from repro.core.sharding import IncrementalFrameBuilder
 from repro.errors import ConfigurationError
 from repro.prediction.spot import SpotCapacityForecast
 from repro.recovery.admission import QuarantinedBid, dedupe_bundles, screen_bids
@@ -128,17 +128,6 @@ class SpotDCAllocator(Allocator):
             (see :meth:`repro.core.clearing.MarketClearing.clear_per_pdu`);
             ``"uniform"`` clears one facility-wide price, the paper's
             literal description.
-        shards: Partition the per-PDU clearing work into this many
-            contiguous shards (:mod:`repro.core.sharding`).  ``1`` (the
-            default) is the serial path; any value produces
-            byte-identical results — sharding only changes *where* each
-            PDU clears.  Requires ``pricing="per_pdu"``.
-        shard_jobs: Process-pool width for shard fan-out; ``1`` clears
-            shards in-process (deterministic either way).
-        shard_spans: Emit one ``clearing.shard`` telemetry span per
-            shard.  Off by default because span counts differ across
-            shard configurations, which would break trace byte-identity
-            between sharded and unsharded runs.
     """
 
     name = "spotdc"
@@ -152,45 +141,18 @@ class SpotDCAllocator(Allocator):
         verify: bool = True,
         oracle_rebid: bool = False,
         pricing: str = "per_pdu",
-        shards: int = 1,
-        shard_jobs: int = 1,
-        shard_spans: bool = False,
     ) -> None:
         if pricing not in ("per_pdu", "uniform"):
             raise ConfigurationError(f"unknown pricing mode {pricing!r}")
-        if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
-            raise ConfigurationError(
-                f"shards must be an integer >= 1, got {shards!r}"
-            )
-        if shards > 1 and pricing != "per_pdu":
-            raise ConfigurationError(
-                "sharded clearing decomposes along the PDU hierarchy and "
-                'requires pricing="per_pdu"'
-            )
         self.params = params or MarketParameters()
         self.engine = MarketClearing(params=self.params)
         self.verify = verify
         self.oracle_rebid = oracle_rebid
         self.pricing = pricing
-        self.shards = shards
-        self.shard_jobs = shard_jobs
-        self.shard_spans = shard_spans
         self.frame_builder = IncrementalFrameBuilder()
 
-    def _clear(self, frame, forecast, extra_constraints=(), tracer=None, slot=0):
+    def _clear(self, frame, forecast, extra_constraints=()):
         if self.pricing == "per_pdu":
-            if self.shards > 1:
-                return clear_per_pdu_sharded(
-                    self.engine,
-                    frame,
-                    forecast.pdu_spot_w,
-                    forecast.ups_spot_w,
-                    extra_constraints,
-                    shards=self.shards,
-                    jobs=self.shard_jobs,
-                    tracer=tracer if self.shard_spans else None,
-                    slot=slot,
-                )
             return self.engine.clear_per_pdu(
                 frame, forecast.pdu_spot_w, forecast.ups_spot_w, extra_constraints
             )
@@ -283,9 +245,7 @@ class SpotDCAllocator(Allocator):
             # incremental builder re-aggregates only PDUs whose bids
             # changed since the last slot.
             frame = self.frame_builder.build(table)
-            result = self._clear(
-                frame, forecast, extra_constraints, tracer=tracer, slot=slot
-            )
+            result = self._clear(frame, forecast, extra_constraints)
             if self.oracle_rebid and bids:
                 # Fig. 16: strategic tenants re-bid knowing the market
                 # price.  The rebid frame is transient — it must not
@@ -294,9 +254,7 @@ class SpotDCAllocator(Allocator):
                     slot, tenants, result.price
                 )
                 frame = BidFrame.from_table(table)
-                result = self._clear(
-                    frame, forecast, extra_constraints, tracer=tracer, slot=slot
-                )
+                result = self._clear(frame, forecast, extra_constraints)
                 bids = rebids
                 quarantined = requarantined
             if self.verify:

@@ -75,7 +75,8 @@ __all__ = [
 #: needs (``None`` on disk).
 #: 6: run inputs and history live in their own files; the engine pickle
 #: carries live state only, and the frame builder starts cold.
-CHECKPOINT_FORMAT = 6
+#: 7: ``Scenario`` and ``SpotDCAllocator`` lose their shard fields.
+CHECKPOINT_FORMAT = 7
 
 _MAGIC = "spotdc-checkpoint"
 _NAME_RE = re.compile(r"^checkpoint_(\d{6,})\.pkl$")

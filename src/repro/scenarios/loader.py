@@ -269,7 +269,6 @@ def build_scenario(
         clearing_deadline_s=normal["recovery"]["clearing_deadline_s"],
         prediction=prediction_profile_from_spec(normal["prediction"]),
         events=events_from_spec(normal["events"]),
-        shards=normal["market"]["shards"],
         spec=normal,
     )
 

@@ -288,14 +288,6 @@ SCHEMA = {
             "required": [],
             "additionalProperties": False,
         },
-        "market": {
-            "type": ["object", "null"],
-            "properties": {
-                "shards": {"type": "integer", "minimum": 1},
-            },
-            "required": [],
-            "additionalProperties": False,
-        },
     },
     "required": ["spec_version", "topology", "demand"],
     "additionalProperties": False,

@@ -333,7 +333,6 @@ def normalize_spec(raw) -> dict:
             else component_block(TelemetryConfig, telemetry)
         ),
         "recovery": {"clearing_deadline_s": deadline},
-        "market": {"shards": (spec.get("market") or {}).get("shards", 1)},
     }
 
 

@@ -252,8 +252,7 @@ class SimulationEngine:
             degradation = None
         self.degradation = degradation
         self.allocator = allocator or SpotDCAllocator(
-            params=MarketParameters(slot_seconds=scenario.slot_seconds),
-            shards=getattr(scenario, "shards", 1),
+            params=MarketParameters(slot_seconds=scenario.slot_seconds)
         )
         # Exactly one forecast-producing code path: every entry point —
         # an explicit signal, a scenario `prediction` block, or nothing

@@ -170,10 +170,6 @@ class Scenario:
             pinning byte-identical traces leave it off.  Pass a budget
             in seconds, or ``True`` for the default derived from the
             slot length.
-        shards: Shard count for per-PDU clearing
-            (:mod:`repro.core.sharding`).  ``1`` (default) clears
-            serially; any count produces byte-identical traces — the
-            knob only changes how the clearing work is partitioned.
         spec: The normal-form declarative spec this scenario was
             assembled from (:mod:`repro.scenarios`), or ``None`` for
             scenarios constructed by hand.  Excluded from equality.
@@ -190,7 +186,6 @@ class Scenario:
     clearing_deadline_s: "float | bool | None" = None
     prediction: "PredictionProfile | None" = None
     events: "EventProfile | None" = None
-    shards: int = 1
     spec: "dict | None" = dataclasses.field(
         default=None, compare=False, repr=False
     )
@@ -226,14 +221,6 @@ class Scenario:
                     "clearing_deadline_s must be None, True, or a "
                     f"positive finite budget in seconds, got {deadline!r}"
                 )
-        if (
-            not isinstance(self.shards, int)
-            or isinstance(self.shards, bool)
-            or self.shards < 1
-        ):
-            raise ConfigurationError(
-                f"shards must be an integer >= 1, got {self.shards!r}"
-            )
 
     def prepare(self, slots: int) -> None:
         """Materialise every tenant's workload traces for a run."""

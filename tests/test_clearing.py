@@ -8,8 +8,6 @@ from repro.core.allocation import verify_allocation
 from repro.core.bids import RackBid
 from repro.core.clearing import MarketClearing, clear_market
 from repro.core.demand import FullBid, LinearBid, StepBid
-from repro.core.frame import BidFrame
-from repro.core.sharding import clear_per_pdu_sharded
 from repro.errors import CapacityError, ClearingError
 
 from tests import oracle
@@ -113,13 +111,13 @@ class TestConstraints:
                 ("-nan_ups", {"p1": 40.0, "p2": 40.0}, float("nan")),
             )
             for n_bids in (2, 0)
-            for entry in ("clear", "clear_per_pdu", "clear_per_pdu_sharded")
+            for entry in ("clear", "clear_per_pdu")
         ],
     )
     def test_negative_pdu_capacity_rejected_by_every_entry_point(
         self, entry, n_bids, pdu_spot, ups_spot
     ):
-        # One capacity check for all three clears: a negative or NaN cap
+        # One capacity check for both clears: a negative or NaN cap
         # is an inconsistent input, never a priced-out PDU, a NaN grant
         # or a silently dropped Eq. 3-4 bound.
         bids = [
@@ -128,12 +126,7 @@ class TestConstraints:
         ][:n_bids]
         engine = MarketClearing()
         with pytest.raises(ClearingError):
-            if entry == "clear_per_pdu_sharded":
-                clear_per_pdu_sharded(
-                    engine, BidFrame.from_bids(bids), pdu_spot, ups_spot, shards=2
-                )
-            else:
-                getattr(engine, entry)(bids, pdu_spot, ups_spot)
+            getattr(engine, entry)(bids, pdu_spot, ups_spot)
 
     def test_every_outcome_verifies(self):
         rng = np.random.default_rng(0)

@@ -30,7 +30,7 @@ from repro.core.bids import RackBid
 from repro.core.clearing import MarketClearing
 from repro.core.demand import FullBid, LinearBid, StepBid
 from repro.core.frame import KIND_CLOSED, BidFrame
-from repro.core.sharding import IncrementalFrameBuilder, clear_per_pdu_sharded
+from repro.core.sharding import IncrementalFrameBuilder
 from repro.experiments.fig07_prediction_and_scaling import make_synthetic_bids
 from repro.infrastructure.constraints import CapacityConstraint
 
@@ -182,13 +182,6 @@ def test_sweep_matches_slice_reference(
         _assert_identical(
             engine.clear_per_pdu(frame, pdu_spot, ups_spot, extra), per_pdu
         )
-        for shards in (1, 3):
-            _assert_identical(
-                clear_per_pdu_sharded(
-                    engine, frame, pdu_spot, ups_spot, extra, shards=shards
-                ),
-                per_pdu,
-            )
         _assert_identical(engine.clear(frame, pdu_spot, ups_spot, extra), uniform)
 
 
@@ -360,9 +353,6 @@ def _clear_slot_sequence(slots, include_breakpoints):
             # The second clear of a slot takes every clean PDU's kept row.
             for _ in range(2):
                 _assert_identical(engine.clear_per_pdu(frame, caps, ups, extra), per_pdu)
-            _assert_identical(
-                clear_per_pdu_sharded(engine, frame, caps, ups, extra, shards=3), per_pdu
-            )
             _assert_identical(engine.clear(frame, caps, ups, extra), uniform)
 
 
@@ -639,9 +629,6 @@ def test_grid_indices_match_per_market_reference(
             per_pdu = oracle.frame_clear_per_pdu(engine, cold, pdu_spot, 1e6)
             _assert_identical(engine.clear_per_pdu(frame, pdu_spot, 1e6), per_pdu)
             _assert_identical(engine.clear_per_pdu(cold, pdu_spot, 1e6), per_pdu)
-            _assert_identical(
-                clear_per_pdu_sharded(engine, frame, pdu_spot, 1e6, shards=3), per_pdu
-            )
             _assert_identical(
                 engine.clear(frame, pdu_spot, 1e6),
                 oracle.frame_clear(engine, cold, pdu_spot, 1e6),

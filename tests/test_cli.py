@@ -57,19 +57,17 @@ class TestBadScenarioFlags:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["simulate", "--shards", "0"],
             ["simulate", "--clearing-deadline", "0"],
             ["simulate", "--fault-profile", "comm", "--fault-intensity", "2"],
             ["simulate", "--crash-at", "-1"],
-            ["serve", "--shards", "0"],
+            ["serve", "--crash-at", "-1"],
             ["compare", "--fault-profile", "comm", "--fault-intensity", "2"],
         ],
         ids=[
-            "simulate-shards",
             "simulate-clearing-deadline",
             "simulate-fault-intensity",
             "simulate-crash-at",
-            "serve-shards",
+            "serve-crash-at",
             "compare-fault-intensity",
         ],
     )
@@ -79,6 +77,15 @@ class TestBadScenarioFlags:
         assert main(argv + ["--slots", "5"]) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1, err
+
+
+class TestSimulateProfile:
+    def test_prints_the_phase_table(self, capsys):
+        assert main(["simulate", "--profile", "--slots", "5"]) == 0
+        out = capsys.readouterr().out
+        table = out[out.index("phase"):].splitlines()
+        counts = {line.split()[0]: line.split()[1] for line in table[1:]}
+        assert counts["clear"] == counts["slot"] == "5"
 
 
 class TestParser:

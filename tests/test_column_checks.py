@@ -29,7 +29,6 @@ from repro.core.bids import BidTable, RackBid, TenantBid
 from repro.core.clearing import MarketClearing
 from repro.core.demand import FullBid, LinearBid, StepBid
 from repro.core.frame import BidFrame
-from repro.core.sharding import clear_per_pdu_sharded
 from repro.errors import CapacityError
 from repro.experiments.fig07_prediction_and_scaling import make_synthetic_bids
 from repro.infrastructure.constraints import CapacityConstraint
@@ -195,16 +194,12 @@ class TestScreen:
 
 
 def _cleared(fleet, pricing):
-    """A clean clearing result for ``fleet`` (uniform, per-PDU, sharded)."""
+    """A clean clearing result for ``fleet`` (uniform or per-PDU)."""
     bids, pdu_spot, ups_spot, extra, params = fleet
     engine = MarketClearing(params=params)
     frame = BidFrame.from_bids(bids)
     if pricing == "uniform":
         return engine.clear(frame, pdu_spot, ups_spot, extra), frame
-    if pricing == "sharded":
-        return clear_per_pdu_sharded(
-            engine, frame, pdu_spot, ups_spot, extra, shards=3
-        ), frame
     return engine.clear_per_pdu(frame, pdu_spot, ups_spot, extra), frame
 
 
@@ -293,7 +288,7 @@ def _break(clause, result, bids, frame, pdu_spot, ups_spot, extra, pick):
 class TestVerify:
     @given(
         fleet=fleets(),
-        pricing=st.sampled_from(["uniform", "per_pdu", "sharded"]),
+        pricing=st.sampled_from(["uniform", "per_pdu"]),
         constrained=st.booleans(),
         kernel_from=st.sampled_from(THRESHOLDS),
     )

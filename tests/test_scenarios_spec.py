@@ -174,10 +174,11 @@ class TestSchema:
             normalize_spec(spec)
 
     def test_unknown_top_level_key_rejected(self):
-        spec = minimal_spec()
-        spec["frobnicate"] = True
-        with pytest.raises(ConfigurationError, match="frobnicate"):
-            normalize_spec(spec)
+        # ``market`` held the removed per-PDU clearing shard count.
+        for key, value in (("frobnicate", True), ("market", {"shards": 1})):
+            spec = {**minimal_spec(), key: value}
+            with pytest.raises(ConfigurationError, match=key):
+                normalize_spec(spec)
 
     def test_empty_pdu_list_rejected(self):
         spec = minimal_spec()
