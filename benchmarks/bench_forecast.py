@@ -8,7 +8,8 @@ Two jobs:
   versus the pre-refactor inline rule (reference dict comprehension
   straight into ``SpotCapacityPredictor.forecast``), reconstructed here
   verbatim.  Timed on a synthetic facility large enough that the
-  per-call reference work dominates timer noise.  Writes
+  per-call reference work dominates timer noise, as the median ratio
+  of many short signal/inline batch pairs.  Writes
   ``results/BENCH_forecast.json`` so the predict phase accumulates a
   cost trajectory across PRs.
 * ``test_prediction_risk_frontier_smoke`` regenerates the
@@ -21,6 +22,7 @@ Two jobs:
 
 import os
 import pathlib
+import statistics
 import time
 
 import numpy as np
@@ -50,8 +52,11 @@ JOBS = int(os.environ.get("BENCH_JOBS", "1"))
 #: Synthetic facility size for the per-call predict timing.
 RACKS = 120 if SMOKE else 480
 RACKS_PER_PDU = 12
-#: Predict calls per timed batch and min-of-N batches.
-CALLS = 200 if SMOKE else 400
+#: Predict calls per timed batch, and the signal/inline batch pairs
+#: the overhead gate takes its median over.
+CALLS = 50
+PAIRS = 201 if SMOKE else 101
+#: Min-of-N batches for the informational ensemble timing.
 REPEATS = 5
 #: History depth recorded before timing (> the 5-slot window).
 WARM_SLOTS = 40
@@ -79,21 +84,31 @@ def _warm_monitor(racks: int):
     return topology, monitor
 
 
-def _best_batch_seconds(*fns) -> "list[float]":
-    """Min-of-``REPEATS`` wall time for ``CALLS`` back-to-back calls.
+def _batch_seconds(fn) -> float:
+    """Wall time of ``CALLS`` back-to-back calls."""
+    start = time.perf_counter()
+    for _ in range(CALLS):
+        fn()
+    return time.perf_counter() - start
 
-    The candidates' batches are interleaved within each repeat so clock
-    drift or a noisy CI neighbour biases every candidate equally rather
-    than whichever happened to be timed last.
+
+def _paired_seconds(inline, signal) -> "list[tuple[float, float]]":
+    """``(inline_s, signal_s)`` batch times of ``PAIRS`` pairs.
+
+    Each pair times the two batches back to back, the inline one first
+    in even pairs and second in odd ones, so a drift in machine speed
+    and the position within a pair hit both sides alike.
     """
-    best = [float("inf")] * len(fns)
-    for _ in range(REPEATS):
-        for i, fn in enumerate(fns):
-            start = time.perf_counter()
-            for _ in range(CALLS):
-                fn()
-            best[i] = min(best[i], time.perf_counter() - start)
-    return best
+    pairs = []
+    for pair in range(PAIRS):
+        if pair % 2 == 0:
+            inline_s = _batch_seconds(inline)
+            signal_s = _batch_seconds(signal)
+        else:
+            signal_s = _batch_seconds(signal)
+            inline_s = _batch_seconds(inline)
+        pairs.append((inline_s, signal_s))
+    return pairs
 
 
 def test_default_signal_predict_overhead(archive):
@@ -119,18 +134,23 @@ def test_default_signal_predict_overhead(archive):
         return predictor.forecast(topology, requesting, references)
 
     assert signal_path() == inline_path()  # identical maths, and a warm-up
-    inline_s, signal_s = _best_batch_seconds(inline_path, signal_path)
-    overhead = signal_s / inline_s - 1.0
+    pairs = _paired_seconds(inline_path, signal_path)
+    ratio = statistics.median(signal_s / inline_s for inline_s, signal_s in pairs)
+    overhead = ratio - 1.0
+    inline_s = statistics.median(inline_s for inline_s, _ in pairs)
+    signal_s = statistics.median(signal_s for _, signal_s in pairs)
 
     # Informational: the banded ensemble path, for the cost trajectory.
     ensemble = build_signal("ensemble")
-    (ensemble_s,) = _best_batch_seconds(
-        lambda: ensemble.forecast_slot(topology, requesting, monitor, slot)
+    ensemble_s = min(
+        _batch_seconds(lambda: ensemble.forecast_slot(topology, requesting, monitor, slot))
+        for _ in range(REPEATS)
     )
 
     data = {
         "racks": RACKS,
         "calls_per_batch": CALLS,
+        "pairs": PAIRS,
         "inline_us_per_call": 1e6 * inline_s / CALLS,
         "signal_us_per_call": 1e6 * signal_s / CALLS,
         "ensemble_us_per_call": 1e6 * ensemble_s / CALLS,
@@ -149,9 +169,9 @@ def test_default_signal_predict_overhead(archive):
             for k, v in data.items()
         ),
     )
-    assert signal_s < 1.02 * inline_s, (
+    assert ratio < 1.02, (
         f"default signal adds {100 * overhead:.2f}% to the {RACKS}-rack "
-        f"predict phase (budget: 2%)"
+        f"predict phase, median of {PAIRS} pairs (budget: 2%)"
     )
 
 

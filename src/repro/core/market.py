@@ -114,12 +114,6 @@ class SpotDCAllocator(Allocator):
 
     Args:
         params: Operator market knobs (price grid, reserve price).
-        verify: Run the Eq. 2-4 integrity check
-            (:func:`~repro.core.allocation.verify_allocation`) on every
-            outcome; enabled by default as the reliability backstop.  It
-            reads the slot's frame columns, so it costs a fraction of
-            the clear (about a sixth of ``clear_per_pdu`` on 20,000
-            racks).
         oracle_rebid: Enable the Fig. 16 two-pass mode: clear once
             provisionally, feed the provisional price back to tenants as
             a "perfect" forecast, and clear again on the revised bids.
@@ -134,11 +128,16 @@ class SpotDCAllocator(Allocator):
     charges_tenants = True
     #: Admission always screens the bids; there is no unscreened path.
     admission = True
+    #: Every outcome passes the Eq. 2-4 integrity check
+    #: (:func:`~repro.core.allocation.verify_allocation`), the
+    #: reliability backstop.  It reads the slot's frame columns, so it
+    #: costs a fraction of the clear (about a sixth of
+    #: ``clear_per_pdu`` on 20,000 racks).
+    verify = True
 
     def __init__(
         self,
         params: MarketParameters | None = None,
-        verify: bool = True,
         oracle_rebid: bool = False,
         pricing: str = "per_pdu",
     ) -> None:
@@ -146,7 +145,6 @@ class SpotDCAllocator(Allocator):
             raise ConfigurationError(f"unknown pricing mode {pricing!r}")
         self.params = params or MarketParameters()
         self.engine = MarketClearing(params=self.params)
-        self.verify = verify
         self.oracle_rebid = oracle_rebid
         self.pricing = pricing
         self.frame_builder = IncrementalFrameBuilder()
@@ -257,14 +255,13 @@ class SpotDCAllocator(Allocator):
                 result = self._clear(frame, forecast, extra_constraints)
                 bids = rebids
                 quarantined = requarantined
-            if self.verify:
-                verify_allocation(
-                    result,
-                    frame,
-                    forecast.pdu_spot_w,
-                    forecast.ups_spot_w,
-                    extra_constraints=extra_constraints,
-                )
+            verify_allocation(
+                result,
+                frame,
+                forecast.pdu_spot_w,
+                forecast.ups_spot_w,
+                extra_constraints=extra_constraints,
+            )
             if tracer.enabled:
                 clear_span.set(
                     price=result.price,

@@ -76,7 +76,9 @@ __all__ = [
 #: 6: run inputs and history live in their own files; the engine pickle
 #: carries live state only, and the frame builder starts cold.
 #: 7: ``Scenario`` and ``SpotDCAllocator`` lose their shard fields.
-CHECKPOINT_FORMAT = 7
+#: 8: the fault injector holds the delayed grants in flight (the engine
+#: no longer does), and ``SpotDCAllocator`` loses its ``verify`` field.
+CHECKPOINT_FORMAT = 8
 
 _MAGIC = "spotdc-checkpoint"
 _NAME_RE = re.compile(r"^checkpoint_(\d{6,})\.pkl$")

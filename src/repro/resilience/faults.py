@@ -10,9 +10,11 @@ any of that on their own, so this module is a pluggable framework:
 * a :class:`FaultSource` models one failure mechanism on one *channel*
   (``"bid"``, ``"grant"``, ``"meter"``, or ``"capacity"``);
 * a :class:`FaultInjector` composes any number of sources, derives a
-  deterministic per-source random stream from a single seed, and keeps
+  deterministic per-source random stream from a single seed, keeps
   the per-slot :class:`FaultLog` the chaos experiments localise bursts
-  with.
+  with, and delivers each slot's bids, grants and meter readings
+  through its channels — holding delayed grant broadcasts until they
+  land.
 
 Safety framing (paper §III-C): every channel's failure state degrades to
 the *default of "no spot capacity"* — a lost bid skips participation, a
@@ -629,6 +631,9 @@ class FaultInjector:
                 "not optional)"
             )
         self.log = FaultLog()
+        # Delayed grant broadcasts awaiting delivery:
+        # delivery slot -> [(rack_id, grant_w), ...].
+        self._pending: dict[int, list[tuple[str, float]]] = {}
         self._by_channel: dict[str, list[FaultSource]] = {
             c: [] for c in CHANNELS
         }
@@ -686,6 +691,68 @@ class FaultInjector:
                 self.log.record(slot, "bid_duplicated", tenant_id)
                 return True
         return False
+
+    def deliver_bids(self, slot: int, tenants):
+        """The tenants whose bids arrive, and whose bundles arrive twice.
+
+        A tenant whose bid is lost sits the slot out, the default "no
+        spot capacity" state (§III-C).  The second value holds the ids of
+        the arriving tenants whose bundle is delivered twice, or is
+        ``None`` when no duplicate-delivery source is configured; the
+        market's idempotent ingestion absorbs the extra copies.
+        """
+        active = [t for t in tenants if not self.bid_lost(slot, t.tenant_id)]
+        duplicated = None
+        if self.has_duplicate_sources:
+            duplicated = frozenset(
+                t.tenant_id for t in active if self.bid_duplicated(slot, t.tenant_id)
+            )
+        return active, duplicated
+
+    def deliver_grants(self, slot: int, grants_w) -> tuple[list[str], list[str]]:
+        """Broadcast this slot's positive grants; return the lost and delayed racks.
+
+        One :meth:`grant_fault` per positive grant, in ``grants_w``
+        order.  A lost or delayed rack misses the grant it was cleared
+        for, so that slot is unbilled; a delayed grant is held here and
+        lands as a stale budget :attr:`GrantFault.delay_slots` later
+        (:meth:`land_stale_grants`).
+        """
+        lost: list[str] = []
+        delayed: list[str] = []
+        for rack_id, grant_w in grants_w.items():
+            if grant_w <= 0:
+                continue
+            fault = self.grant_fault(slot, rack_id, grant_w)
+            if fault is None:
+                continue
+            if fault.kind == "delayed":
+                delayed.append(rack_id)
+                self._pending.setdefault(slot + fault.delay_slots, []).append(
+                    (rack_id, grant_w)
+                )
+            else:
+                lost.append(rack_id)
+        return lost, delayed
+
+    def land_stale_grants(self, slot: int, topology) -> int:
+        """Apply the grants delayed into this slot; return how many landed.
+
+        The rack PDU obeys the late budget reset unless a fresh grant
+        already arrived this slot, and never above the rack's spot cap.
+        The stale budget was never cleared for this slot and is never
+        billed — it is a hazard for the degradation controller, not a
+        market outcome.
+        """
+        landed = 0
+        for rack_id, grant_w in self._pending.pop(slot, []):
+            rack = topology.rack(rack_id)
+            if rack.spot_budget_w > 0:
+                continue
+            rack.set_spot_budget(min(grant_w, rack.max_spot_w))
+            landed += 1
+            self.log.record(slot, "stale_grant_applied", rack_id, grant_w)
+        return landed
 
     def grant_fault(
         self, slot: int, rack_id: str, grant_w: float

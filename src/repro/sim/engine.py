@@ -1,26 +1,33 @@
 """The time-slotted simulation engine (paper Algorithm 1, end to end).
 
-Each slot ``t >= 1``:
+:meth:`SimulationEngine.step_slot` runs one slot as a fixed sequence of
+phases, one private method each, in the paper's slot timing (Fig. 6):
 
-1. tenants analyse their anticipated slot-``t`` workload and submit
-   demand-function bids (during slot ``t-1`` in the paper's timing,
-   Fig. 6);
-2. the operator predicts the available spot capacity from current rack
-   telemetry;
-3. the allocator decides grants — the SpotDC market clears a uniform
-   price; baselines allocate by their own policy;
-4. rack budgets are reset through the intelligent rack PDUs and tenants
-   execute the slot under their enforced budgets;
-5. telemetry, emergencies, billing, and operator accounting are
-   recorded.
+1. ``_predict`` — every rack starts at "no spot capacity", grid events
+   resolve, and the operator forecasts the spot capacity it may release
+   from its metered rack telemetry;
+2. ``_clear`` — tenants' demand-function bids (placed during slot
+   ``t-1`` in the paper) are collected, screened and cleared by the
+   allocator, under the clearing-deadline guard when one is set;
+3. ``_grant`` — the grants are broadcast to the rack PDUs;
+4. ``_enforce`` — degradation control revokes what true telemetry says
+   is unsafe, tenants execute the slot under their enforced budgets,
+   and the monitor, emergency log and enforcement policy see the draw;
+5. ``_settle`` — billing, operator accounting and the per-slot record;
+6. ``_record`` — the slot's registry counters and gauges.
 
-Slot 0 runs without spot capacity (bids for a slot are placed during
-the *previous* slot, and there is none).
+Each phase but the last opens the trace span of its name (``_clear``'s
+are the allocator's ``bid_collect`` and ``clear``), and they hand each
+other one small per-slot object.  Slot 0 runs without spot capacity
+(bids for a slot are placed during the *previous* slot, and there is
+none).
 
-Under fault injection (:mod:`repro.resilience`) the loop gains three
-stages: capacity-derating transitions are applied to the live topology
-before budgets are final, delayed (stale) grant broadcasts from earlier
-slots land on racks with no fresh grant, and the
+Under fault injection (:mod:`repro.resilience`) the
+:class:`~repro.resilience.faults.FaultInjector` delivers the slot's
+bids, grants and meter readings: lost and duplicated bids, lost and
+delayed grant broadcasts — a delayed one lands slots later as a *stale*
+budget on a rack with no fresh grant — and capacity deratings of the
+live topology.  The
 :class:`~repro.resilience.degradation.DegradationController` then
 projects every PDU/UPS constraint from hardened (true) telemetry and
 revokes grants — cheapest clearing value first — until the slot is
@@ -29,7 +36,7 @@ provably safe, crediting revoked energy in settlement.
 Batch and daemon mode share one slot-step function
 --------------------------------------------------
 
-The loop is exposed as three phases so :mod:`repro.daemon` can drive
+The loop is exposed as three calls so :mod:`repro.daemon` can drive
 the *same* per-slot market work from an asyncio service:
 
 * :meth:`SimulationEngine.begin_run` — validate, adopt a checkpoint (or
@@ -56,7 +63,7 @@ from repro.forecast.release import RiskAwareReleasePolicy
 from repro.forecast.signals import CurrentDrawSignal, Signal
 from repro.infrastructure.emergencies import EmergencyLog
 from repro.infrastructure.monitor import PowerMonitor
-from repro.prediction.price import EwmaPricePredictor, PricePredictor
+from repro.prediction.price import PricePredictor
 from repro.recovery.checkpoint import load_checkpoint, save_checkpoint
 from repro.recovery.deadline import (
     ClearingDeadlineGuard,
@@ -88,66 +95,56 @@ class _RunState:
     anything.
     """
 
-    def __init__(
-        self,
-        *,
-        slots,
-        checkpoint_every,
-        checkpoint_dir,
-        participants,
-        slot_seconds,
-        total_guaranteed,
-        m_slots,
-        m_bids,
-        m_grants,
-        m_revoked_w,
-        m_revenue,
-        m_emergencies,
-        g_price,
-        g_ups,
-        h_price,
-        h_granted,
-        g_forecast_error,
-        m_forecast_slots,
-        m_forecast_covered,
-        guaranteed_by_rack,
-        faults_seen,
-        actions_seen,
-        credits_seen,
-        emergencies_seen,
-        next_slot,
-    ) -> None:
+    def __init__(self, engine, slots, checkpoint_every, checkpoint_dir) -> None:
+        scenario = engine.scenario
+        registry = engine.telemetry.registry
+        injector = engine.fault_model
+        degradation = engine.degradation
         self.slots = slots
         self.checkpoint_every = checkpoint_every
         self.checkpoint_dir = checkpoint_dir
-        self.participants = participants
-        self.slot_seconds = slot_seconds
-        self.slot_hours = slot_seconds / 3600.0
-        self.total_guaranteed = total_guaranteed
-        self.m_slots = m_slots
-        self.m_bids = m_bids
-        self.m_grants = m_grants
-        self.m_revoked_w = m_revoked_w
-        self.m_revenue = m_revenue
-        self.m_emergencies = m_emergencies
-        self.g_price = g_price
-        self.g_ups = g_ups
-        self.h_price = h_price
-        self.h_granted = h_granted
-        self.g_forecast_error = g_forecast_error
-        self.m_forecast_slots = m_forecast_slots
-        self.m_forecast_covered = m_forecast_covered
-        self.guaranteed_by_rack = guaranteed_by_rack
+        self.participants = scenario.participating_tenants()
+        self.slot_seconds = scenario.slot_seconds
+        self.slot_hours = self.slot_seconds / 3600.0
+        self.total_guaranteed = scenario.total_guaranteed_w()
+        self.m_slots = registry.counter("slots_total")
+        self.m_bids = registry.counter("bids_total")
+        self.m_grants = registry.counter("grants_total")
+        self.m_revoked_w = registry.counter("revoked_watts_total")
+        self.m_revenue = registry.counter("spot_revenue_dollars_total")
+        self.m_emergencies = registry.counter("emergencies_total")
+        self.g_price = registry.gauge("clearing_price_dollars_per_kwh")
+        self.g_ups = registry.gauge("ups_power_watts")
+        self.h_price = registry.histogram("clearing_price", buckets=DEFAULT_PRICE_BUCKETS)
+        self.h_granted = registry.histogram("slot_granted_watts", buckets=DEFAULT_WATTS_BUCKETS)
+        self.g_forecast_error = registry.gauge("forecast_error_watts")
+        self.m_forecast_slots = registry.counter("forecast_slots_total")
+        self.m_forecast_covered = registry.counter("forecast_covered_total")
+        self.guaranteed_by_rack = {
+            rack_id: rack.guaranteed_w
+            for rack_id, rack in scenario.topology.racks.items()
+        }
         # Released-forecast accuracy accumulators (summary JSON).
         self.forecast_error_sum = 0.0
         self.forecast_abs_error_sum = 0.0
         self.forecast_covered = 0
         self.forecast_slots = 0
-        self.faults_seen = faults_seen
-        self.actions_seen = actions_seen
-        self.credits_seen = credits_seen
-        self.emergencies_seen = emergencies_seen
-        self.next_slot = next_slot
+        self.faults_seen = len(injector.log) if injector is not None else 0
+        self.actions_seen = len(degradation.actions) if degradation is not None else 0
+        self.credits_seen = len(degradation.credits) if degradation is not None else 0
+        self.emergencies_seen = len(engine.emergencies.events)
+        self.next_slot = 0
+
+
+class _Slot:
+    """What one slot's phases hand each other, in the order they set it."""
+
+    __slots__ = (
+        "slot", "requesting", "banded", "forecast", "record", "outcomes", "spot_revenue"
+    )
+
+    def __init__(self, slot: int) -> None:
+        self.slot = slot
 
 
 class SimulationEngine:
@@ -169,7 +166,6 @@ class SimulationEngine:
         price_predictor: Tenant-side market-price forecaster handed to
             bidding strategies (only strategies that use forecasts react
             to it).  ``None`` disables forecasting.
-        history_slots: Monitor history retention.
         reference_window: Rolling window (slots) for the conservative
             per-rack reference power used in spot-capacity prediction.
         constraint_provider: Optional zero-argument callable returning
@@ -186,13 +182,10 @@ class SimulationEngine:
             bid/grant communication losses, delayed grants, meter
             faults, and capacity deratings
             (paper §III-C "Handling exceptions").  ``None`` falls back
-            to the scenario's own ``fault_profile``, if any.
-        degradation: Excursion containment under faults.  ``None``
-            (default) auto-creates a
-            :class:`~repro.resilience.degradation.DegradationController`
-            whenever a fault model is active; pass ``False`` to disable
-            containment (e.g. to demonstrate the unprotected excursion),
-            or a pre-built controller to tune its margins.
+            to the scenario's own ``fault_profile``, if any.  Whenever
+            a fault model or the scenario's grid ``events`` are active,
+            a :class:`~repro.resilience.degradation.DegradationController`
+            contains the excursions they cause.
         telemetry: Observability for the run: a
             :class:`repro.telemetry.TelemetryConfig`, a pre-built
             :class:`repro.telemetry.Telemetry`, or ``None`` to fall back
@@ -215,12 +208,10 @@ class SimulationEngine:
         signal: Signal | None = None,
         release_policy: RiskAwareReleasePolicy | None = None,
         price_predictor: PricePredictor | None = None,
-        history_slots: int = 200_000,
         reference_window: int = 5,
         constraint_provider=None,
         fault_model=None,
         enforcement=None,
-        degradation=None,
         telemetry=None,
     ) -> None:
         self.scenario = scenario
@@ -232,25 +223,18 @@ class SimulationEngine:
         self.reference_window = reference_window
         self.constraint_provider = constraint_provider
         if fault_model is None:
-            profile = getattr(scenario, "fault_profile", None)
-            if profile is not None:
-                seed = profile.seed if profile.seed is not None else scenario.seed
-                fault_model = profile.build(seed=seed)
+            fault_model = _build_injector(getattr(scenario, "fault_profile", None), scenario)
         self.fault_model = fault_model
         self.enforcement = enforcement
         events = getattr(scenario, "events", None)
         self.shock_absorber = ShockAbsorber(events) if events is not None else None
-        if degradation is None:
-            # Grid events need the §III-C revocation ladder (rung 3 of
-            # the shock absorber) even in fault-free runs.
-            degradation = (
-                DegradationController()
-                if fault_model is not None or self.shock_absorber is not None
-                else None
-            )
-        elif degradation is False:
-            degradation = None
-        self.degradation = degradation
+        # Grid events need the §III-C revocation ladder (rung 3 of the
+        # shock absorber) even in fault-free runs.
+        self.degradation = (
+            DegradationController()
+            if fault_model is not None or self.shock_absorber is not None
+            else None
+        )
         self.allocator = allocator or SpotDCAllocator(
             params=MarketParameters(slot_seconds=scenario.slot_seconds)
         )
@@ -268,7 +252,7 @@ class SimulationEngine:
         self.signal = signal
         self.release_policy = release_policy or RiskAwareReleasePolicy()
         self.price_predictor = price_predictor
-        self.monitor = PowerMonitor(scenario.topology, history_slots=history_slots)
+        self.monitor = PowerMonitor(scenario.topology, history_slots=200_000)
         self.emergencies = EmergencyLog()
         self.ledger = OperatorLedger(
             price_sheet=scenario.price_sheet,
@@ -288,9 +272,6 @@ class SimulationEngine:
         )
         self._rack_infos = rack_infos
         self._tenant_infos = tenant_infos
-        # Delayed (stale) grant broadcasts awaiting delivery:
-        # delivery slot -> [(rack_id, grant_w), ...].
-        self._pending_stale: dict[int, list[tuple[str, float]]] = {}
         # Last *successfully cleared* market price, feeding the deadline
         # guard's reuse_price fallback.  A fallback slot does not update
         # it: falling back twice in a row must not compound.
@@ -302,15 +283,11 @@ class SimulationEngine:
         # Where checkpoints go and what they hold (repro.recovery.checkpoint).
         self._checkpoint_cursor = None
         deadline = getattr(scenario, "clearing_deadline_s", None)
-        if deadline is None or deadline is False:
-            self.deadline_guard = None
-        else:
-            budget = (
-                default_budget_s(scenario.slot_seconds)
-                if deadline is True
-                else float(deadline)
+        self.deadline_guard = None
+        if deadline is not None:
+            self.deadline_guard = ClearingDeadlineGuard(
+                default_budget_s(scenario.slot_seconds) if deadline is True else float(deadline)
             )
-            self.deadline_guard = ClearingDeadlineGuard(budget)
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -370,9 +347,10 @@ class SimulationEngine:
                 )
             # Adopt the checkpointed engine wholesale: every attribute —
             # RNG streams, monitor history, ledger, telemetry, fault and
-            # degradation state, and the mid-loop run state with its
-            # cursors and accumulators — continues exactly where the
-            # crashed run left it.
+            # degradation state (delayed grants still in flight
+            # included), and the mid-loop run state with its cursors and
+            # accumulators — continues exactly where the crashed run
+            # left it.
             self.__dict__.update(envelope["engine"].__dict__)
             self._run.checkpoint_every = checkpoint_every
             self._run.checkpoint_dir = checkpoint_dir
@@ -383,61 +361,17 @@ class SimulationEngine:
                 # on the resumed one (later scheduled crashes still do).
                 self.fault_model.disarm_next_crash(start_slot)
             return start_slot
-        scenario = self.scenario
         # prepare() re-seeds tenant RNG streams for a fresh run.
-        scenario.prepare(slots)
-        injector = self.fault_model
-        registry = self.telemetry.registry
+        self.scenario.prepare(slots)
         absorber = self.shock_absorber
         if absorber is not None:
             # The schedule is materialised once, up front: a crash
             # mid-event resumes the checkpointed absorber (with the
             # already-built schedule) and replays the remaining event
             # window byte-identically.
-            absorber.prepare(scenario.seed, slots)
-            absorber.bind_telemetry(registry)
-        self._run = _RunState(
-            slots=slots,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
-            participants=scenario.participating_tenants(),
-            slot_seconds=scenario.slot_seconds,
-            total_guaranteed=scenario.total_guaranteed_w(),
-            m_slots=registry.counter("slots_total"),
-            m_bids=registry.counter("bids_total"),
-            m_grants=registry.counter("grants_total"),
-            m_revoked_w=registry.counter("revoked_watts_total"),
-            m_revenue=registry.counter("spot_revenue_dollars_total"),
-            m_emergencies=registry.counter("emergencies_total"),
-            g_price=registry.gauge("clearing_price_dollars_per_kwh"),
-            g_ups=registry.gauge("ups_power_watts"),
-            h_price=registry.histogram(
-                "clearing_price", buckets=DEFAULT_PRICE_BUCKETS
-            ),
-            h_granted=registry.histogram(
-                "slot_granted_watts", buckets=DEFAULT_WATTS_BUCKETS
-            ),
-            g_forecast_error=registry.gauge("forecast_error_watts"),
-            m_forecast_slots=registry.counter("forecast_slots_total"),
-            m_forecast_covered=registry.counter("forecast_covered_total"),
-            guaranteed_by_rack={
-                rack_id: rack.guaranteed_w
-                for rack_id, rack in scenario.topology.racks.items()
-            },
-            faults_seen=len(injector.log) if injector is not None else 0,
-            actions_seen=(
-                len(self.degradation.actions)
-                if self.degradation is not None
-                else 0
-            ),
-            credits_seen=(
-                len(self.degradation.credits)
-                if self.degradation is not None
-                else 0
-            ),
-            emergencies_seen=len(self.emergencies.events),
-            next_slot=0,
-        )
+            absorber.prepare(self.scenario.seed, slots)
+            absorber.bind_telemetry(self.telemetry.registry)
+        self._run = _RunState(self, slots, checkpoint_every, checkpoint_dir)
         return 0
 
     def _require_run(self) -> _RunState:
@@ -448,10 +382,12 @@ class SimulationEngine:
             )
         return self._run
 
-    def step_slot(
-        self, slot: int, submitted_bids=None
-    ) -> SlotMarketRecord:
+    def step_slot(self, slot: int, submitted_bids=None) -> SlotMarketRecord:
         """Process exactly one slot and return its market record.
+
+        The slot runs its phases in order — :meth:`_predict`,
+        :meth:`_clear`, :meth:`_grant`, :meth:`_enforce`,
+        :meth:`_settle` and :meth:`_record` — inside one ``slot`` span.
 
         Args:
             slot: The slot to process (the caller drives slots in
@@ -470,404 +406,19 @@ class SimulationEngine:
                 so a resume replays the slot from scratch.
         """
         st = self._require_run()
-        scenario = self.scenario
-        topology = scenario.topology
-        participants = st.participants
-        slot_seconds = st.slot_seconds
-        slot_hours = st.slot_hours
-        injector = self.fault_model
-        absorber = self.shock_absorber
-        tel = self.telemetry
-        tracer = tel.tracer
-        registry = tel.registry
-
-        if injector is not None:
+        if self.fault_model is not None:
             # An armed CrashFault kills the run *between* slots — after
             # the previous slot's checkpoint, before this slot touches
             # any state — so a resume replays slot `slot` from scratch.
-            injector.check_crash(slot)
-        with tracer.span("slot", slot=slot) as slot_span:
-            topology.clear_all_spot_budgets()
-            if absorber is not None:
-                # Grid events resolve at the top of the slot — capacity
-                # cuts land before the forecast reads the topology, and
-                # the reserve price is pinned before the clear.
-                absorber.on_slot_start(slot, topology, self.allocator, tracer)
-
-            requesting = frozenset(
-                rack_id
-                for tenant in participants
-                for rack_id in tenant.needed_spot_w(slot)
-            )
-            with tracer.span("predict", slot=slot) as predict_span:
-                # The signal reads the operator's *metered* telemetry —
-                # under meter faults its references can be wrong, which
-                # is exactly the hazard the degradation controller
-                # exists to contain.  The release policy then picks how
-                # much of the banded forecast the market may sell.
-                banded = self.signal.forecast_slot(
-                    topology, requesting, self.monitor, slot
-                )
-                release_policy = self.release_policy
-                if absorber is not None:
-                    # Rung 2: tighten the release quantile while a
-                    # capacity event is in force.
-                    release_policy = absorber.effective_release_policy(
-                        release_policy
-                    )
-                forecast = release_policy.release(banded, topology)
-                if absorber is not None:
-                    forecast = absorber.adjust_release(forecast)
-                predict_span.set(
-                    requesting_racks=len(requesting),
-                    ups_spot_w=forecast.ups_spot_w,
-                    pdu_spot_w=forecast.total_pdu_spot_w,
-                )
-                if banded.has_band or self.release_policy.risk_quantile is not None:
-                    # Band diagnostics only for non-default signals:
-                    # default-path traces must stay byte-identical to the
-                    # pre-subsystem engine.
-                    band = banded.ups_quantiles
-                    predict_span.set(
-                        signal=self.signal.name,
-                        risk_quantile=self.release_policy.risk_quantile,
-                        band_low_ups_w=band[0] if band else banded.point.ups_spot_w,
-                        band_high_ups_w=band[-1] if band else banded.point.ups_spot_w,
-                    )
-            if slot == 0:
-                # Bids for a slot are placed during the previous slot, and
-                # slot 0 has none: the market phases are structural no-ops
-                # but still traced, so every slot carries every phase.
-                record = _empty_record()
-                with tracer.span("bid_collect", slot=slot) as span:
-                    span.set(tenants=0, racks_bid=0)
-                with tracer.span("clear", slot=slot) as span:
-                    span.set(price=0.0, granted_racks=0, granted_w=0.0)
-            else:
-                predicted_price = (
-                    self.price_predictor.predict() if self.price_predictor else None
-                )
-                extra_constraints = (
-                    tuple(self.constraint_provider())
-                    if self.constraint_provider is not None
-                    else ()
-                )
-                # Bid-submission losses: affected tenants sit the slot out
-                # (the default "no spot capacity" state — §III-C).
-                active = participants
-                if injector is not None:
-                    active = [
-                        tenant
-                        for tenant in participants
-                        if not injector.bid_lost(slot, tenant.tenant_id)
-                    ]
-                # Duplicate-delivery faults: the tenant's bundle arrives
-                # twice; the market's idempotent ingestion absorbs the
-                # extra copy, so settlement is provably unchanged.
-                duplicated = None
-                if injector is not None and injector.has_duplicate_sources:
-                    duplicated = frozenset(
-                        tenant.tenant_id
-                        for tenant in active
-                        if injector.bid_duplicated(slot, tenant.tenant_id)
-                    )
-                guard = self.deadline_guard
-                started = guard.start() if guard is not None else 0.0
-                record = self.allocator.allocate(
-                    slot,
-                    active,
-                    forecast,
-                    slot_seconds,
-                    predicted_price,
-                    extra_constraints=extra_constraints,
-                    tracer=tracer,
-                    submitted_bids=submitted_bids,
-                    duplicated=duplicated,
-                )
-                if guard is not None and guard.over_budget(
-                    guard.elapsed(started)
-                ):
-                    # The clear blew its wall-clock budget: discard its
-                    # outcome for the always-safe fallback.  The event
-                    # deliberately omits the measured elapsed time —
-                    # traces stay deterministic for a given seed.
-                    record, fallback = build_fallback_record(
-                        record,
-                        self._last_price,
-                        forecast,
-                        slot_seconds,
-                        extra_constraints=extra_constraints,
-                    )
-                    guard.record_hit(fallback)
-                    tracer.event(
-                        "deadline.exceeded",
-                        slot=slot,
-                        budget_s=guard.budget_s,
-                        fallback=fallback,
-                    )
-                    registry.counter(
-                        "clearing_deadline_hits_total", {"fallback": fallback}
-                    ).inc()
-                else:
-                    self._last_price = record.result.price
-                for q in record.quarantined:
-                    self._quarantined_by_tenant[q.tenant_id] = (
-                        self._quarantined_by_tenant.get(q.tenant_id, 0) + 1
-                    )
-                    registry.counter(
-                        "bids_quarantined_total", {"reason": q.reason}
-                    ).inc()
-
-            with tracer.span("grant", slot=slot) as grant_span:
-                lost_grants = delayed_grants = barred_grants = 0
-                stale_applied = 0
-                if slot > 0:
-                    if injector is not None:
-                        # Grant-delivery faults: a lost broadcast reverts
-                        # the rack to "no spot capacity" for good; a
-                        # delayed one additionally lands as a *stale*
-                        # budget k slots later.  Either way the cleared
-                        # slot is unbilled.
-                        undelivered: set[str] = set()
-                        for rack_id, grant in record.result.grants_w.items():
-                            if grant <= 0:
-                                continue
-                            fault = injector.grant_fault(slot, rack_id, grant)
-                            if fault is None:
-                                continue
-                            undelivered.add(rack_id)
-                            if fault.kind == "delayed":
-                                delayed_grants += 1
-                                self._pending_stale.setdefault(
-                                    slot + fault.delay_slots, []
-                                ).append((rack_id, grant))
-                            else:
-                                lost_grants += 1
-                        record = revoke_and_rebill(
-                            record, undelivered, slot_seconds
-                        )
-                    if self.enforcement is not None:
-                        barred = self.enforcement.barred_racks(slot)
-                        revoked = {
-                            rack_id
-                            for rack_id in record.result.grants_w
-                            if rack_id in barred
-                        }
-                        barred_grants = len(revoked)
-                        record = revoke_and_rebill(record, revoked, slot_seconds)
-                    for rack_id, grant in record.result.grants_w.items():
-                        topology.rack(rack_id).set_spot_budget(grant)
-
-                if injector is not None:
-                    # Infrastructure derating events change the live
-                    # PDU/UPS capacities before the slot executes.
-                    injector.apply_capacity_faults(slot, topology)
-                    # Stale (delayed) grant broadcasts land now: the rack
-                    # PDU obeys the late budget reset unless a fresh grant
-                    # already arrived this slot.  The stale budget was
-                    # never cleared for this slot and is never billed — it
-                    # is a hazard for the degradation controller, not a
-                    # market outcome.
-                    for rack_id, grant_w in self._pending_stale.pop(slot, []):
-                        rack = topology.rack(rack_id)
-                        if rack.spot_budget_w > 0:
-                            continue
-                        rack.set_spot_budget(min(grant_w, rack.max_spot_w))
-                        stale_applied += 1
-                        injector.log.record(
-                            slot, "stale_grant_applied", rack_id, grant_w
-                        )
-                    st.faults_seen = self._emit_fault_events(
-                        injector, st.faults_seen, slot
-                    )
-                if tel.enabled:
-                    grant_span.set(
-                        granted_racks=record.result.granted_racks,
-                        granted_w=record.result.total_granted_w,
-                        lost_grants=lost_grants,
-                        delayed_grants=delayed_grants,
-                        barred_racks=barred_grants,
-                        stale_grants_applied=stale_applied,
-                    )
-
-            with tracer.span("enforce", slot=slot) as enforce_span:
-                revoked_this_slot = 0
-                revoked_watts = 0.0
-                if self.degradation is not None:
-                    true_references = {
-                        rack_id: self.monitor.rack_recent_true_max_w(
-                            rack_id, self.reference_window
-                        )
-                        for rack_id in topology.racks
-                    }
-                    record = self.degradation.enforce(
-                        topology,
-                        record,
-                        slot,
-                        slot_seconds,
-                        true_reference_w=true_references,
-                    )
-                    new_actions = list(
-                        self.degradation.new_actions(st.actions_seen)
-                    )
-                    for action in new_actions:
-                        tracer.event(
-                            f"degradation.{action.kind}",
-                            slot=slot,
-                            level=action.level,
-                            unit_id=action.unit_id,
-                            rack_id=action.rack_id,
-                            watts=action.watts,
-                        )
-                        if action.kind == "revoke":
-                            revoked_this_slot += 1
-                            revoked_watts += action.watts
-                    st.actions_seen = len(self.degradation.actions)
-                    if absorber is not None:
-                        # Rung 4 bookkeeping: emergency caps fired during
-                        # an event window put the unit in a zero-release
-                        # warning state until the window closes.
-                        absorber.note_control_actions(slot, new_actions)
-                    for note in self.degradation.new_credits(st.credits_seen):
-                        tracer.event(
-                            "settlement.credit",
-                            slot=slot,
-                            tenant=note.tenant_id,
-                            rack_id=note.rack_id,
-                            watts=note.watts,
-                            dollars=note.dollars,
-                            reason=note.reason,
-                        )
-                    st.credits_seen = len(self.degradation.credits)
-
-                # Tenants execute the slot under their enforced budgets —
-                # as set on the rack PDUs, which is where lost/stale
-                # deliveries and degradation-control revocations are
-                # visible.
-                outcomes: dict[str, SlotPerformance] = {}
-                for tenant in scenario.tenants:
-                    budgets = {
-                        rack.rack_id: topology.rack(rack.rack_id).budget_w
-                        for rack in tenant.racks
-                    }
-                    outcomes.update(
-                        tenant.execute_slot(slot, budgets, slot_seconds)
-                    )
-
-                rack_power = {rid: perf.power_w for rid, perf in outcomes.items()}
-                metered = None
-                if injector is not None and injector.has_meter_faults:
-                    metered = {
-                        rid: injector.metered_power_w(slot, rid, watts)
-                        for rid, watts in rack_power.items()
-                    }
-                    st.faults_seen = self._emit_fault_events(
-                        injector, st.faults_seen, slot
-                    )
-                self.monitor.record_slot(rack_power, metered)
-                emergencies = self.emergencies.scan(topology, slot)
-                for emergency in emergencies:
-                    tracer.event(
-                        "emergency",
-                        slot=slot,
-                        level=emergency.level,
-                        unit_id=emergency.unit_id,
-                        overload_w=emergency.overload_w,
-                    )
-                st.m_emergencies.inc(len(emergencies))
-                st.emergencies_seen += len(emergencies)
-                if absorber is not None:
-                    # EDR compliance (invariant 2): close watch windows
-                    # whose draw is back under the shocked capacity.
-                    absorber.observe_draw(slot, topology)
-                if self.enforcement is not None:
-                    self.enforcement.review(topology, slot)
-                st.m_revoked_w.inc(revoked_watts)
-                enforce_span.set(
-                    revoked_grants=revoked_this_slot,
-                    revoked_w=revoked_watts,
-                    emergencies=len(emergencies),
-                )
-
-            with tracer.span("settle", slot=slot) as settle_span:
-                spot_revenue = (
-                    record.result.revenue_for_slot(slot_seconds)
-                    if self.allocator.charges_tenants
-                    else 0.0
-                )
-                payments = (
-                    record.payments if self.allocator.charges_tenants else {}
-                )
-                self.ledger.record_slot(
-                    slot_hours=slot_hours,
-                    guaranteed_w=st.total_guaranteed,
-                    spot_revenue=spot_revenue,
-                    metered_energy_w=self.monitor.latest_ups_power_w(),
-                )
-                self.collector.record_slot(
-                    price=record.result.price,
-                    grants_w=record.result.grants_w,
-                    spot_revenue=spot_revenue,
-                    forecast_ups_w=forecast.ups_spot_w,
-                    forecast_pdu_total_w=forecast.total_pdu_spot_w,
-                    ups_power_w=self.monitor.latest_ups_power_w(),
-                    pdu_power_w={
-                        p: self.monitor.latest_pdu_power_w(p)
-                        for p in topology.pdus
-                    },
-                    rack_outcomes=outcomes,
-                    payments=payments,
-                    wanted_rack_ids=requesting,
-                    pdu_prices=record.result.pdu_prices,
-                )
-                if slot > 0:
-                    # Released-forecast accuracy: compare what the
-                    # market was offered against the headroom that
-                    # actually materialised (usable UPS capacity minus
-                    # the non-spot draws the predictor's references
-                    # stand in for).  Registry-only — traces untouched.
-                    nonspot_w = sum(
-                        min(perf.power_w, st.guaranteed_by_rack[rid])
-                        for rid, perf in outcomes.items()
-                    )
-                    realized_w = max(
-                        0.0,
-                        topology.ups.capacity_w * banded.usable_fraction
-                        - nonspot_w,
-                    )
-                    error_w = forecast.ups_spot_w - realized_w
-                    st.g_forecast_error.set(error_w)
-                    st.m_forecast_slots.inc()
-                    st.forecast_slots += 1
-                    st.forecast_error_sum += error_w
-                    st.forecast_abs_error_sum += abs(error_w)
-                    if forecast.ups_spot_w <= realized_w + 1e-9:
-                        st.m_forecast_covered.inc()
-                        st.forecast_covered += 1
-                if self.price_predictor is not None:
-                    self.price_predictor.observe(record.result.price)
-                settle_span.set(
-                    price=record.result.price,
-                    spot_revenue=spot_revenue,
-                    billed_tenants=sum(1 for v in payments.values() if v > 0),
-                )
-
-            st.m_slots.inc()
-            st.m_bids.inc(len(record.bids))
-            if tel.enabled:
-                # Racks still granted after enforce: degradation control
-                # may have revoked grants the ``grant`` span's
-                # ``granted_racks`` counted, so this can read lower.
-                st.m_grants.inc(record.result.granted_racks)
-            st.m_revenue.inc(spot_revenue)
-            st.g_price.set(record.result.price)
-            st.g_ups.set(self.monitor.latest_ups_power_w())
-            st.h_price.observe(record.result.price)
-            st.h_granted.observe(record.result.total_granted_w)
-            slot_span.set(
-                price=record.result.price,
-                granted_w=record.result.total_granted_w,
-            )
+            self.fault_model.check_crash(slot)
+        s = _Slot(slot)
+        with self.telemetry.tracer.span("slot", slot=slot) as slot_span:
+            self._predict(s)
+            self._clear(s, submitted_bids)
+            self._grant(s)
+            self._enforce(s)
+            self._settle(s)
+            self._record(s, slot_span)
         # Checkpoint only *between* fully processed slots (the slot
         # span above has closed), so a restore replays the next slot
         # from its very first action.  The final slot needs none: the
@@ -879,7 +430,351 @@ class SimulationEngine:
             and slot + 1 < st.slots
         ):
             save_checkpoint(self, st.checkpoint_dir, slot, st.slots)
-        return record
+        return s.record
+
+    def _predict(self, s: _Slot) -> None:
+        """Start the slot with no spot budgets and forecast the spot capacity."""
+        slot = s.slot
+        topology = self.scenario.topology
+        tracer = self.telemetry.tracer
+        absorber = self.shock_absorber
+        topology.clear_all_spot_budgets()
+        if absorber is not None:
+            # Grid events resolve at the top of the slot — capacity
+            # cuts land before the forecast reads the topology, and
+            # the reserve price is pinned before the clear.
+            absorber.on_slot_start(slot, topology, self.allocator, tracer)
+        s.requesting = requesting = frozenset(
+            rack_id
+            for tenant in self._run.participants
+            for rack_id in tenant.needed_spot_w(slot)
+        )
+        with tracer.span("predict", slot=slot) as span:
+            # The signal reads the operator's *metered* telemetry —
+            # under meter faults its references can be wrong, which
+            # is exactly the hazard the degradation controller
+            # exists to contain.  The release policy then picks how
+            # much of the banded forecast the market may sell.
+            s.banded = banded = self.signal.forecast_slot(topology, requesting, self.monitor, slot)
+            release_policy = self.release_policy
+            if absorber is not None:
+                # Rung 2: tighten the release quantile while a
+                # capacity event is in force.
+                release_policy = absorber.effective_release_policy(release_policy)
+            forecast = release_policy.release(banded, topology)
+            if absorber is not None:
+                forecast = absorber.adjust_release(forecast)
+            s.forecast = forecast
+            span.set(
+                requesting_racks=len(requesting),
+                ups_spot_w=forecast.ups_spot_w,
+                pdu_spot_w=forecast.total_pdu_spot_w,
+            )
+            if banded.has_band or self.release_policy.risk_quantile is not None:
+                # Band diagnostics only for non-default signals:
+                # default-path traces must stay byte-identical to the
+                # pre-subsystem engine.
+                band = banded.ups_quantiles
+                span.set(
+                    signal=self.signal.name,
+                    risk_quantile=self.release_policy.risk_quantile,
+                    band_low_ups_w=band[0] if band else banded.point.ups_spot_w,
+                    band_high_ups_w=band[-1] if band else banded.point.ups_spot_w,
+                )
+
+    def _clear(self, s: _Slot, submitted_bids=None) -> None:
+        """Collect and clear the bids (the allocator's ``bid_collect`` and ``clear`` spans)."""
+        slot = s.slot
+        st = self._run
+        tracer = self.telemetry.tracer
+        if slot == 0:
+            # Bids for a slot are placed during the previous slot, and
+            # slot 0 has none: the market phases are structural no-ops
+            # but still traced, so every slot carries every phase.
+            s.record = _empty_record()
+            with tracer.span("bid_collect", slot=slot) as span:
+                span.set(tenants=0, racks_bid=0)
+            with tracer.span("clear", slot=slot) as span:
+                span.set(price=0.0, granted_racks=0, granted_w=0.0)
+            return
+        registry = self.telemetry.registry
+        predicted_price = self.price_predictor.predict() if self.price_predictor else None
+        extra_constraints = (
+            tuple(self.constraint_provider()) if self.constraint_provider is not None else ()
+        )
+        active, duplicated = st.participants, None
+        if self.fault_model is not None:
+            # Lost bids sit the slot out; duplicated bundles arrive twice.
+            active, duplicated = self.fault_model.deliver_bids(slot, active)
+        guard = self.deadline_guard
+        started = guard.start() if guard is not None else 0.0
+        record = self.allocator.allocate(
+            slot,
+            active,
+            s.forecast,
+            st.slot_seconds,
+            predicted_price,
+            extra_constraints=extra_constraints,
+            tracer=tracer,
+            submitted_bids=submitted_bids,
+            duplicated=duplicated,
+        )
+        if guard is not None and guard.over_budget(guard.elapsed(started)):
+            # The clear blew its wall-clock budget: discard its
+            # outcome for the always-safe fallback.  The event
+            # deliberately omits the measured elapsed time —
+            # traces stay deterministic for a given seed.
+            record, fallback = build_fallback_record(
+                record,
+                self._last_price,
+                s.forecast,
+                st.slot_seconds,
+                extra_constraints=extra_constraints,
+            )
+            guard.record_hit(fallback)
+            tracer.event(
+                "deadline.exceeded", slot=slot, budget_s=guard.budget_s, fallback=fallback
+            )
+            registry.counter("clearing_deadline_hits_total", {"fallback": fallback}).inc()
+        else:
+            self._last_price = record.result.price
+        for q in record.quarantined:
+            self._quarantined_by_tenant[q.tenant_id] = (
+                self._quarantined_by_tenant.get(q.tenant_id, 0) + 1
+            )
+            registry.counter("bids_quarantined_total", {"reason": q.reason}).inc()
+        s.record = record
+
+    def _grant(self, s: _Slot) -> None:
+        """Broadcast the grants to the rack PDUs, through the fault channels."""
+        slot = s.slot
+        st = self._run
+        topology = self.scenario.topology
+        injector = self.fault_model
+        record = s.record
+        with self.telemetry.tracer.span("grant", slot=slot) as span:
+            lost = delayed = ()
+            barred = stale = 0
+            if slot > 0:
+                if injector is not None:
+                    lost, delayed = injector.deliver_grants(slot, record.result.grants_w)
+                    record = revoke_and_rebill(record, {*lost, *delayed}, st.slot_seconds)
+                if self.enforcement is not None:
+                    barred_racks = self.enforcement.barred_racks(slot)
+                    revoked = {
+                        rack_id
+                        for rack_id in record.result.grants_w
+                        if rack_id in barred_racks
+                    }
+                    barred = len(revoked)
+                    record = revoke_and_rebill(record, revoked, st.slot_seconds)
+                for rack_id, grant in record.result.grants_w.items():
+                    topology.rack(rack_id).set_spot_budget(grant)
+            if injector is not None:
+                # Infrastructure derating events change the live
+                # PDU/UPS capacities before the slot executes, and
+                # grants delayed into this slot land as stale budgets.
+                injector.apply_capacity_faults(slot, topology)
+                stale = injector.land_stale_grants(slot, topology)
+                self._emit_fault_events(slot)
+            if self.telemetry.enabled:
+                span.set(
+                    granted_racks=record.result.granted_racks,
+                    granted_w=record.result.total_granted_w,
+                    lost_grants=len(lost),
+                    delayed_grants=len(delayed),
+                    barred_racks=barred,
+                    stale_grants_applied=stale,
+                )
+        s.record = record
+
+    def _enforce(self, s: _Slot) -> None:
+        """Contain the slot, execute the tenants, and watch what they drew."""
+        slot = s.slot
+        st = self._run
+        topology = self.scenario.topology
+        tracer = self.telemetry.tracer
+        injector = self.fault_model
+        with tracer.span("enforce", slot=slot) as span:
+            revoked_grants, revoked_w = (
+                self._contain(s) if self.degradation is not None else (0, 0.0)
+            )
+            # Tenants execute the slot under their enforced budgets —
+            # as set on the rack PDUs, which is where lost/stale
+            # deliveries and degradation-control revocations are
+            # visible.
+            outcomes: dict[str, SlotPerformance] = {}
+            for tenant in self.scenario.tenants:
+                budgets = {
+                    rack.rack_id: topology.rack(rack.rack_id).budget_w
+                    for rack in tenant.racks
+                }
+                outcomes.update(tenant.execute_slot(slot, budgets, st.slot_seconds))
+            s.outcomes = outcomes
+            rack_power = {rid: perf.power_w for rid, perf in outcomes.items()}
+            metered = None
+            if injector is not None and injector.has_meter_faults:
+                metered = {
+                    rid: injector.metered_power_w(slot, rid, watts)
+                    for rid, watts in rack_power.items()
+                }
+                self._emit_fault_events(slot)
+            self.monitor.record_slot(rack_power, metered)
+            emergencies = self.emergencies.scan(topology, slot)
+            for emergency in emergencies:
+                tracer.event(
+                    "emergency",
+                    slot=slot,
+                    level=emergency.level,
+                    unit_id=emergency.unit_id,
+                    overload_w=emergency.overload_w,
+                )
+            st.m_emergencies.inc(len(emergencies))
+            st.emergencies_seen += len(emergencies)
+            if self.shock_absorber is not None:
+                # EDR compliance (invariant 2): close watch windows
+                # whose draw is back under the shocked capacity.
+                self.shock_absorber.observe_draw(slot, topology)
+            if self.enforcement is not None:
+                self.enforcement.review(topology, slot)
+            st.m_revoked_w.inc(revoked_w)
+            span.set(
+                revoked_grants=revoked_grants,
+                revoked_w=revoked_w,
+                emergencies=len(emergencies),
+            )
+
+    def _contain(self, s: _Slot) -> tuple[int, float]:
+        """Revoke what true telemetry says is unsafe; return the grants and watts revoked.
+
+        The degradation controller's new actions and credit notes become
+        trace events.
+        """
+        slot = s.slot
+        st = self._run
+        tracer = self.telemetry.tracer
+        degradation = self.degradation
+        topology = self.scenario.topology
+        true_references = {
+            rack_id: self.monitor.rack_recent_true_max_w(rack_id, self.reference_window)
+            for rack_id in topology.racks
+        }
+        s.record = degradation.enforce(
+            topology, s.record, slot, st.slot_seconds, true_reference_w=true_references
+        )
+        revoked_grants = 0
+        revoked_w = 0.0
+        new_actions = list(degradation.new_actions(st.actions_seen))
+        for action in new_actions:
+            tracer.event(
+                f"degradation.{action.kind}",
+                slot=slot,
+                level=action.level,
+                unit_id=action.unit_id,
+                rack_id=action.rack_id,
+                watts=action.watts,
+            )
+            if action.kind == "revoke":
+                revoked_grants += 1
+                revoked_w += action.watts
+        st.actions_seen = len(degradation.actions)
+        if self.shock_absorber is not None:
+            # Rung 4 bookkeeping: emergency caps fired during an event
+            # window put the unit in a zero-release warning state until
+            # the window closes.
+            self.shock_absorber.note_control_actions(slot, new_actions)
+        for note in degradation.new_credits(st.credits_seen):
+            tracer.event(
+                "settlement.credit",
+                slot=slot,
+                tenant=note.tenant_id,
+                rack_id=note.rack_id,
+                watts=note.watts,
+                dollars=note.dollars,
+                reason=note.reason,
+            )
+        st.credits_seen = len(degradation.credits)
+        return revoked_grants, revoked_w
+
+    def _settle(self, s: _Slot) -> None:
+        """Bill the slot, book the operator's money, and record the slot."""
+        slot = s.slot
+        st = self._run
+        topology = self.scenario.topology
+        result = s.record.result
+        forecast = s.forecast
+        charges = self.allocator.charges_tenants
+        with self.telemetry.tracer.span("settle", slot=slot) as span:
+            s.spot_revenue = spot_revenue = (
+                result.revenue_for_slot(st.slot_seconds) if charges else 0.0
+            )
+            payments = s.record.payments if charges else {}
+            self.ledger.record_slot(
+                slot_hours=st.slot_hours,
+                guaranteed_w=st.total_guaranteed,
+                spot_revenue=spot_revenue,
+                metered_energy_w=self.monitor.latest_ups_power_w(),
+            )
+            self.collector.record_slot(
+                price=result.price,
+                grants_w=result.grants_w,
+                spot_revenue=spot_revenue,
+                forecast_ups_w=forecast.ups_spot_w,
+                forecast_pdu_total_w=forecast.total_pdu_spot_w,
+                ups_power_w=self.monitor.latest_ups_power_w(),
+                pdu_power_w={p: self.monitor.latest_pdu_power_w(p) for p in topology.pdus},
+                rack_outcomes=s.outcomes,
+                payments=payments,
+                wanted_rack_ids=s.requesting,
+                pdu_prices=result.pdu_prices,
+            )
+            if slot > 0:
+                # Released-forecast accuracy: compare what the market
+                # was offered against the headroom that actually
+                # materialised (usable UPS capacity minus the non-spot
+                # draws the predictor's references stand in for).
+                # Registry-only — traces untouched.
+                nonspot_w = sum(
+                    min(perf.power_w, st.guaranteed_by_rack[rid])
+                    for rid, perf in s.outcomes.items()
+                )
+                realized_w = max(
+                    0.0, topology.ups.capacity_w * s.banded.usable_fraction - nonspot_w
+                )
+                error_w = forecast.ups_spot_w - realized_w
+                st.g_forecast_error.set(error_w)
+                st.m_forecast_slots.inc()
+                st.forecast_slots += 1
+                st.forecast_error_sum += error_w
+                st.forecast_abs_error_sum += abs(error_w)
+                if forecast.ups_spot_w <= realized_w + 1e-9:
+                    st.m_forecast_covered.inc()
+                    st.forecast_covered += 1
+            if self.price_predictor is not None:
+                self.price_predictor.observe(result.price)
+            span.set(
+                price=result.price,
+                spot_revenue=spot_revenue,
+                billed_tenants=sum(1 for v in payments.values() if v > 0),
+            )
+
+    def _record(self, s: _Slot, slot_span) -> None:
+        """The slot's registry updates and the ``slot`` span's attributes."""
+        st = self._run
+        result = s.record.result
+        st.m_slots.inc()
+        st.m_bids.inc(len(s.record.bids))
+        if self.telemetry.enabled:
+            # Racks still granted after enforce: degradation control
+            # may have revoked grants the ``grant`` span's
+            # ``granted_racks`` counted, so this can read lower.
+            st.m_grants.inc(result.granted_racks)
+        st.m_revenue.inc(s.spot_revenue)
+        st.g_price.set(result.price)
+        st.g_ups.set(self.monitor.latest_ups_power_w())
+        st.h_price.observe(result.price)
+        st.h_granted.observe(result.total_granted_w)
+        slot_span.set(price=result.price, granted_w=result.total_granted_w)
 
     def finish_run(self) -> SimulationResult:
         """Restore the topology and build the finished result."""
@@ -978,21 +873,22 @@ class SimulationEngine:
             self.step_slot(slot)
         return self.finish_run()
 
-    def _emit_fault_events(self, injector, seen: int, slot: int) -> int:
-        """Bridge newly logged faults into telemetry events."""
+    def _emit_fault_events(self, slot: int) -> None:
+        """Bridge the faults logged since the last bridge into telemetry events."""
+        st = self._run
+        log = self.fault_model.log
         tracer = self.telemetry.tracer
-        if not tracer.enabled:
-            return len(injector.log)
-        registry = self.telemetry.registry
-        for fault in injector.log.tail(seen):
-            tracer.event(
-                f"fault.{fault.kind}",
-                slot=slot,
-                unit_id=fault.unit_id,
-                magnitude=fault.magnitude,
-            )
-            registry.counter("faults_total", {"kind": fault.kind}).inc()
-        return len(injector.log)
+        if tracer.enabled:
+            registry = self.telemetry.registry
+            for fault in log.tail(st.faults_seen):
+                tracer.event(
+                    f"fault.{fault.kind}",
+                    slot=slot,
+                    unit_id=fault.unit_id,
+                    magnitude=fault.magnitude,
+                )
+                registry.counter("faults_total", {"kind": fault.kind}).inc()
+        st.faults_seen = len(log)
 
     def _emit_settlement_events(self, result: SimulationResult, tracer) -> None:
         """One run-scoped invoice event per tenant (audit trail)."""
@@ -1074,13 +970,19 @@ def _empty_record() -> SlotMarketRecord:
     return SlotMarketRecord(result=AllocationResult.empty(), bids=(), payments={})
 
 
+def _build_injector(profile, scenario):
+    """A fault profile's injector, seeded by the profile or else the scenario."""
+    if profile is None:
+        return None
+    return profile.build(seed=profile.seed if profile.seed is not None else scenario.seed)
+
+
 def run_simulation(
     scenario: Scenario,
     slots: int,
     allocator: Allocator | None = None,
     signal: Signal | None = None,
     release_policy: RiskAwareReleasePolicy | None = None,
-    use_price_forecasting: bool = False,
     fault_profile=None,
     telemetry=None,
     checkpoint_every: int | None = None,
@@ -1099,8 +1001,6 @@ def run_simulation(
             against the scenario's ``prediction`` profile.
         release_policy: Risk-aware release policy
             (:mod:`repro.forecast.release`).
-        use_price_forecasting: Provide tenants an EWMA price forecast
-            (strategies that ignore forecasts are unaffected).
         fault_profile: Optional
             :class:`repro.resilience.FaultProfile` to inject faults from
             (overrides the scenario's own profile).
@@ -1115,19 +1015,12 @@ def run_simulation(
             scenario/allocator arguments still shape the engine that is
             *replaced* by the checkpointed state, so pass the same ones.
     """
-    fault_model = None
-    if fault_profile is not None:
-        seed = (
-            fault_profile.seed if fault_profile.seed is not None else scenario.seed
-        )
-        fault_model = fault_profile.build(seed=seed)
     engine = SimulationEngine(
         scenario,
         allocator=allocator,
         signal=signal,
         release_policy=release_policy,
-        price_predictor=EwmaPricePredictor() if use_price_forecasting else None,
-        fault_model=fault_model,
+        fault_model=_build_injector(fault_profile, scenario),
         telemetry=telemetry,
     )
     return engine.run(

@@ -5,10 +5,10 @@ is checked against the object-at-a-time reference clear in
 ``tests/oracle.py``.  Across random facilities — all three bid kinds,
 uniform and per-PDU pricing, extra phase/heat constraints — the two
 must produce identical prices and (to float-summation noise) identical
-grants and profit.  Under a uniform price, two prices whose revenues tie
-exactly may come out of the two sums an ulp apart either way; there the
-prices may differ, as long as the revenues agree and both clears pass
-the Eq. 2-4 check.  Grant extraction is bit-identical by construction
+grants and profit.  Two prices of one market whose revenues tie exactly
+may come out of the two sums an ulp apart either way, under a uniform
+price or in one PDU's market; there the prices may differ, as long as
+the revenues agree and both clears pass the Eq. 2-4 check.  Grant extraction is bit-identical by construction
 (both paths evaluate each bid's own demand at the clearing price), so
 grants are compared with a tight absolute tolerance only to absorb the
 demand-total reordering that may, in principle, shift the scan's
@@ -128,20 +128,24 @@ def market_instances(draw, constraints=False):
     return bids, pdu_spot, ups_spot, tuple(extra)
 
 
+def _assert_revenue_tie(frame_result, object_result, market):
+    """Two prices whose exact revenues tie: the clears sum demand in
+    different orders, and the ulp apart decides which one wins.  Either
+    is a profit-maximising, feasible clear."""
+    bids, pdu_spot, ups_spot, extra = market
+    assert frame_result.revenue_rate == pytest.approx(
+        object_result.revenue_rate, rel=1e-12
+    )
+    for result in (frame_result, object_result):
+        verify_allocation(
+            result, bids, pdu_spot, ups_spot, extra_constraints=extra
+        )
+
+
 def _assert_results_match(frame_result, object_result, market):
     assert frame_result.candidate_prices == object_result.candidate_prices
     if frame_result.price != object_result.price:
-        # Two prices whose exact revenues tie: the clears sum demand in
-        # different orders, and the ulp apart decides which one wins.
-        # Either is a profit-maximising, feasible clear.
-        bids, pdu_spot, ups_spot, extra = market
-        assert frame_result.revenue_rate == pytest.approx(
-            object_result.revenue_rate, rel=1e-12
-        )
-        for result in (frame_result, object_result):
-            verify_allocation(
-                result, bids, pdu_spot, ups_spot, extra_constraints=extra
-            )
+        _assert_revenue_tie(frame_result, object_result, market)
         return
     assert frame_result.revenue_rate == pytest.approx(
         object_result.revenue_rate, abs=1e-9
@@ -154,7 +158,8 @@ def _assert_results_match(frame_result, object_result, market):
 
 
 #: A revenue tie in exact arithmetic: 0.1 * (29.91 + 15.11 + 14.8) ==
-#: 0.2 * (15.11 + 14.8).  The frame clear takes 0.1, the oracle 0.2.
+#: 0.2 * (15.11 + 14.8).  The frame clear takes 0.1, the oracle 0.2,
+#: under either pricing (one PDU).
 _TIED = (
     [
         RackBid("r0", "p0", "t0", StepBid(29.91, 0.1), 150.0),
@@ -209,13 +214,16 @@ class TestUniformPricingParity:
 
 class TestPerPduPricingParity:
     @given(data=market_instances())
+    @example(data=_TIED)
     @settings(max_examples=100, deadline=None)
     def test_paths_identical(self, data):
         bids, pdu_spot, ups_spot, _ = data
         engine = MarketClearing(params=PARAMS)
         object_result = oracle.clear_per_pdu(engine, bids, pdu_spot, ups_spot)
         frame_result = engine.clear_per_pdu(bids, pdu_spot, ups_spot)
-        assert frame_result.pdu_prices == object_result.pdu_prices
+        if frame_result.pdu_prices != object_result.pdu_prices:
+            _assert_revenue_tie(frame_result, object_result, data)
+            return
         assert frame_result.price == pytest.approx(object_result.price, abs=1e-9)
         assert frame_result.revenue_rate == pytest.approx(
             object_result.revenue_rate, abs=1e-9
@@ -232,7 +240,9 @@ class TestPerPduPricingParity:
             engine, bids, pdu_spot, ups_spot, extra
         )
         frame_result = engine.clear_per_pdu(bids, pdu_spot, ups_spot, extra)
-        assert frame_result.pdu_prices == object_result.pdu_prices
+        if frame_result.pdu_prices != object_result.pdu_prices:
+            _assert_revenue_tie(frame_result, object_result, data)
+            return
         for rack_id, grant in object_result.grants_w.items():
             assert frame_result.grants_w[rack_id] == pytest.approx(grant, abs=1e-9)
 

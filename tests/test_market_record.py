@@ -29,6 +29,12 @@ class TestSpotDCAllocatorConfig:
         assert allocator.charges_tenants
         assert allocator.provisions_spot
 
+    def test_the_integrity_check_is_always_on(self):
+        # The Eq. 2-4 check runs on every clear; there is no switch.
+        assert SpotDCAllocator.verify is True
+        with pytest.raises(TypeError):
+            SpotDCAllocator(verify=False)
+
 
 class TestSlotMarketRecord:
     def test_payments_keyed_by_tenant(self):

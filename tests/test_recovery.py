@@ -117,6 +117,24 @@ class TestCheckpointResume:
         # The profile genuinely perturbed both runs.
         assert reference.faults is not None and reference.faults.count() > 0
 
+    def test_stale_grant_in_flight_resumes_identically(self, tmp_path):
+        # Grants delayed at slots 6-8 are still in flight when slot 8's
+        # checkpoint is cut; the run crashes at slot 9, and one of them
+        # lands at slot 10 after the resume.  The delayed grants travel
+        # in the checkpoint, so the resumed run lands the same stale
+        # budgets as the uninterrupted one.
+        profile = FaultProfile(delay_probability=0.5, seed=3)
+        reference = run_simulation(build_testbed(seed=3), SLOTS, fault_profile=profile)
+        delayed = reference.faults.of_kind("grant_delayed")
+        landed = reference.faults.of_kind("stale_grant_applied")
+        assert any(6 <= r.slot <= 8 for r in delayed)
+        assert any(r.slot > 9 for r in landed)
+        resumed = _crashed_then_resumed(
+            tmp_path, seed=3, fault_profile=profile, crash_at=9
+        )
+        assert resumed.faults.records == reference.faults.records
+        _assert_results_equal(resumed, reference)
+
     def test_telemetry_run_resumes_byte_identically(self, tmp_path):
         # The resumed run keeps exporting into the crashed run's
         # telemetry directory: the stitched trace must equal the
@@ -391,6 +409,20 @@ class TestCheckpointEnvelope:
         )
         with pytest.raises(RecoveryError, match="format"):
             load_checkpoint(path)
+
+    def test_previous_format_is_refused(self, tmp_path, monkeypatch):
+        # A format-7 checkpoint kept the delayed grants in flight on the
+        # engine, where this build no longer looks for them.
+        monkeypatch.setattr(checkpoint_module, "CHECKPOINT_FORMAT", 7)
+        SimulationEngine(build_testbed(seed=1)).run(
+            6, checkpoint_every=2, checkpoint_dir=tmp_path
+        )
+        monkeypatch.undo()
+        (*_, path) = sorted(tmp_path.glob("checkpoint_*.pkl"))
+        with pytest.raises(RecoveryError, match="has format 7"):
+            load_checkpoint(path)
+        with pytest.warns(UserWarning, match="has format 7"):
+            assert latest_checkpoint(tmp_path) is None
 
     def test_horizon_mismatch_raises(self, tmp_path):
         engine = SimulationEngine(build_testbed(seed=1))

@@ -189,6 +189,30 @@ class TestInjector:
         assert fault.kind == "lost"
         assert inj.log.lost_grants == 1
 
+    def test_deliver_grants_draws_once_per_positive_grant_in_order(self):
+        # The same draws as querying each positively granted rack by
+        # hand, in grant order; zero grants draw nothing.
+        def twin():
+            return injector(
+                GrantDelaySource(probability=0.5, delay_slots=2),
+                BernoulliLoss("grant", 0.3),
+            )
+
+        grants = {f"r{i}": 10.0 * (i % 3) for i in range(12)}
+        batch, by_hand = twin(), twin()
+        lost, delayed = batch.deliver_grants(1, grants)
+        faults = {
+            rack_id: by_hand.grant_fault(1, rack_id, grant)
+            for rack_id, grant in grants.items()
+            if grant > 0
+        }
+        assert lost == [r for r, f in faults.items() if f is not None and f.kind == "lost"]
+        assert delayed == [
+            r for r, f in faults.items() if f is not None and f.kind == "delayed"
+        ]
+        assert lost and delayed
+        assert batch.log.records == by_hand.log.records
+
     def test_identical_seeds_identical_traces(self):
         # Property: two injectors with the same sources and seed produce
         # identical fault traces over any query sequence.
