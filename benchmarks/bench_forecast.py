@@ -60,6 +60,8 @@ PAIRS = 201 if SMOKE else 101
 REPEATS = 5
 #: History depth recorded before timing (> the 5-slot window).
 WARM_SLOTS = 40
+#: Monitor window: the widest lookback of the signals timed here.
+KEEP = build_signal("ensemble").lookback
 
 #: Frontier smoke size — the tier-2 CI invocation uses the same slots.
 FRONTIER_SLOTS = 120
@@ -74,7 +76,7 @@ def _warm_monitor(racks: int):
         for i in range(racks)
     ]
     topology = PowerTopology.build(Ups("ups", racks * 500.0), pdus, rack_objs)
-    monitor = PowerMonitor(topology)
+    monitor = PowerMonitor(topology, KEEP)
     rng = np.random.default_rng(DEFAULT_SEED)
     for _ in range(WARM_SLOTS):
         draws = rng.uniform(50.0, 290.0, racks)

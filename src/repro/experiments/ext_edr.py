@@ -39,24 +39,19 @@ static-price baseline on operator profit under every shock schedule.
 from __future__ import annotations
 
 import dataclasses
-import pathlib
-import tempfile
-
-import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.config import DEFAULT_SEED
 from repro.core.baselines import PowerCappedAllocator
 from repro.economics.settlement import build_all_invoices, reconcile
-from repro.errors import OperatorCrash, SimulationError
+from repro.errors import SimulationError
 from repro.events import DeratingCascade, EdrShock, EventProfile, PriceSpike
 from repro.experiments.common import parallel_map
-from repro.recovery import load_latest_checkpoint
+from repro.experiments.ext_resilience import _crash_and_resume
 from repro.resilience import FaultProfile
 from repro.sim.engine import run_simulation
 from repro.sim.results import SimulationResult
 from repro.sim.scenario import testbed_scenario
-from repro.telemetry import TelemetryConfig
 
 __all__ = [
     "DEFAULT_SLOTS",
@@ -316,8 +311,8 @@ def run_edr_recovery_check(
 ) -> EdrRecoveryCell:
     """Crash the operator *inside* an event window, resume, compare.
 
-    Mirrors :func:`repro.experiments.ext_resilience.run_recovery_check`
-    but places the injected crash mid-event, so the resumed run must
+    The check of :func:`repro.experiments.ext_resilience.run_recovery_check`,
+    with the injected crash placed mid-event, so the resumed run must
     replay the remaining event window — cuts still in force, ladder
     state, compliance watches — from the pickled checkpoint alone.  The
     check is exact: byte-identical JSONL trace, equal numeric results,
@@ -331,51 +326,10 @@ def run_edr_recovery_check(
     crashing = dataclasses.replace(
         FaultProfile.named("none", 0.0), seed=seed, crash_at_slot=crash_at
     )
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = pathlib.Path(tmp)
-        ckpt_dir = tmp / "ckpt"
-        try:
-            run_simulation(
-                _shocked_scenario(seed, profile),
-                slots,
-                fault_profile=crashing,
-                telemetry=TelemetryConfig(out_dir=tmp / "crashed", label="run"),
-                checkpoint_every=checkpoint_every,
-                checkpoint_dir=ckpt_dir,
-            )
-        except OperatorCrash:
-            pass
-        else:
-            raise SimulationError(
-                f"injected mid-event crash at slot {crash_at} never fired"
-            )
-        checkpoint = load_latest_checkpoint(ckpt_dir)
-        if checkpoint is None:
-            raise SimulationError("crashed run left no checkpoint behind")
-        resumed_slot = checkpoint["slot"] + 1
-        resumed = run_simulation(
-            _shocked_scenario(seed, profile),
-            slots,
-            fault_profile=crashing,
-            resume_from=checkpoint,
+    resumed_slot, trace_identical, result_identical, resumed, reference = (
+        _crash_and_resume(
+            lambda: _shocked_scenario(seed, profile), slots, crashing, None, checkpoint_every
         )
-        reference = run_simulation(
-            _shocked_scenario(seed, profile),
-            slots,
-            telemetry=TelemetryConfig(
-                out_dir=tmp / "reference", label="run"
-            ),
-        )
-        trace_identical = (
-            (tmp / "crashed" / "run_trace.jsonl").read_bytes()
-            == (tmp / "reference" / "run_trace.jsonl").read_bytes()
-        )
-    result_identical = (
-        np.array_equal(resumed.price_series(), reference.price_series())
-        and np.array_equal(
-            resumed.ups_power_series(), reference.ups_power_series()
-        )
-        and resumed.total_spot_revenue() == reference.total_spot_revenue()
     )
     return EdrRecoveryCell(
         schedule=schedule,

@@ -286,12 +286,41 @@ def run_recovery_check(
     crash_at = crash_at if crash_at is not None else max(2, 2 * slots // 3)
     base = dataclasses.replace(FaultProfile.named(fault_class, intensity), seed=seed)
     crashing = dataclasses.replace(base, crash_at_slot=crash_at)
+    resumed_slot, trace_identical, result_identical, _, _ = _crash_and_resume(
+        lambda: testbed_scenario(seed=seed), slots, crashing, base, checkpoint_every
+    )
+    return RecoveryCell(
+        fault_class=fault_class,
+        intensity=intensity,
+        crash_slot=crash_at,
+        resumed_slot=resumed_slot,
+        trace_identical=trace_identical,
+        result_identical=result_identical,
+    )
+
+
+def _crash_and_resume(scenario, slots, crashing, reference_profile, checkpoint_every):
+    """The crash/resume comparison behind every recovery check.
+
+    Runs a victim on a fresh ``scenario()`` that checkpoints every
+    ``checkpoint_every`` slots until ``crashing``'s injected crash kills
+    it, resumes it from its latest checkpoint, and runs the
+    uninterrupted reference under ``reference_profile`` (``None``: the
+    scenario's own).
+
+    Returns:
+        ``(resumed_slot, trace_identical, result_identical, resumed,
+        reference)``: the first slot the resume replayed, whether the
+        stitched JSONL trace equals the reference's byte for byte,
+        whether prices, UPS power and revenue match with no tolerance,
+        and the two finished results.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         ckpt_dir = tmp / "ckpt"
         try:
             run_simulation(
-                testbed_scenario(seed=seed),
+                scenario(),
                 slots,
                 fault_profile=crashing,
                 telemetry=TelemetryConfig(out_dir=tmp / "crashed", label="run"),
@@ -302,25 +331,21 @@ def run_recovery_check(
             pass
         else:
             raise SimulationError(
-                f"injected crash at slot {crash_at} never fired"
+                f"injected crash at slot {crashing.crash_at_slot} never fired"
             )
         checkpoint = load_latest_checkpoint(ckpt_dir)
         if checkpoint is None:
             raise SimulationError("crashed run left no checkpoint behind")
-        resumed_slot = checkpoint["slot"] + 1
         # The scenario/telemetry arguments here only shape the engine
         # that the checkpointed state *replaces*; the resumed run keeps
         # exporting into the crashed run's telemetry directory.
         resumed = run_simulation(
-            testbed_scenario(seed=seed),
-            slots,
-            fault_profile=crashing,
-            resume_from=checkpoint,
+            scenario(), slots, fault_profile=crashing, resume_from=checkpoint
         )
         reference = run_simulation(
-            testbed_scenario(seed=seed),
+            scenario(),
             slots,
-            fault_profile=base,
+            fault_profile=reference_profile,
             telemetry=TelemetryConfig(out_dir=tmp / "reference", label="run"),
         )
         trace_identical = (
@@ -334,14 +359,7 @@ def run_recovery_check(
         )
         and resumed.total_spot_revenue() == reference.total_spot_revenue()
     )
-    return RecoveryCell(
-        fault_class=fault_class,
-        intensity=intensity,
-        crash_slot=crash_at,
-        resumed_slot=resumed_slot,
-        trace_identical=trace_identical,
-        result_identical=result_identical,
-    )
+    return checkpoint["slot"] + 1, trace_identical, result_identical, resumed, reference
 
 
 def run_duplicate_neutrality_check(

@@ -157,6 +157,12 @@ class Signal(abc.ABC):
         """Fraction of physical capacity the market may ever see."""
         return 1.0 - self.safety_margin_fraction
 
+    @property
+    def lookback(self) -> int:
+        """Slots of monitor history the signal reads: the engine's
+        monitor keeps at least this many."""
+        return self.window
+
     def forecast_slot(self, topology, requesting, monitor, slot: int) -> BandedForecast:
         """Forecast next-slot headroom from the monitor's telemetry.
 
@@ -268,6 +274,10 @@ class RollingMaxSignal(_PredictorSignal):
     #: Short window used for the optimistic edge of the band.
     SHORT_WINDOW = 5
 
+    @property
+    def lookback(self) -> int:
+        return max(self.window, self.SHORT_WINDOW)
+
     def references(self, topology, monitor) -> dict:
         window = self.window
         return {
@@ -314,17 +324,16 @@ class MovingAverageSignal(_PredictorSignal):
         window = self.window
         references = {}
         for rack_id in topology.racks:
-            series = monitor.rack_series(rack_id)
-            tail = series[-window:]
+            tail = monitor.rack_recent_w(rack_id, window)
             references[rack_id] = float(tail.mean()) if tail.size else 0.0
         return references
 
     def band(self, point, topology, requesting, monitor) -> BandedForecast:
         pdu_sigma = {}
         for pdu_id in topology.pdus:
-            tail = monitor.pdu_series(pdu_id)[-self.window :]
+            tail = monitor.pdu_recent_w(pdu_id, self.window)
             pdu_sigma[pdu_id] = float(tail.std()) if tail.size >= 2 else 0.0
-        ups_tail = monitor.ups_series()[-self.window :]
+        ups_tail = monitor.ups_recent_w(self.window)
         ups_sigma = float(ups_tail.std()) if ups_tail.size >= 2 else 0.0
         return self._gaussian_band(point, topology, pdu_sigma, ups_sigma)
 
@@ -347,7 +356,7 @@ class Ar1Signal(_PredictorSignal):
         references = {}
         self._residual_var = {}
         for rack_id in topology.racks:
-            tail = monitor.rack_series(rack_id)[-self.window :]
+            tail = monitor.rack_recent_w(rack_id, self.window)
             if tail.size < 3:
                 references[rack_id] = float(tail[-1]) if tail.size else 0.0
                 self._residual_var[rack_id] = 0.0
@@ -409,6 +418,10 @@ class QuantileEnsembleSignal(_PredictorSignal):
                 Ar1Signal(**kwargs),
             )
 
+    @property
+    def lookback(self) -> int:
+        return max(self.band_window + 1, *(m.lookback for m in self.members))
+
     def references(self, topology, monitor) -> dict:
         member_refs = [m.references(topology, monitor) for m in self.members]
         return {
@@ -416,8 +429,8 @@ class QuantileEnsembleSignal(_PredictorSignal):
             for rack_id in topology.racks
         }
 
-    def _innovation_offsets(self, series) -> "np.ndarray | None":
-        innovations = np.diff(series[-(self.band_window + 1) :])
+    def _innovation_offsets(self, tail) -> "np.ndarray | None":
+        innovations = np.diff(tail)
         if innovations.size < 2:
             return None
         # Offset at knot level q: minus the (1-q)-innovation quantile.
@@ -428,14 +441,16 @@ class QuantileEnsembleSignal(_PredictorSignal):
         pdu_quantiles = {}
         degenerate = False
         for pdu_id, headroom in point.pdu_spot_w.items():
-            offsets = self._innovation_offsets(monitor.pdu_series(pdu_id))
+            offsets = self._innovation_offsets(
+                monitor.pdu_recent_w(pdu_id, self.band_window + 1)
+            )
             if offsets is None:
                 degenerate = True
                 break
             pdu_quantiles[pdu_id] = tuple(
                 max(0.0, headroom + off * factor) for off in offsets
             )
-        ups_offsets = self._innovation_offsets(monitor.ups_series())
+        ups_offsets = self._innovation_offsets(monitor.ups_recent_w(self.band_window + 1))
         if degenerate or ups_offsets is None:
             return BandedForecast(point=point, usable_fraction=self.usable_fraction)
         ups_quantiles = tuple(

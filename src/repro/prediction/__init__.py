@@ -1,18 +1,8 @@
-"""Operator- and tenant-side prediction: next-slot spot capacity and
-market-price forecasting.
-"""
+"""Operator-side prediction: next-slot spot capacity."""
 
-from repro.prediction.price import (
-    EwmaPricePredictor,
-    OraclePricePredictor,
-    PricePredictor,
-)
 from repro.prediction.spot import SpotCapacityForecast, SpotCapacityPredictor
 
 __all__ = [
-    "EwmaPricePredictor",
-    "OraclePricePredictor",
-    "PricePredictor",
     "SpotCapacityForecast",
     "SpotCapacityPredictor",
 ]

@@ -13,18 +13,19 @@ the scenario's size or the run's length.  The *run inputs* go to
 ``inputs_<digest>.pkl`` once per run: their holders name them in
 ``run_inputs`` and leave them out of their pickles, and
 :func:`load_checkpoint` re-attaches them by rack and tenant id.  The
-per-slot *history* of the metrics collector and the power monitor goes
-to one append-only segment, ``history_<digest>.seg``: each checkpoint
-appends the slots since the previous one and records the segment's
-length and chained digest, a load reads exactly that prefix, and the
-next save cuts off whatever follows it.  ``checkpoint_<slot>.pkl`` holds
-the *live* state; with telemetry on it keeps the ``RunTrace`` spans,
-and it keeps the fault, emergency and degradation logs, which grow per
-event, not per slot.  Derived caches (the frame builder's frame,
-tenants' value curves) are not written; the restored run rebuilds them
-bit for bit.  Only the newest two checkpoint files are kept, so
-:func:`load_latest_checkpoint` can fall back when the newest is corrupt;
-the envelope it validated is what a resume adopts.
+per-slot *history* — the metrics collector's series, the run record —
+goes to one append-only segment, ``history_<digest>.seg``: each
+checkpoint appends the slots since the previous one and records the
+segment's length and chained digest, a load reads exactly that prefix,
+and the next save cuts off whatever follows it.
+``checkpoint_<slot>.pkl`` holds the *live* state, the power monitor's
+fixed window of recent draws included; with telemetry on it keeps the
+``RunTrace`` spans, and it keeps the fault, emergency and degradation
+logs, which grow per event, not per slot.  Derived caches (the frame
+builder's frame, tenants' value curves) are not written; the restored
+run rebuilds them bit for bit.  Only the newest two checkpoint files
+are kept, so :func:`load_latest_checkpoint` can fall back when the
+newest is corrupt; the envelope it validated is what a resume adopts.
 
 Format & compatibility policy
 -----------------------------
@@ -78,7 +79,10 @@ __all__ = [
 #: 7: ``Scenario`` and ``SpotDCAllocator`` lose their shard fields.
 #: 8: the fault injector holds the delayed grants in flight (the engine
 #: no longer does), and ``SpotDCAllocator`` loses its ``verify`` field.
-CHECKPOINT_FORMAT = 8
+#: 9: the power monitor pickles its window of recent draws and writes no
+#: history; the collector drops its PDU power and forecast PDU total
+#: series; the engine loses its ``price_predictor``.
+CHECKPOINT_FORMAT = 9
 
 _MAGIC = "spotdc-checkpoint"
 _NAME_RE = re.compile(r"^checkpoint_(\d{6,})\.pkl$")
@@ -201,12 +205,7 @@ def _input_holders(engine) -> dict:
 
 def _append_history(engine, cursor: _Cursor) -> _Cursor:
     """Write the slots since ``cursor`` at its offset, cutting off any tail."""
-    payload = _dumps(
-        (
-            engine.collector.history_since(cursor.slots),
-            engine.monitor.history_since(cursor.slots),
-        )
-    )
+    payload = _dumps(engine.collector.history_since(cursor.slots))
     record = len(payload).to_bytes(8, "little") + payload
     with open(cursor.file("history"), "r+b" if cursor.offset else "wb") as fh:
         fh.seek(cursor.offset)
@@ -244,13 +243,9 @@ def _restore(engine, cursor: _Cursor) -> None:
         pos = end
     if pos != cursor.offset or chain != cursor.chain:
         raise RecoveryError(f"{cursor.file('history')} does not match the envelope's digest")
-    collected, monitored = [], []
-    for record in records:
-        collector_rows, monitor_rows = pickle.loads(record)
-        collected += collector_rows
-        monitored += monitor_rows
-    engine.collector.extend_history(collected)
-    engine.monitor.extend_history(monitored)
+    engine.collector.extend_history(
+        [row for record in records for row in pickle.loads(record)]
+    )
 
 
 def load_checkpoint(path: str | Path) -> dict:

@@ -63,7 +63,6 @@ from repro.forecast.release import RiskAwareReleasePolicy
 from repro.forecast.signals import CurrentDrawSignal, Signal
 from repro.infrastructure.emergencies import EmergencyLog
 from repro.infrastructure.monitor import PowerMonitor
-from repro.prediction.price import PricePredictor
 from repro.recovery.checkpoint import load_checkpoint, save_checkpoint
 from repro.recovery.deadline import (
     ClearingDeadlineGuard,
@@ -163,11 +162,9 @@ class SimulationEngine:
             ``None`` falls back to the scenario's ``prediction`` profile
             (when the signal also came from it) and then to releasing
             the point forecast — the paper's behaviour.
-        price_predictor: Tenant-side market-price forecaster handed to
-            bidding strategies (only strategies that use forecasts react
-            to it).  ``None`` disables forecasting.
         reference_window: Rolling window (slots) for the conservative
-            per-rack reference power used in spot-capacity prediction.
+            per-rack reference power: the default signal's window, and
+            the true-draw window degradation control projects from.
         constraint_provider: Optional zero-argument callable returning
             this slot's extra capacity constraints (phase balance, heat
             density) — evaluated after telemetry is current, e.g.
@@ -207,7 +204,6 @@ class SimulationEngine:
         allocator: Allocator | None = None,
         signal: Signal | None = None,
         release_policy: RiskAwareReleasePolicy | None = None,
-        price_predictor: PricePredictor | None = None,
         reference_window: int = 5,
         constraint_provider=None,
         fault_model=None,
@@ -251,8 +247,11 @@ class SimulationEngine:
                 signal = CurrentDrawSignal(window=reference_window)
         self.signal = signal
         self.release_policy = release_policy or RiskAwareReleasePolicy()
-        self.price_predictor = price_predictor
-        self.monitor = PowerMonitor(scenario.topology, history_slots=200_000)
+        # The monitor keeps what its readers need: the signal's lookback
+        # and degradation control's true-draw window.
+        self.monitor = PowerMonitor(
+            scenario.topology, max(signal.lookback, reference_window)
+        )
         self.emergencies = EmergencyLog()
         self.ledger = OperatorLedger(
             price_sheet=scenario.price_sheet,
@@ -498,7 +497,6 @@ class SimulationEngine:
                 span.set(price=0.0, granted_racks=0, granted_w=0.0)
             return
         registry = self.telemetry.registry
-        predicted_price = self.price_predictor.predict() if self.price_predictor else None
         extra_constraints = (
             tuple(self.constraint_provider()) if self.constraint_provider is not None else ()
         )
@@ -513,7 +511,6 @@ class SimulationEngine:
             active,
             s.forecast,
             st.slot_seconds,
-            predicted_price,
             extra_constraints=extra_constraints,
             tracer=tracer,
             submitted_bids=submitted_bids,
@@ -720,9 +717,7 @@ class SimulationEngine:
                 grants_w=result.grants_w,
                 spot_revenue=spot_revenue,
                 forecast_ups_w=forecast.ups_spot_w,
-                forecast_pdu_total_w=forecast.total_pdu_spot_w,
                 ups_power_w=self.monitor.latest_ups_power_w(),
-                pdu_power_w={p: self.monitor.latest_pdu_power_w(p) for p in topology.pdus},
                 rack_outcomes=s.outcomes,
                 payments=payments,
                 wanted_rack_ids=s.requesting,
@@ -750,8 +745,6 @@ class SimulationEngine:
                 if forecast.ups_spot_w <= realized_w + 1e-9:
                     st.m_forecast_covered.inc()
                     st.forecast_covered += 1
-            if self.price_predictor is not None:
-                self.price_predictor.observe(result.price)
             span.set(
                 price=result.price,
                 spot_revenue=spot_revenue,

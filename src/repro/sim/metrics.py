@@ -1,10 +1,12 @@
 """Per-slot metrics collection for simulation runs.
 
-The collector is append-only during a run and finalises into the numpy
-arrays that :class:`repro.sim.results.SimulationResult` exposes.  It
-records exactly the quantities the paper's evaluation plots: market
-price and grants (Fig. 10), per-rack performance (Fig. 11), payments and
-energy (Fig. 12), PDU/UPS power (Fig. 13), and forecast spot capacity
+The collector is the run record, the only per-slot history a run keeps
+(the power monitor holds just the recent slots the forecast reads).  It
+is append-only during a run and finalises into the numpy arrays that
+:class:`repro.sim.results.SimulationResult` exposes.  It records exactly
+the quantities the paper's evaluation plots: market price and grants
+(Fig. 10), per-rack performance (Fig. 11), payments and energy
+(Fig. 12), UPS power (Fig. 13), and forecast spot capacity
 (Figs. 14-15).
 """
 
@@ -21,12 +23,9 @@ __all__ = ["MetricsCollector"]
 
 #: The per-slot series, facility-wide and per id: checkpoints append them
 #: to a history segment, not the pickle (:mod:`repro.recovery.checkpoint`).
-_SERIES = (
-    "_price", "_spot_granted", "_spot_revenue", "_forecast_ups",
-    "_forecast_pdu_total", "_ups_power",
-)
+_SERIES = ("_price", "_spot_granted", "_spot_revenue", "_forecast_ups", "_ups_power")
 _SERIES_BY_ID = (
-    "_pdu_power", "_pdu_price", "_rack_power", "_rack_perf", "_rack_wanted",
+    "_pdu_price", "_rack_power", "_rack_perf", "_rack_wanted",
     "_rack_granted", "_rack_slo_violation", "_tenant_payment",
 )
 
@@ -49,9 +48,7 @@ class MetricsCollector:
         self._spot_granted: list[float] = []
         self._spot_revenue: list[float] = []
         self._forecast_ups: list[float] = []
-        self._forecast_pdu_total: list[float] = []
         self._ups_power: list[float] = []
-        self._pdu_power: dict[str, list[float]] = {p: [] for p in pdu_ids}
         self._pdu_price: dict[str, list[float]] = {p: [] for p in pdu_ids}
         self._rack_power: dict[str, list[float]] = {r: [] for r in rack_ids}
         self._rack_perf: dict[str, list[float]] = {r: [] for r in rack_ids}
@@ -96,9 +93,7 @@ class MetricsCollector:
         grants_w: Mapping[str, float],
         spot_revenue: float,
         forecast_ups_w: float,
-        forecast_pdu_total_w: float,
         ups_power_w: float,
-        pdu_power_w: Mapping[str, float],
         rack_outcomes: Mapping[str, SlotPerformance],
         payments: Mapping[str, float],
         wanted_rack_ids: frozenset[str] | set[str] = frozenset(),
@@ -122,11 +117,9 @@ class MetricsCollector:
         self._spot_granted.append(sum(grants_w.values()))
         self._spot_revenue.append(spot_revenue)
         self._forecast_ups.append(forecast_ups_w)
-        self._forecast_pdu_total.append(forecast_pdu_total_w)
         self._ups_power.append(ups_power_w)
         pdu_prices = pdu_prices or {}
         for pdu_id in self.pdu_ids:
-            self._pdu_power[pdu_id].append(pdu_power_w.get(pdu_id, 0.0))
             # Under locational pricing each PDU has its own price; under
             # a facility-wide price every PDU shares the headline price.
             self._pdu_price[pdu_id].append(pdu_prices.get(pdu_id, price))
@@ -160,10 +153,6 @@ class MetricsCollector:
     def forecast_ups_array(self) -> np.ndarray:
         """Forecast UPS spot capacity per slot, watts."""
         return np.asarray(self._forecast_ups)
-
-    def forecast_pdu_total_array(self) -> np.ndarray:
-        """Summed forecast PDU spot capacity per slot, watts."""
-        return np.asarray(self._forecast_pdu_total)
 
     def ups_power_array(self) -> np.ndarray:
         """Facility draw per slot, watts."""

@@ -7,7 +7,6 @@ from repro.core.baselines import MaxPerfAllocator, PowerCappedAllocator
 from repro.core.market import SpotDCAllocator
 from repro.errors import SimulationError
 from repro.forecast import CurrentDrawSignal
-from repro.prediction.price import EwmaPricePredictor
 from repro.sim.engine import SimulationEngine, run_simulation
 from repro.sim.scenario import testbed_scenario as build_testbed
 
@@ -139,13 +138,6 @@ class TestAllocatorVariants:
             under.collector.spot_granted_array().sum()
             <= exact.collector.spot_granted_array().sum() + 1e-6
         )
-
-    def test_price_forecasting_runs(self):
-        engine = SimulationEngine(
-            build_testbed(seed=21), price_predictor=EwmaPricePredictor()
-        )
-        result = engine.run(200)
-        assert result.slots == 200
 
     def test_oracle_rebid_runs(self):
         result = run_simulation(

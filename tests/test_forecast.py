@@ -55,11 +55,15 @@ def make_topology() -> PowerTopology:
     )
 
 
-def feed(seed: int, slots: int, low: float = 0.0, high: float = 290.0):
+#: A monitor window long enough for every signal at its defaults.
+KEEP = max(build_signal(name).lookback for name in SIGNAL_NAMES)
+
+
+def feed(seed: int, slots: int, low: float = 0.0, high: float = 290.0, keep: int = KEEP):
     """A monitored topology with ``slots`` of seeded rack draws recorded."""
     rng = np.random.default_rng(seed)
     topology = make_topology()
-    monitor = PowerMonitor(topology)
+    monitor = PowerMonitor(topology, keep)
     for _ in range(slots):
         monitor.record_slot(
             {
@@ -139,10 +143,10 @@ def test_ensemble_coverage_matches_nominal():
         "r1": np.clip(rng.normal(180.0, 12.0, n), 100.0, 290.0),
     }
     topology = make_topology()
-    monitor = PowerMonitor(topology)
     signal = QuantileEnsembleSignal(
         members=(CurrentDrawSignal(window=1),), band_window=400
     )
+    monitor = PowerMonitor(topology, signal.lookback)
     usable = signal.usable_fraction
     quantiles = (0.25, 0.5, 0.75)
     covered = {q: 0 for q in quantiles}
@@ -164,6 +168,60 @@ def test_ensemble_coverage_matches_nominal():
     assert total > 400
     for q in quantiles:
         assert abs(covered[q] / total - (1.0 - q)) < 0.12
+
+
+# -- Property: a monitor keeping the lookback forecasts like one keeping all
+
+
+def _bits(banded) -> tuple:
+    """Every float of a banded forecast, exactly (signed zeros apart)."""
+    point = banded.point
+    return (
+        sorted((k, v.hex()) for k, v in point.pdu_spot_w.items()),
+        point.ups_spot_w.hex(),
+        banded.quantiles,
+        sorted((k, [v.hex() for v in vs]) for k, vs in banded.pdu_quantiles.items()),
+        [v.hex() for v in banded.ups_quantiles],
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    signal_name=st.sampled_from(SIGNAL_NAMES),
+    window=st.one_of(st.none(), st.integers(min_value=1, max_value=70)),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    length=st.sampled_from([(0, 3), (1, -1), (1, 0), (1, 1), (3, 7)]),
+    requesting=st.sampled_from([(), ("r0",), ("r0", "r1")]),
+)
+def test_lookback_window_forecasts_like_the_whole_history(
+    signal_name, window, seed, length, requesting
+):
+    # The engine's monitor keeps only ``signal.lookback`` slots: every
+    # signal must read nothing older, so its point and band equal, bit
+    # for bit, what it reads from a monitor that kept every slot fed.
+    signal = build_signal(signal_name, window=window)
+    lookback = signal.lookback
+    lookbacks, extra = length
+    slots = max(1, lookbacks * lookback + extra)
+    rng = np.random.default_rng(seed)
+    bounded_topology, whole_topology = make_topology(), make_topology()
+    bounded = PowerMonitor(bounded_topology, lookback)
+    whole = PowerMonitor(whole_topology, max(slots, lookback))
+    for _ in range(slots):
+        draws = {rid: float(rng.uniform(0.0, 290.0)) for rid in ("r0", "r1")}
+        bounded.record_slot(draws)
+        whole.record_slot(draws)
+    expected = signal.forecast_slot(whole_topology, requesting, whole, slots)
+    got = signal.forecast_slot(bounded_topology, requesting, bounded, slots)
+    assert _bits(got) == _bits(expected)
+
+
+def test_lookback_covers_what_each_signal_reads():
+    assert [build_signal(name).lookback for name in SIGNAL_NAMES] == [5, 30, 12, 60, 201]
+    assert build_signal("rolling_max", window=2).lookback == 5
+    assert build_signal("ensemble", window=90).lookback == 201
+    wide = QuantileEnsembleSignal(members=(CurrentDrawSignal(window=300),))
+    assert wide.lookback == 300
 
 
 # -- Unit: band mechanics and validation -------------------------------

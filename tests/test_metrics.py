@@ -36,9 +36,7 @@ def record(collector, slot=0, price=0.1, grants=None, wanted=frozenset(),
         grants_w=grants,
         spot_revenue=0.01,
         forecast_ups_w=100.0,
-        forecast_pdu_total_w=120.0,
         ups_power_w=90.0,
-        pdu_power_w={"p1": 90.0},
         rack_outcomes={"r1": perf(slot), "r2": perf(slot, value=30.0)},
         payments=payments or {},
         wanted_rack_ids=wanted,
@@ -56,8 +54,7 @@ class TestRecording:
         with pytest.raises(SimulationError):
             collector.record_slot(
                 price=0.1, grants_w={}, spot_revenue=0.0,
-                forecast_ups_w=0.0, forecast_pdu_total_w=0.0,
-                ups_power_w=0.0, pdu_power_w={},
+                forecast_ups_w=0.0, ups_power_w=0.0,
                 rack_outcomes={"r1": perf()}, payments={},
             )
 
@@ -104,4 +101,3 @@ class TestArrays:
     def test_forecast_arrays(self, collector):
         record(collector)
         assert collector.forecast_ups_array()[0] == 100.0
-        assert collector.forecast_pdu_total_array()[0] == 120.0

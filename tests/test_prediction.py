@@ -1,4 +1,4 @@
-"""Spot-capacity and market-price predictors."""
+"""The spot-capacity predictor."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.infrastructure.pdu import Pdu
 from repro.infrastructure.rack import Rack
 from repro.infrastructure.topology import PowerTopology
 from repro.infrastructure.ups import Ups
-from repro.prediction.price import EwmaPricePredictor, OraclePricePredictor
 from repro.prediction.spot import SpotCapacityPredictor
 
 
@@ -92,57 +91,3 @@ class TestSpotCapacityPredictor:
             SpotCapacityPredictor(under_prediction_factor=0.0)
         with pytest.raises(ConfigurationError):
             SpotCapacityPredictor(safety_margin_fraction=1.0)
-
-
-class TestEwmaPricePredictor:
-    def test_none_before_observation(self):
-        assert EwmaPricePredictor().predict() is None
-
-    def test_first_observation_sets_estimate(self):
-        predictor = EwmaPricePredictor(alpha=0.5)
-        predictor.observe(0.2)
-        assert predictor.predict() == pytest.approx(0.2)
-
-    def test_ewma_blend(self):
-        predictor = EwmaPricePredictor(alpha=0.5, skip_zero=False)
-        predictor.observe(0.2)
-        predictor.observe(0.4)
-        assert predictor.predict() == pytest.approx(0.3)
-
-    def test_skips_zero_prices_by_default(self):
-        predictor = EwmaPricePredictor(alpha=1.0)
-        predictor.observe(0.3)
-        predictor.observe(0.0)
-        assert predictor.predict() == pytest.approx(0.3)
-
-    def test_alpha_one_tracks_last(self):
-        predictor = EwmaPricePredictor(alpha=1.0)
-        for price in (0.1, 0.25, 0.18):
-            predictor.observe(price)
-        assert predictor.predict() == pytest.approx(0.18)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            EwmaPricePredictor(alpha=0.0)
-        with pytest.raises(ConfigurationError):
-            EwmaPricePredictor().observe(-0.1)
-
-
-class TestOraclePricePredictor:
-    def test_none_until_injected(self):
-        assert OraclePricePredictor().predict() is None
-
-    def test_injection(self):
-        oracle = OraclePricePredictor()
-        oracle.set_oracle(0.22)
-        assert oracle.predict() == pytest.approx(0.22)
-
-    def test_observations_ignored(self):
-        oracle = OraclePricePredictor()
-        oracle.set_oracle(0.22)
-        oracle.observe(0.9)
-        assert oracle.predict() == pytest.approx(0.22)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigurationError):
-            OraclePricePredictor().set_oracle(-1.0)

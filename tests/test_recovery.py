@@ -21,6 +21,7 @@ from repro.core.bids import RackBid, TenantBid
 from repro.core.demand import LinearBid
 from repro.core.frame import BidFrame
 from repro.core.market import SlotMarketRecord, SpotDCAllocator
+from repro.forecast import RiskAwareReleasePolicy, build_signal
 from repro.errors import (
     ConfigurationError,
     OperatorCrash,
@@ -57,9 +58,12 @@ SLOTS = 12
 
 def _crashed_then_resumed(
     tmp_path, seed, fault_profile=None, telemetry_dir=None,
-    crash_at=8, checkpoint_every=3, slots=SLOTS,
+    crash_at=8, checkpoint_every=3, slots=SLOTS, **run_args,
 ):
-    """Run to a crash, restore from the latest checkpoint, finish."""
+    """Run to a crash, restore from the latest checkpoint, finish.
+
+    ``run_args`` go to both runs' :func:`run_simulation`.
+    """
     base = fault_profile or FaultProfile(name="crash-only")
     crashing = dataclasses.replace(base, crash_at_slot=crash_at)
     telemetry = (
@@ -76,6 +80,7 @@ def _crashed_then_resumed(
             telemetry=telemetry,
             checkpoint_every=checkpoint_every,
             checkpoint_dir=ckpt_dir,
+            **run_args,
         )
     checkpoint = latest_checkpoint(ckpt_dir)
     assert checkpoint is not None
@@ -84,6 +89,7 @@ def _crashed_then_resumed(
         slots,
         fault_profile=crashing,
         resume_from=checkpoint,
+        **run_args,
     )
 
 
@@ -180,6 +186,40 @@ class TestCheckpointResume:
         _assert_results_equal(resumed, reference)
         crashed = (tmp_path / "crashed" / "run_trace.jsonl").read_bytes()
         assert crashed == (tmp_path / "ref" / "run_trace.jsonl").read_bytes()
+
+    def test_full_ensemble_window_in_flight_resumes_identically(self, tmp_path):
+        # The ensemble reads 201 slots of monitor history.  The slot-219
+        # checkpoint carries a full window of them and the run crashes at
+        # 237, so the resumed forecasts read the pickled window back.  An
+        # armed crash brings a fault injector and with it degradation
+        # control, which revokes grants the 0.8 release overcommits: the
+        # reference arms one past its last slot, which never fires.
+        def forecasting():
+            return dict(
+                signal=build_signal("ensemble"), release_policy=RiskAwareReleasePolicy(0.8)
+            )
+
+        slots = 260
+        resumed = _crashed_then_resumed(
+            tmp_path, seed=3, telemetry_dir=tmp_path / "crashed",
+            crash_at=237, checkpoint_every=20, slots=slots, **forecasting(),
+        )
+        envelope = load_checkpoint(latest_checkpoint(tmp_path / "ckpt"))
+        assert envelope["slot"] == 219
+        monitor = envelope["engine"].monitor
+        assert len(monitor._ups_series) == build_signal("ensemble").lookback == 201
+        reference = run_simulation(
+            build_testbed(seed=3),
+            slots,
+            fault_profile=FaultProfile(name="crash-only", crash_at_slot=slots),
+            telemetry=TelemetryConfig(out_dir=tmp_path / "ref", label="run"),
+            **forecasting(),
+        )
+        assert reference.control_actions
+        _assert_results_equal(resumed, reference)
+        for name in ("run_trace.jsonl", "run_summary.json"):
+            crashed = (tmp_path / "crashed" / name).read_bytes()
+            assert crashed == (tmp_path / "ref" / name).read_bytes()
 
     def test_resumed_summary_matches_uninterrupted(self, tmp_path):
         # The run state's forecast-accuracy accumulators come back with
@@ -411,17 +451,17 @@ class TestCheckpointEnvelope:
             load_checkpoint(path)
 
     def test_previous_format_is_refused(self, tmp_path, monkeypatch):
-        # A format-7 checkpoint kept the delayed grants in flight on the
-        # engine, where this build no longer looks for them.
-        monkeypatch.setattr(checkpoint_module, "CHECKPOINT_FORMAT", 7)
+        # A format-8 checkpoint kept the power monitor's series in the
+        # history segment, where this build no longer looks for them.
+        monkeypatch.setattr(checkpoint_module, "CHECKPOINT_FORMAT", 8)
         SimulationEngine(build_testbed(seed=1)).run(
             6, checkpoint_every=2, checkpoint_dir=tmp_path
         )
         monkeypatch.undo()
         (*_, path) = sorted(tmp_path.glob("checkpoint_*.pkl"))
-        with pytest.raises(RecoveryError, match="has format 7"):
+        with pytest.raises(RecoveryError, match="has format 8"):
             load_checkpoint(path)
-        with pytest.warns(UserWarning, match="has format 7"):
+        with pytest.warns(UserWarning, match="has format 8"):
             assert latest_checkpoint(tmp_path) is None
 
     def test_horizon_mismatch_raises(self, tmp_path):
