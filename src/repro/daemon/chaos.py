@@ -156,11 +156,10 @@ class ChaosOutcome:
 def _fault_model(fault_profile, crash_slots, seed):
     """An injector for one daemon incarnation.
 
-    Always returns an injector — even a source-less one — because the
-    engine activates the degradation controller exactly when a fault
-    model is present, and the reference/chaos pair must agree on that:
-    a crash-only chaos run compared against a ``fault_model=None``
-    reference would differ in *enforcement*, not crash recovery.
+    The profile's sources plus one crash per slot of ``crash_slots``.
+    Crashes alone bring no degradation control
+    (:attr:`FaultInjector.corrupts_inputs`), so a crash-only chaos run
+    enforces exactly as its crash-free reference does.
     """
     sources = list(fault_profile.sources()) if fault_profile is not None else []
     sources += [CrashFault(s) for s in sorted(crash_slots)]

@@ -663,6 +663,15 @@ class FaultInjector:
         )
 
     @property
+    def corrupts_inputs(self) -> bool:
+        """Whether any source acts on the market's inputs or deliveries.
+
+        Every channel does but ``crash``, which only kills the slot loop:
+        a crash-only (or source-less) injector leaves a run unchanged.
+        """
+        return any(self._by_channel[c] for c in CHANNELS if c != "crash")
+
+    @property
     def has_meter_faults(self) -> bool:
         """Whether any meter source is configured."""
         return bool(self._by_channel["meter"])

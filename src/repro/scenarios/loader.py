@@ -204,7 +204,7 @@ def build_scenario(
     from repro.infrastructure.rack import Rack
     from repro.infrastructure.topology import PowerTopology
     from repro.infrastructure.ups import Ups
-    from repro.sim.scenario import Scenario, _tenant_from_spec
+    from repro.sim.scenario import Scenario, _tenants_from_spec
 
     normal = normalize_spec(spec)
     factory = strategy_factory or strategy_factory_from_spec(
@@ -212,18 +212,13 @@ def build_scenario(
     )
     slot_seconds = normal["time"]["slot_seconds"]
     records = normal["demand"]["tenants"]
-    tenants = [
-        _tenant_from_spec(
-            record,
-            normal["topology"]["rack_headroom_fraction"],
-            factory,
-            rng,
-            24 * 3600 / slot_seconds,
-        )
-        for record, rng in zip(
-            records, spawn_rngs(make_rng(normal["seed"]), len(records))
-        )
-    ]
+    tenants = _tenants_from_spec(
+        records,
+        spawn_rngs(make_rng(normal["seed"]), len(records)),
+        normal["topology"]["rack_headroom_fraction"],
+        factory,
+        24 * 3600 / slot_seconds,
+    )
 
     leased_w = dict.fromkeys(spec_pdu_ids(normal), 0.0)
     for record in records:

@@ -180,8 +180,9 @@ class SimulationEngine:
             faults, and capacity deratings
             (paper §III-C "Handling exceptions").  ``None`` falls back
             to the scenario's own ``fault_profile``, if any.  Whenever
-            a fault model or the scenario's grid ``events`` are active,
-            a :class:`~repro.resilience.degradation.DegradationController`
+            a fault model with a source off the ``crash`` channel or the
+            scenario's grid ``events`` are active, a
+            :class:`~repro.resilience.degradation.DegradationController`
             contains the excursions they cause.
         telemetry: Observability for the run: a
             :class:`repro.telemetry.TelemetryConfig`, a pre-built
@@ -225,10 +226,12 @@ class SimulationEngine:
         events = getattr(scenario, "events", None)
         self.shock_absorber = ShockAbsorber(events) if events is not None else None
         # Grid events need the §III-C revocation ladder (rung 3 of the
-        # shock absorber) even in fault-free runs.
+        # shock absorber) even in fault-free runs.  An armed crash alone
+        # brings none: arming one must not change the run.
         self.degradation = (
             DegradationController()
-            if fault_model is not None or self.shock_absorber is not None
+            if (fault_model is not None and fault_model.corrupts_inputs)
+            or self.shock_absorber is not None
             else None
         )
         self.allocator = allocator or SpotDCAllocator(

@@ -30,7 +30,7 @@ from repro.errors import ConfigurationError
 from repro.events.profile import EventProfile
 from repro.forecast.profile import PredictionProfile
 from repro.infrastructure.topology import PowerTopology
-from repro.power.latency import LatencyModel
+from repro.power.latency import LatencyColumns, LatencyModel, powers_for_latency
 from repro.power.server import ServerPowerModel
 from repro.resilience.profile import FaultProfile
 from repro.sim.results import RackInfo, TenantInfo
@@ -52,6 +52,7 @@ from repro.workloads.base import (
     BatchWorkload,
     InteractiveWorkload,
     TracePowerWorkload,
+    batched_desired_power,
 )
 from repro.workloads.graph import make_graph_workload
 from repro.workloads.hadoop import make_terasort_workload, make_wordcount_workload
@@ -223,10 +224,17 @@ class Scenario:
                 )
 
     def prepare(self, slots: int) -> None:
-        """Materialise every tenant's workload traces for a run."""
+        """Materialise every tenant's workload traces for a run.
+
+        Each tenant draws from its own stream, in roster order; then one
+        array bisection fills every latency workload's desired power.
+        """
         rng = make_rng(self.seed)
-        for tenant, tenant_rng in zip(self.tenants, spawn_rngs(rng, len(self.tenants))):
-            tenant.prepare(slots, tenant_rng)
+        with batched_desired_power():
+            for tenant, tenant_rng in zip(
+                self.tenants, spawn_rngs(rng, len(self.tenants))
+            ):
+                tenant.prepare(slots, tenant_rng)
 
     def rack_infos(self) -> list[RackInfo]:
         """Static rack facts for the results layer."""
@@ -282,21 +290,28 @@ def _finite_number(value) -> bool:
     )
 
 
-def _reference_rate(workload: InteractiveWorkload, power_target_w: float) -> float:
-    """Arrival rate at which the workload's desired power hits a target.
+def _reference_rates(
+    workloads: list[InteractiveWorkload], power_targets_w: list[float]
+) -> list[float]:
+    """Arrival rate at which each workload's desired power hits its target.
 
-    Used to calibrate sprinting cost models at a representative
-    "needs spot capacity" load.  Monotone bisection over the rate.
+    Used to calibrate sprinting cost models at a representative "needs
+    spot capacity" load.  A 50-step bisection over the rate, run on all
+    workloads in lockstep: every step is one array bisection over power
+    (:func:`repro.power.latency.powers_for_latency`), so each rate equals
+    the workload-at-a-time bisection bit for bit.
     """
-    model = workload.latency_model
-    lo, hi = 0.0, model.mu_max_rps * 0.98
+    models = LatencyColumns.of([workload.latency_model for workload in workloads])
+    targets = np.array([workload.target_ms for workload in workloads], dtype=float)
+    rows = np.arange(len(workloads))
+    power_targets = np.array(power_targets_w, dtype=float)
+    lo, hi = np.zeros(len(workloads)), models.mu_max_rps * 0.98
     for _ in range(50):
         mid = (lo + hi) / 2
-        if model.power_for_latency(workload.target_ms, mid) < power_target_w:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+        below = powers_for_latency(models, targets, rows, mid) < power_targets
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return ((lo + hi) / 2).tolist()
 
 
 #: Diurnal phase of each sprinting/opportunistic workload class, so the
@@ -304,72 +319,117 @@ def _reference_rate(workload: InteractiveWorkload, power_target_w: float) -> flo
 _PHASE = {"search": 0.0, "web": 0.35, "wordcount": 0.2, "terasort": 0.5, "graph": 0.7}
 
 
-def _tenant_from_spec(
-    record: dict,
+def _tenants_from_spec(
+    records: list[dict],
+    rngs: list[np.random.Generator],
     rack_headroom_fraction: float,
     strategy_factory,
-    rng: np.random.Generator,
     slots_per_day: float,
-) -> Tenant:
-    """Assemble one tenant from its normal-form spec record."""
-    if record["workload"] == "tiered":
-        return _build_tiered_tenant(record, rack_headroom_fraction, rng, slots_per_day)
-    if record["workload"] == "other":
-        return _build_other_tenant(record, rng, slots_per_day)
-    return _build_participating_tenant(
-        record, rack_headroom_fraction, strategy_factory, slots_per_day
+) -> list[Tenant]:
+    """Assemble every tenant from its normal-form spec record, in order.
+
+    Two passes: the first builds each tenant, or for a sprinting one its
+    rack and reference power; one lockstep bisection then gives every
+    sprinting tenant's reference rate (:func:`_reference_rates`), and the
+    second calibrates and assembles them.
+    """
+    tenants: list = []
+    sprinting: list[tuple[int, dict, TenantRack, float, BiddingStrategy]] = []
+    for record, rng in zip(records, rngs):
+        kind = record["workload"]
+        if kind == "tiered":
+            tenants.append(
+                _build_tiered_tenant(record, rack_headroom_fraction, rng, slots_per_day)
+            )
+        elif kind == "other":
+            tenants.append(_build_other_tenant(record, rng, slots_per_day))
+        elif kind in ("search", "web"):
+            rack = _sprinting_rack(record, rack_headroom_fraction, slots_per_day)
+            reference_power = record["subscription_w"] + 0.5 * rack.useful_spot_w
+            strategy = strategy_factory("sprinting")
+            sprinting.append((len(tenants), record, rack, reference_power, strategy))
+            tenants.append(None)
+        else:
+            tenants.append(
+                _build_opportunistic_tenant(
+                    record, rack_headroom_fraction, strategy_factory
+                )
+            )
+    rates = _reference_rates(
+        [rack.workload for _, _, rack, _, _ in sprinting],
+        [reference_power for _, _, _, reference_power, _ in sprinting],
+    )
+    for (position, record, rack, _, strategy), reference_rps in zip(sprinting, rates):
+        tenants[position] = _build_sprinting_tenant(record, rack, reference_rps, strategy)
+    return tenants
+
+
+def _rack_power_model(record: dict) -> ServerPowerModel:
+    """A sprinting/opportunistic rack's power model, from its class."""
+    subscription = record["subscription_w"]
+    return ServerPowerModel(
+        idle_w=_IDLE_FRACTION * subscription,
+        peak_w=_PEAK_FRACTION[record["workload"]] * subscription,
     )
 
 
-def _build_participating_tenant(
-    record: dict,
-    rack_headroom_fraction: float,
-    strategy_factory,
-    slots_per_day: float,
-) -> Tenant:
-    """Assemble one sprinting/opportunistic tenant (one rack, one class)."""
+def _sprinting_rack(
+    record: dict, rack_headroom_fraction: float, slots_per_day: float
+) -> TenantRack:
+    """A sprinting (search/web) tenant's one rack and its workload."""
     name, kind = record["name"], record["workload"]
     subscription = record["subscription_w"]
-    power_model = ServerPowerModel(
-        idle_w=_IDLE_FRACTION * subscription,
-        peak_w=_PEAK_FRACTION[kind] * subscription,
+    power_model = _rack_power_model(record)
+    factory = make_search_workload if kind == "search" else make_web_workload
+    return TenantRack(
+        rack_id=f"rack:{name}",
+        pdu_id=record["pdu"],
+        guaranteed_w=subscription,
+        max_spot_w=rack_headroom_fraction * subscription,
+        power_model=power_model,
+        workload=factory(
+            name, power_model, phase=_PHASE[kind], slots_per_day=slots_per_day
+        ),
     )
+
+
+def _build_sprinting_tenant(
+    record: dict,
+    tenant_rack: TenantRack,
+    reference_rps: float,
+    strategy: BiddingStrategy,
+) -> Tenant:
+    """A sprinting tenant, its cost calibrated at its reference rate."""
+    q_low, q_high, target_marginal = PRICE_ANCHORS[record["workload"]]
+    workload = tenant_rack.workload
+    cost_model = calibrate_sprinting_cost(
+        workload.latency_model,
+        guaranteed_w=record["subscription_w"],
+        reference_rps=reference_rps,
+        max_spot_w=tenant_rack.useful_spot_w,
+        target_marginal_per_kw_hour=target_marginal,
+        slo_ms=workload.slo_ms,
+    )
+    return SprintingTenant(
+        tenant_id=record["name"],
+        racks=[tenant_rack],
+        cost_models={tenant_rack.rack_id: cost_model},
+        q_low=q_low,
+        q_high=q_high,
+        strategy=strategy,
+    )
+
+
+def _build_opportunistic_tenant(
+    record: dict, rack_headroom_fraction: float, strategy_factory
+) -> Tenant:
+    """Assemble one opportunistic tenant (one batch rack)."""
+    name, kind = record["name"], record["workload"]
+    subscription = record["subscription_w"]
+    power_model = _rack_power_model(record)
     max_spot = rack_headroom_fraction * subscription
     rack_id = f"rack:{name}"
     q_low, q_high, target_marginal = PRICE_ANCHORS[kind]
-
-    if kind in ("search", "web"):
-        factory = make_search_workload if kind == "search" else make_web_workload
-        workload = factory(
-            name, power_model, phase=_PHASE[kind], slots_per_day=slots_per_day
-        )
-        tenant_rack = TenantRack(
-            rack_id=rack_id,
-            pdu_id=record["pdu"],
-            guaranteed_w=subscription,
-            max_spot_w=max_spot,
-            power_model=power_model,
-            workload=workload,
-        )
-        reference_power = subscription + 0.5 * tenant_rack.useful_spot_w
-        reference_rps = _reference_rate(workload, reference_power)
-        cost_model = calibrate_sprinting_cost(
-            workload.latency_model,
-            guaranteed_w=subscription,
-            reference_rps=reference_rps,
-            max_spot_w=tenant_rack.useful_spot_w,
-            target_marginal_per_kw_hour=target_marginal,
-            slo_ms=workload.slo_ms,
-        )
-        return SprintingTenant(
-            tenant_id=name,
-            racks=[tenant_rack],
-            cost_models={rack_id: cost_model},
-            q_low=q_low,
-            q_high=q_high,
-            strategy=strategy_factory("sprinting"),
-        )
-
     batch_factories = {
         "wordcount": make_wordcount_workload,
         "terasort": make_terasort_workload,

@@ -34,7 +34,7 @@ from repro.errors import ConfigurationError, WorkloadError
 from repro.power.latency import LatencyModel
 from repro.tenants.portfolio import TenantRack
 from repro.tenants.tenant import Tenant
-from repro.workloads.base import SlotPerformance, Workload
+from repro.workloads.base import SlotPerformance, Workload, request_desired_power
 
 __all__ = ["TierWorkload", "BundledSprintingTenant"]
 
@@ -73,12 +73,7 @@ class TierWorkload(Workload):
     def install_arrivals(self, rates: np.ndarray) -> None:
         """Install the shared arrival series (tenant-managed)."""
         self._rates = np.asarray(rates, dtype=float)
-        self._desired = np.array(
-            [
-                self.latency_model.power_for_latency(self.target_ms, float(r))
-                for r in self._rates
-            ]
-        )
+        request_desired_power(self)
         self._mark_prepared(int(self._rates.size))
 
     def prepare(self, slots: int, rng: np.random.Generator) -> None:

@@ -13,17 +13,26 @@ A workload is **stateful and slot-ordered**: :meth:`Workload.prepare`
 materialises its trace for a run, and :meth:`Workload.execute` must be
 called once per slot in order (batch backlogs evolve with the power
 actually granted).
+
+A latency workload's desired power per slot is the minimum-power
+bisection at that slot's rate.  :func:`fill_desired_power` runs it for
+many workloads in one array bisection; inside a
+:func:`batched_desired_power` block the workloads prepared wait for one
+such call at its end.
 """
 
 from __future__ import annotations
 
 import abc
+import contextlib
+import contextvars
 import dataclasses
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.power.latency import LatencyModel
+from repro.power.latency import LatencyColumns, LatencyModel, powers_for_latency
 from repro.power.throughput import ThroughputModel
 
 __all__ = [
@@ -32,7 +41,67 @@ __all__ = [
     "InteractiveWorkload",
     "BatchWorkload",
     "TracePowerWorkload",
+    "batched_desired_power",
+    "fill_desired_power",
+    "request_desired_power",
 ]
+
+#: The workloads waiting for the enclosing batched_desired_power block.
+_PENDING: contextvars.ContextVar[list | None] = contextvars.ContextVar(
+    "pending_desired_power", default=None
+)
+
+
+def fill_desired_power(workloads: Sequence) -> None:
+    """Fill each latency workload's desired-power series in one bisection.
+
+    Each workload (:class:`InteractiveWorkload`,
+    :class:`repro.tenants.bundled.TierWorkload`) has its ``latency_model``,
+    ``target_ms`` and per-slot ``_rates``; its ``_desired`` becomes the
+    smallest budget meeting the target at every slot's rate
+    (:func:`repro.power.latency.powers_for_latency`), a read-only array
+    of its own slots.
+    """
+    if not workloads:
+        return
+    sizes = [workload._rates.size for workload in workloads]
+    desired = powers_for_latency(
+        LatencyColumns.of([workload.latency_model for workload in workloads]),
+        np.array([workload.target_ms for workload in workloads], dtype=float),
+        np.repeat(np.arange(len(workloads)), sizes),
+        np.concatenate([workload._rates for workload in workloads]),
+    )
+    for workload, series in zip(workloads, np.split(desired, np.cumsum(sizes)[:-1])):
+        series.flags.writeable = False
+        workload._desired = series
+
+
+@contextlib.contextmanager
+def batched_desired_power() -> Iterator[None]:
+    """Fill every desired-power series requested inside in one call at the end.
+
+    Workloads prepared inside the block draw their traces as usual and
+    leave ``_desired`` unset until the block exits; an exception leaves
+    them unfilled.
+    """
+    pending: list = []
+    token = _PENDING.set(pending)
+    try:
+        yield
+    finally:
+        _PENDING.reset(token)
+    fill_desired_power(pending)
+
+
+def request_desired_power(workload) -> None:
+    """Fill a workload's desired-power series now, or when the enclosing
+    :func:`batched_desired_power` block ends."""
+    pending = _PENDING.get()
+    if pending is None:
+        fill_desired_power([workload])
+    else:
+        workload._desired = None
+        pending.append(workload)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -177,12 +246,7 @@ class InteractiveWorkload(Workload):
 
     def prepare(self, slots: int, rng: np.random.Generator) -> None:
         self._rates = np.asarray(self.arrival_trace.generate(slots, rng), dtype=float)
-        self._desired = np.array(
-            [
-                self.latency_model.power_for_latency(self.target_ms, float(r))
-                for r in self._rates
-            ]
-        )
+        request_desired_power(self)
         self._mark_prepared(slots)
 
     def intensity(self, slot: int) -> float:

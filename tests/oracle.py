@@ -28,7 +28,10 @@ computation:
 * :func:`verify_allocation` — the Eq. 2-4 check walked grant by grant;
 * :func:`sprinting_value_curve` / :func:`opportunistic_value_curve` —
   tenant value curves tabulated point by point through the scalar
-  latency, throughput and cost models.
+  latency, throughput and cost models;
+* :func:`power_for_latency` / :func:`reference_rate` — the minimum-power
+  bisection and the calibration's bisection over the arrival rate
+  around it, one scalar latency call per step.
 
 The engine argument only supplies configuration (``params``,
 ``include_breakpoints``); nothing here calls its clearing methods.
@@ -1521,3 +1524,51 @@ def opportunistic_value_curve(
     )
     gains = cost_model.rho * 3600.0 * (1.0 - base_rate / np.maximum(rates, 1e-12))
     return SpotValueCurve.from_gain_samples(base_power_w, grid, gains)
+
+
+# ----------------------------------------------------------------------
+# Minimum-power and reference-rate bisections
+# ----------------------------------------------------------------------
+
+
+def power_for_latency(
+    model: LatencyModel,
+    target_ms: float,
+    arrival_rps: float,
+    tolerance_w: float = 0.01,
+) -> float:
+    """Smallest power budget meeting a latency target (bisection).
+
+    Returns the rack's peak power when the target is unreachable even
+    at full power.
+    """
+    if target_ms <= 0:
+        raise ConfigurationError("target_ms must be positive")
+    peak = model.power_model.peak_w
+    if model.latency_ms(peak, arrival_rps) > target_ms:
+        return peak
+    lo, hi = model.power_model.idle_w, peak
+    while hi - lo > tolerance_w:
+        mid = (lo + hi) / 2
+        if model.latency_ms(mid, arrival_rps) <= target_ms:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def reference_rate(workload, power_target_w: float) -> float:
+    """Arrival rate at which a latency workload's desired power hits a target.
+
+    A 50-step bisection over the rate, one :func:`power_for_latency`
+    per step.
+    """
+    model = workload.latency_model
+    lo, hi = 0.0, model.mu_max_rps * 0.98
+    for _ in range(50):
+        mid = (lo + hi) / 2
+        if power_for_latency(model, workload.target_ms, mid) < power_target_w:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2

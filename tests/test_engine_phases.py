@@ -172,8 +172,9 @@ class TestEnforce:
         assert span.attrs["revoked_grants"] == 0
 
     def test_degradation_revokes_a_grant_over_a_derated_pdu(self):
-        # Any fault model brings the degradation controller.
-        engine = _engine(fault_model=FaultInjector([], seed=1))
+        # A fault model with a source off the crash channel brings the
+        # degradation controller (this scripted loss never fires).
+        engine = _engine(fault_model=FaultInjector([ScriptedLoss("bid", [])], seed=1))
         topology = engine.scenario.topology
         engine.monitor.record_slot(
             {rack_id: rack.guaranteed_w for rack_id, rack in topology.racks.items()}

@@ -191,9 +191,8 @@ class TestCheckpointResume:
         # The ensemble reads 201 slots of monitor history.  The slot-219
         # checkpoint carries a full window of them and the run crashes at
         # 237, so the resumed forecasts read the pickled window back.  An
-        # armed crash brings a fault injector and with it degradation
-        # control, which revokes grants the 0.8 release overcommits: the
-        # reference arms one past its last slot, which never fires.
+        # armed crash brings no degradation control, so the reference is
+        # the crash-free run and neither revokes a grant.
         def forecasting():
             return dict(
                 signal=build_signal("ensemble"), release_policy=RiskAwareReleasePolicy(0.8)
@@ -211,11 +210,10 @@ class TestCheckpointResume:
         reference = run_simulation(
             build_testbed(seed=3),
             slots,
-            fault_profile=FaultProfile(name="crash-only", crash_at_slot=slots),
             telemetry=TelemetryConfig(out_dir=tmp_path / "ref", label="run"),
             **forecasting(),
         )
-        assert reference.control_actions
+        assert not reference.control_actions and not resumed.control_actions
         _assert_results_equal(resumed, reference)
         for name in ("run_trace.jsonl", "run_summary.json"):
             crashed = (tmp_path / "crashed" / name).read_bytes()
